@@ -83,7 +83,7 @@ _TOP_LEVEL_FIELDS = {
     "input", "output_dir", "covariates", "treatment_column",
     "n_treatment_levels", "alpha", "alpha_trunc", "families", "targets",
     "estimators", "empty_set_policy", "truncate_weights",
-    "rules_from_truncated_g", "itt_covariate", "q_interactions", "seed",
+    "itt_covariate", "q_interactions", "seed",
     "bootstrap", "diagnostic",
 }
 _BOOTSTRAP_FIELDS = {"replicates", "seed", "interval", "level"}
@@ -122,8 +122,6 @@ def _validate_config(cfg: dict) -> None:
     for name in ("alpha", "alpha_trunc"):
         if name in cfg and not isinstance(cfg[name], (int, float)):
             _fail(name, "a number")
-    if "rules_from_truncated_g" in cfg and not isinstance(cfg["rules_from_truncated_g"], bool):
-        _fail("rules_from_truncated_g", "a boolean")
     if "truncate_weights" in cfg:
         value = cfg["truncate_weights"]
         ok = isinstance(value, bool) or (
@@ -304,7 +302,6 @@ def cmd_estimate(args) -> int:
     itt_covariate = cfg.get("itt_covariate", "delta")
     _check_choice("itt_covariate", itt_covariate, ITT_COVARIATES)
     truncate_weights = cfg.get("truncate_weights", True)
-    rules_from_truncated_g = bool(cfg.get("rules_from_truncated_g", False))
     interactions = tuple((str(c), int(l)) for c, l in cfg.get("q_interactions", []))
     seed = int(pick("seed", 0))
 
@@ -337,13 +334,13 @@ def cmd_estimate(args) -> int:
         dataset, g_model, q_model,
         families=families, targets=targets, estimators=estimators, alpha=alpha,
         empty_set_policy=policy, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g, itt_covariate=itt_covariate,
+        itt_covariate=itt_covariate,
     )
     if boot is not None:
         attach_bootstrap_intervals(
             report, dataset, spec, boot,
             empty_set_policy=policy, truncate_weights=truncate_weights,
-            rules_from_truncated_g=rules_from_truncated_g, itt_covariate=itt_covariate,
+            itt_covariate=itt_covariate,
         )
 
     outdir = Path(output_dir)
@@ -363,7 +360,6 @@ def cmd_estimate(args) -> int:
         "estimators": list(estimators),
         "empty_set_policy": policy,
         "truncate_weights": truncate_weights,
-        "rules_from_truncated_g": rules_from_truncated_g,
         "itt_covariate": itt_covariate,
         "q_interactions": [list(p) for p in interactions],
         "seed": seed,
@@ -429,7 +425,6 @@ def cmd_diagnose(args) -> int:
     truncate_weights = cfg.get("truncate_weights", True)
     if not isinstance(truncate_weights, bool):
         raise UsageError("truncate_weights must be a single boolean for diagnose")
-    rules_from_truncated_g = bool(cfg.get("rules_from_truncated_g", False))
     refit_g = diag.get("refit_g", True)
     if args.no_refit_g:
         refit_g = False
@@ -472,7 +467,6 @@ def cmd_diagnose(args) -> int:
         replicates=replicates, n_sim=n_sim, seed=seed, spec=spec,
         refit_g=refit_g, empty_set_policy=policy,
         truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
     )
     report = eta_bias_diagnostic(gen, alpha=alpha, **common)
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CausalRulesError, EstimationError, ValidationError
-from .estimators import NuisanceSpec, estimate_psi
+from .estimators import NuisanceSpec, _evaluate, _weight_scale, psi_from_arrays
 from .glm import OutcomeModel, TreatmentModel
 from .ingest import Dataset
-from .rules import Rule, membership_matrix, realistic_assignments
+from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
 
@@ -136,6 +136,25 @@ def generate(
     )
 
 
+def _true_psi(
+    w_probs: np.ndarray,
+    g_raw: np.ndarray,
+    q_all: np.ndarray,
+    rule: Rule,
+    member: np.ndarray | None = None,
+) -> float:
+    """:func:`true_psi` from the support's evaluated ``g`` and ``Q``."""
+    m, k = q_all.shape
+    # Observed levels are not defined on the support; ITT rows off the
+    # target take the g-weighted average of Q below instead.
+    member, assigned = assign(rule, g_raw, np.zeros(m, dtype=np.int64), k, member)
+    values = q_all[np.arange(m), assigned]
+    if rule.family == "itt":
+        q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
+        values = np.where(member[:, rule.target], values, q_bar)
+    return float(np.dot(w_probs, values))
+
+
 def true_psi(
     gen: GeneratingDistribution,
     rule: Rule,
@@ -148,24 +167,7 @@ def true_psi(
     over levels.  ``member`` overrides the feasibility matrix on the
     support rows (used to evaluate estimand drift under refit g).
     """
-    k = gen.n_treatment_levels
-    if rule.target >= k:
-        raise ValidationError(f"rule target {rule.target} outside 0..{k - 1}")
-    g_raw = gen.support_g_raw()
-    q_all = gen.support_q()
-    m = gen.w_support.shape[0]
-    if member is None:
-        if rule.family == "static" or rule.alpha == 0.0:
-            member = np.ones((m, k), dtype=bool)
-        else:
-            member = membership_matrix(g_raw, rule.alpha)
-    if rule.family in ("static", "realistic"):
-        assigned = realistic_assignments(member, rule.target, rule.empty_set_policy)
-        values = q_all[np.arange(m), assigned]
-    else:
-        q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
-        values = np.where(member[:, rule.target], q_all[:, rule.target], q_bar)
-    return float(np.dot(gen.w_probs, values))
+    return _true_psi(gen.w_probs, gen.support_g_raw(), gen.support_q(), rule, member)
 
 
 def true_relative_risk(
@@ -176,10 +178,12 @@ def true_relative_risk(
     empty_set_policy: str = "error",
 ) -> float:
     """Exact theta = psi_target / psi_0 under the generating system."""
-    num = true_psi(gen, Rule(family=family, target=target, alpha=alpha,
-                             empty_set_policy=empty_set_policy))
-    den = true_psi(gen, Rule(family=family, target=0, alpha=alpha,
-                             empty_set_policy=empty_set_policy))
+    g_raw, q_all = gen.support_g_raw(), gen.support_q()
+    num, den = (
+        _true_psi(gen.w_probs, g_raw, q_all, Rule(family=family, target=t, alpha=alpha,
+                                                  empty_set_policy=empty_set_policy))
+        for t in (target, 0)
+    )
     if abs(den) < 1e-12:
         raise EstimationError("true psi_0 is numerically zero")
     return num / den
@@ -279,7 +283,6 @@ def eta_bias_diagnostic(
     refit_g: bool = True,
     empty_set_policy: str = "error",
     truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
     record_drift: bool = True,
 ) -> BiasReport:
     """Simulate from the generating system and measure estimator bias.
@@ -293,8 +296,11 @@ def eta_bias_diagnostic(
     the data-adaptive estimand itself moves, separately from estimation
     error around it.
 
-    Replicates whose fits fail are dropped and counted; more than 10%
-    failing raises, more than 1% warns.
+    The generating system is evaluated on its support once per call,
+    and each replicate's refit models once per replicate.  Replicates
+    whose fits (or refit feasibility sets on the support) fail are
+    dropped and counted; more than 10% failing raises, more than 1%
+    warns.
     """
     if targets is None:
         targets = tuple(range(gen.n_treatment_levels))
@@ -313,12 +319,12 @@ def eta_bias_diagnostic(
         need_g = True
 
     cells = [(f, t) for f in families for t in targets]
-    truth = {
-        (f, t): true_psi(
-            gen, Rule(family=f, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
-        )
+    rules = {
+        (f, t): Rule(family=f, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
         for f, t in cells
     }
+    g_support, q_support = gen.support_g_raw(), gen.support_q()
+    truth = {c: _true_psi(gen.w_probs, g_support, q_support, rules[c]) for c in cells}
     estimates: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     drifts: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     n_failed = 0
@@ -330,31 +336,34 @@ def eta_bias_diagnostic(
         try:
             g_model = (spec.fit_g(ds) if refit_g else gen.g_model) if need_g else None
             q_model = spec.fit_q(ds) if need_q else None
+            member_fit = None
+            if record_drift and g_model is not None:
+                w_g = _columns_for(
+                    gen.w_support, gen.covariate_names, g_model.covariate_names
+                )
+                member_fit = membership_matrix(g_model.predict_raw(w_g), alpha)
         except CausalRulesError:
             n_failed += 1
             continue
-        member_fit = None
-        if record_drift and need_g and g_model is not None:
-            w_g = _columns_for(
-                gen.w_support, gen.covariate_names, g_model.covariate_names
-            )
-            member_fit = membership_matrix(g_model.predict_raw(w_g), alpha)
-        for f, t in cells:
-            rule = Rule(family=f, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
+        G, M = _evaluate(ds, g_model, q_model)
+        G_weights = _weight_scale(G, g_model, truncate_weights)
+        y = ds.y.astype(float)
+        for c in cells:
+            rule = rules[c]
             try:
-                est = estimate_psi(
-                    estimator, ds, g_model, q_model, rule,
-                    truncate_weights=truncate_weights,
-                    rules_from_truncated_g=rules_from_truncated_g,
-                )
-                estimates[(f, t)].append(est.psi)
+                est = psi_from_arrays(estimator, rule, ds.a, y, G, G_weights, M)
+                estimates[c].append(est.psi)
             except CausalRulesError:
                 continue
-            if member_fit is not None and f in ("realistic", "itt") and alpha > 0.0:
+            if member_fit is not None and rule.family in ("realistic", "itt") and alpha > 0.0:
                 try:
-                    drifts[(f, t)].append(true_psi(gen, rule, member=member_fit))
+                    drifts[c].append(
+                        _true_psi(gen.w_probs, g_support, q_support, rule, member_fit)
+                    )
                 except CausalRulesError:
                     pass
+        # Free this replicate's arrays before the next one draws and fits.
+        del ds, G, G_weights, M, y
 
     if n_failed > 0.10 * replicates:
         raise EstimationError(

@@ -25,14 +25,16 @@ equation residual are both negligible.
 ``estimate_suite`` runs the full grid of rule families, target levels,
 and estimators and collects the results in a tabular report.
 
-Weight denominators use the truncated treatment probabilities by
-default; feasibility sets use the raw ones (see ``rules``).  Both
-choices can be overridden per call.
+Every estimator reads its nuisance values off two arrays evaluated once
+per dataset: the raw treatment probabilities ``G`` and the logit of the
+outcome regression ``M``, one column per level.  Feasibility sets always
+use the raw probabilities (see ``rules``); weight denominators use the
+truncated ones unless ``truncate_weights=False``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +56,7 @@ from .glm import (
     select_covariates,
 )
 from .ingest import Dataset
-from .rules import Rule, membership_matrix, itt_assignments, realistic_assignments
+from .rules import Rule, assign
 
 if TYPE_CHECKING:  # pragma: no cover
     from .inference import IntervalEstimate
@@ -99,68 +101,51 @@ class NuisanceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-rule context
+# Nuisance arrays shared by every estimator
 
 
-@dataclass(frozen=True)
-class _RuleContext:
-    rule: Rule
-    assigned: np.ndarray  # (n,) assigned levels
-    member: np.ndarray  # (n, K) feasibility (all True for static / alpha=0)
-    member_target: np.ndarray  # (n,) feasibility of the rule target
-    probs_w: np.ndarray | None  # weight-scale probabilities (truncated by default)
-    g_obs: np.ndarray | None  # probs_w at the observed level
-    w_for_q: np.ndarray | None  # covariate columns in outcome-model order
+def _evaluate(
+    dataset: Dataset, g_model: TreatmentModel | None, q_model: OutcomeModel | None
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Evaluate the fitted models once on a dataset.
 
-
-def _build_context(
-    dataset: Dataset,
-    rule: Rule,
-    g_model: TreatmentModel | None,
-    q_model: OutcomeModel | None,
-    need_weights: bool,
-    truncate_weights: bool,
-    rules_from_truncated_g: bool,
-) -> _RuleContext:
-    k = dataset.n_treatment_levels
-    if rule.target >= k:
-        raise ValidationError(f"rule target {rule.target} outside 0..{k - 1}")
-    need_g_rules = rule.family != "static" and rule.alpha > 0.0
-    raw = trunc = None
-    if g_model is not None and (need_g_rules or need_weights):
-        w_g = select_covariates(dataset, g_model.covariate_names)
-        raw = g_model.predict_raw(w_g)
-        trunc = np.maximum(raw, g_model.alpha_trunc)
-    if need_g_rules and raw is None:
-        raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
-    if need_weights and raw is None:
-        raise ValidationError("this estimator needs a fitted treatment model")
-
-    if need_g_rules:
-        member = membership_matrix(trunc if rules_from_truncated_g else raw, rule.alpha)
-    else:
-        member = np.ones((dataset.n, k), dtype=bool)
-    if rule.family in ("static", "realistic"):
-        assigned = realistic_assignments(member, rule.target, rule.empty_set_policy)
-    else:
-        assigned = itt_assignments(member, rule.target, dataset.a)
-
-    probs_w = g_obs = None
-    if need_weights:
-        probs_w = trunc if truncate_weights else raw
-        g_obs = probs_w[np.arange(dataset.n), dataset.a]
-    w_for_q = None
+    Returns ``G``, the raw ``g(a | W)``, and ``M``, the logit of
+    ``Q(a, W)``, each of shape ``(n, K)`` with one column per level
+    (None for a missing model).  Every estimator reads its nuisance
+    values off these two arrays.
+    """
+    G = M = None
+    if g_model is not None:
+        G = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
     if q_model is not None:
-        w_for_q = select_covariates(dataset, q_model.design.covariate_names)
-    return _RuleContext(
-        rule=rule,
-        assigned=assigned,
-        member=member,
-        member_target=member[:, rule.target],
-        probs_w=probs_w,
-        g_obs=g_obs,
-        w_for_q=w_for_q,
-    )
+        w_q = select_covariates(dataset, q_model.design.covariate_names)
+        M = np.column_stack(
+            [q_model.linear_predictor(l, w_q) for l in range(dataset.n_treatment_levels)]
+        )
+    return G, M
+
+
+def _weight_scale(G: np.ndarray | None, g_model: TreatmentModel | None, truncate: bool):
+    """Probabilities for weight denominators: raw, or floored at ``alpha_trunc``."""
+    if G is None or not truncate:
+        return G
+    return np.maximum(G, g_model.alpha_trunc)
+
+
+def _clever_covariate(
+    ruled: np.ndarray, eval_a: np.ndarray, level, g_eval: np.ndarray
+) -> np.ndarray:
+    """``I(eval_a = level) / g_eval`` on ruled rows, 1 elsewhere.
+
+    ``ruled`` marks the rows the rule moves: every row for static and
+    realistic rules, rows with a feasible target for ITT rules (the
+    others keep their observed level and outcome, with weight one).
+    """
+    match = ruled & (eval_a == level)
+    _check_matched_denominators(g_eval, match)
+    out = np.where(ruled, 0.0, 1.0)
+    out[match] = 1.0 / g_eval[match]
+    return out
 
 
 def _check_matched_denominators(g_obs: np.ndarray, matched: np.ndarray) -> None:
@@ -262,13 +247,121 @@ class RelativeRiskEstimate:
 # The four counterfactual-mean estimators
 
 
+def _check_models(estimator: str, rule: Rule, G, M) -> None:
+    if estimator != "iptw" and M is None:
+        raise ValidationError(f"{estimator} needs a fitted outcome model")
+    if estimator != "gcomp" and G is None:
+        raise ValidationError(f"{estimator} needs a fitted treatment model")
+    if G is None and rule.family != "static" and rule.alpha > 0.0:
+        raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
+
+
+def _augmented(ruled, h_obs, y, q_obs, q_assigned) -> np.ndarray:
+    """Augmented-IPTW terms; rows the rule leaves alone keep their outcome."""
+    return np.where(ruled, h_obs * (y - q_obs) + q_assigned, y)
+
+
+def psi_from_arrays(
+    estimator: str,
+    rule: Rule,
+    a: np.ndarray,
+    y: np.ndarray,
+    G: np.ndarray | None,
+    G_weights: np.ndarray | None,
+    M: np.ndarray | None,
+) -> CounterfactualEstimate:
+    """One estimate of psi = E[Y_d] from evaluated nuisance arrays.
+
+    ``a`` and ``y`` are the observed levels and outcomes (as floats),
+    ``G`` the raw treatment probabilities that define feasibility,
+    ``G_weights`` the probabilities used as weight denominators, and
+    ``M`` the logit of the outcome regression at every level (see
+    :func:`_evaluate`).
+    """
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    _check_models(estimator, rule, G, M)
+    n = len(a)
+    rows = np.arange(n)
+    member, assigned = assign(rule, G, a, (G if M is None else M).shape[1])
+    itt = rule.family == "itt"
+    ruled = member[:, rule.target] if itt else np.ones(n, dtype=bool)
+    if estimator == "gcomp":
+        values = np.where(ruled, expit(M[rows, assigned]), y)
+        return CounterfactualEstimate(
+            estimator="gcomp", rule=rule, psi=float(values.mean()),
+            diagnostics=EstimateDiagnostics(n=n),
+        )
+    h_obs = _clever_covariate(ruled, a, assigned, G_weights[rows, a])
+    epsilon = residual = None
+    weights = h_obs
+    if estimator == "iptw":
+        psi = float((h_obs * y).mean())
+    elif estimator == "driptw":
+        # Rows with an infeasible ITT target carry no weight here.
+        weights = np.where(ruled, h_obs, 0.0)
+        q_obs, q_assigned = expit(M[rows, a]), expit(M[rows, assigned])
+        psi = float(_augmented(ruled, h_obs, y, q_obs, q_assigned).mean())
+    else:
+        m_obs = M[rows, a]
+        epsilon = fit_fluctuation(y, h_obs, m_obs).epsilon
+        q1_obs = expit(m_obs + epsilon * h_obs)
+        g_assigned = G_weights[rows, assigned]
+        if np.any(g_assigned[ruled] <= 0.0):
+            at = "the target level" if itt else "an assigned level"
+            raise EstimationError(f"zero treatment probability at {at}")
+        # ITT multiplies by 1/g, the other families divide by g: the two
+        # round differently, and each keeps its form so estimates are
+        # reproducible bit for bit.
+        if itt:
+            with np.errstate(divide="ignore"):
+                shift = epsilon * np.where(ruled, 1.0 / g_assigned, 0.0)
+        else:
+            shift = epsilon / g_assigned
+        q1_assigned = expit(M[rows, assigned] + shift)
+        psi = float(np.where(ruled, q1_assigned, q1_obs).mean())
+        residual = float(_augmented(ruled, h_obs, y, q1_obs, q1_assigned).mean() - psi)
+    n_w, w_min, w_max, w_mean = _weight_summary(weights)
+    return CounterfactualEstimate(
+        estimator=estimator,
+        rule=rule,
+        psi=psi,
+        diagnostics=EstimateDiagnostics(
+            n=n, epsilon=epsilon, score_residual=residual, n_weighted=n_w,
+            weight_min=w_min, weight_max=w_max, weight_mean=w_mean,
+        ),
+    )
+
+
+def estimate_psi(
+    estimator: str,
+    dataset: Dataset,
+    g_model: TreatmentModel | None,
+    q_model: OutcomeModel | None,
+    rule: Rule,
+    *,
+    truncate_weights: bool = True,
+) -> CounterfactualEstimate:
+    """Dispatch to one of the four counterfactual-mean estimators by name.
+
+    Only the models the estimator needs are evaluated: G-computation
+    under a static rule (or at ``alpha == 0``) never touches ``g_model``.
+    """
+    needs_g = estimator != "gcomp" or (rule.family != "static" and rule.alpha > 0.0)
+    G, M = _evaluate(
+        dataset, g_model if needs_g else None, None if estimator == "iptw" else q_model
+    )
+    return psi_from_arrays(
+        estimator, rule, dataset.a, dataset.y.astype(float),
+        G, _weight_scale(G, g_model, truncate_weights), M,
+    )
+
+
 def gcomp(
     dataset: Dataset,
     q_model: OutcomeModel,
     rule: Rule,
     g_model: TreatmentModel | None = None,
-    *,
-    rules_from_truncated_g: bool = False,
 ) -> CounterfactualEstimate:
     """G-computation: average the outcome regression at the assigned levels.
 
@@ -277,23 +370,7 @@ def gcomp(
     rules, rows where the target is infeasible keep their observed
     outcome.
     """
-    ctx = _build_context(
-        dataset, rule, g_model, q_model,
-        need_weights=False, truncate_weights=True,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    if rule.family == "itt":
-        q_target = q_model.predict(rule.target, ctx.w_for_q)
-        values = np.where(ctx.member_target, q_target, dataset.y.astype(float))
-    else:
-        values = q_model.predict(ctx.assigned, ctx.w_for_q)
-    psi = float(values.mean())
-    return CounterfactualEstimate(
-        estimator="gcomp",
-        rule=rule,
-        psi=psi,
-        diagnostics=EstimateDiagnostics(n=dataset.n),
-    )
+    return estimate_psi("gcomp", dataset, g_model, q_model, rule)
 
 
 def iptw(
@@ -302,42 +379,13 @@ def iptw(
     rule: Rule,
     *,
     truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
 ) -> CounterfactualEstimate:
     """IPTW: average ``I(A = d) Y / g(A | W)`` over the sample.
 
     For ITT rules, rows where the target is infeasible contribute their
     observed outcome with weight one.
     """
-    ctx = _build_context(
-        dataset, rule, g_model, None,
-        need_weights=True, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    y = dataset.y.astype(float)
-    if rule.family == "itt":
-        matched = ctx.member_target & (dataset.a == rule.target)
-        _check_matched_denominators(ctx.g_obs, matched)
-        weights = np.where(ctx.member_target, 0.0, 1.0)
-        weights[matched] = 1.0 / ctx.g_obs[matched]
-        values = weights * y
-    else:
-        matched = dataset.a == ctx.assigned
-        _check_matched_denominators(ctx.g_obs, matched)
-        weights = np.zeros(dataset.n)
-        weights[matched] = 1.0 / ctx.g_obs[matched]
-        values = weights * y
-    psi = float(values.mean())
-    n_w, w_min, w_max, w_mean = _weight_summary(weights)
-    return CounterfactualEstimate(
-        estimator="iptw",
-        rule=rule,
-        psi=psi,
-        diagnostics=EstimateDiagnostics(
-            n=dataset.n, n_weighted=n_w,
-            weight_min=w_min, weight_max=w_max, weight_mean=w_mean,
-        ),
-    )
+    return estimate_psi("iptw", dataset, g_model, None, rule, truncate_weights=truncate_weights)
 
 
 def driptw(
@@ -347,46 +395,14 @@ def driptw(
     rule: Rule,
     *,
     truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
 ) -> CounterfactualEstimate:
     """Doubly robust augmented IPTW.
 
     Adds the weighted outcome-regression residual to the G-computation
     term; consistent when either nuisance model is correct.
     """
-    ctx = _build_context(
-        dataset, rule, g_model, q_model,
-        need_weights=True, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    y = dataset.y.astype(float)
-    q_obs = q_model.predict(dataset.a, ctx.w_for_q)
-    if rule.family == "itt":
-        matched = ctx.member_target & (dataset.a == rule.target)
-        _check_matched_denominators(ctx.g_obs, matched)
-        weights = np.zeros(dataset.n)
-        weights[matched] = 1.0 / ctx.g_obs[matched]
-        q_target = q_model.predict(rule.target, ctx.w_for_q)
-        values = np.where(
-            ctx.member_target, weights * (y - q_obs) + q_target, y
-        )
-    else:
-        matched = dataset.a == ctx.assigned
-        _check_matched_denominators(ctx.g_obs, matched)
-        weights = np.zeros(dataset.n)
-        weights[matched] = 1.0 / ctx.g_obs[matched]
-        q_assigned = q_model.predict(ctx.assigned, ctx.w_for_q)
-        values = weights * (y - q_obs) + q_assigned
-    psi = float(values.mean())
-    n_w, w_min, w_max, w_mean = _weight_summary(weights)
-    return CounterfactualEstimate(
-        estimator="driptw",
-        rule=rule,
-        psi=psi,
-        diagnostics=EstimateDiagnostics(
-            n=dataset.n, n_weighted=n_w,
-            weight_min=w_min, weight_max=w_max, weight_mean=w_mean,
-        ),
+    return estimate_psi(
+        "driptw", dataset, g_model, q_model, rule, truncate_weights=truncate_weights
     )
 
 
@@ -397,7 +413,6 @@ def tmle_mean(
     rule: Rule,
     *,
     truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
 ) -> CounterfactualEstimate:
     """Targeted substitution estimator of psi = E[Y_d].
 
@@ -409,102 +424,8 @@ def tmle_mean(
     curve at the returned estimate, which the fluctuation drives to
     numerical zero.
     """
-    ctx = _build_context(
-        dataset, rule, g_model, q_model,
-        need_weights=True, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    y = dataset.y.astype(float)
-    m_obs = q_model.linear_predictor(dataset.a, ctx.w_for_q)
-    if rule.family == "itt":
-        matched = ctx.member_target & (dataset.a == rule.target)
-        _check_matched_denominators(ctx.g_obs, matched)
-        h_obs = np.where(ctx.member_target, 0.0, 1.0)
-        h_obs[matched] = 1.0 / ctx.g_obs[matched]
-    else:
-        matched = dataset.a == ctx.assigned
-        _check_matched_denominators(ctx.g_obs, matched)
-        h_obs = np.zeros(dataset.n)
-        h_obs[matched] = 1.0 / ctx.g_obs[matched]
-    fluct = fit_fluctuation(y, h_obs, m_obs)
-    eps = fluct.epsilon
-    q1_obs = expit(m_obs + eps * h_obs)
-    if rule.family == "itt":
-        g_target = ctx.probs_w[:, rule.target]
-        if np.any(g_target[ctx.member_target] <= 0.0):
-            raise EstimationError("zero treatment probability at the target level")
-        m_target = q_model.linear_predictor(rule.target, ctx.w_for_q)
-        with np.errstate(divide="ignore"):
-            h_target = np.where(ctx.member_target, 1.0 / g_target, 0.0)
-        q1_target = expit(m_target + eps * h_target)
-        values = np.where(ctx.member_target, q1_target, q1_obs)
-        psi = float(values.mean())
-        eic = np.where(
-            ctx.member_target,
-            np.where(matched, h_obs, 0.0) * (y - q1_obs) + q1_target,
-            y,
-        )
-        residual = float(eic.mean() - psi)
-    else:
-        g_assigned = ctx.probs_w[np.arange(dataset.n), ctx.assigned]
-        if np.any(g_assigned <= 0.0):
-            raise EstimationError("zero treatment probability at an assigned level")
-        m_assigned = q_model.linear_predictor(ctx.assigned, ctx.w_for_q)
-        q1_assigned = expit(m_assigned + eps / g_assigned)
-        psi = float(q1_assigned.mean())
-        residual = float(np.mean(h_obs * (y - q1_obs) + q1_assigned) - psi)
-    n_w, w_min, w_max, w_mean = _weight_summary(h_obs)
-    return CounterfactualEstimate(
-        estimator="tmle",
-        rule=rule,
-        psi=psi,
-        diagnostics=EstimateDiagnostics(
-            n=dataset.n,
-            epsilon=eps,
-            score_residual=residual,
-            n_weighted=n_w,
-            weight_min=w_min,
-            weight_max=w_max,
-            weight_mean=w_mean,
-        ),
-    )
-
-
-_PSI_ESTIMATORS = {
-    "gcomp": lambda ds, g, q, rule, tw, rtg: gcomp(
-        ds, q, rule, g, rules_from_truncated_g=rtg
-    ),
-    "iptw": lambda ds, g, q, rule, tw, rtg: iptw(
-        ds, g, rule, truncate_weights=tw, rules_from_truncated_g=rtg
-    ),
-    "driptw": lambda ds, g, q, rule, tw, rtg: driptw(
-        ds, g, q, rule, truncate_weights=tw, rules_from_truncated_g=rtg
-    ),
-    "tmle": lambda ds, g, q, rule, tw, rtg: tmle_mean(
-        ds, g, q, rule, truncate_weights=tw, rules_from_truncated_g=rtg
-    ),
-}
-
-
-def estimate_psi(
-    estimator: str,
-    dataset: Dataset,
-    g_model: TreatmentModel | None,
-    q_model: OutcomeModel | None,
-    rule: Rule,
-    *,
-    truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
-) -> CounterfactualEstimate:
-    """Dispatch to one of the four counterfactual-mean estimators by name."""
-    if estimator not in _PSI_ESTIMATORS:
-        raise ValidationError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    if estimator != "iptw" and q_model is None:
-        raise ValidationError(f"{estimator} needs a fitted outcome model")
-    if estimator != "gcomp" and g_model is None:
-        raise ValidationError(f"{estimator} needs a fitted treatment model")
-    return _PSI_ESTIMATORS[estimator](
-        dataset, g_model, q_model, rule, truncate_weights, rules_from_truncated_g
+    return estimate_psi(
+        "tmle", dataset, g_model, q_model, rule, truncate_weights=truncate_weights
     )
 
 
@@ -537,103 +458,67 @@ def relative_risk_plugin(
     )
 
 
-def _itt_base_covariate(
-    member_vec: np.ndarray, eval_a: np.ndarray, g_eval: np.ndarray, level: int
-) -> np.ndarray:
-    """ITT clever-covariate piece I(level infeasible) + I(feasible) I(A=level)/g."""
-    match = member_vec & (eval_a == level)
-    _check_matched_denominators(g_eval, match)
-    out = np.where(member_vec, 0.0, 1.0)
-    out[match] = 1.0 / g_eval[match]
-    return out
-
-
-def tmle_relative_risk(
-    dataset: Dataset,
-    g_model: TreatmentModel,
-    q_model: OutcomeModel,
+def rr_tmle_from_arrays(
     family: str,
     target: int,
+    a: np.ndarray,
+    y: np.ndarray,
+    G: np.ndarray | None,
+    G_weights: np.ndarray | None,
+    M: np.ndarray | None,
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
     eps_tol: float = 1e-6,
     residual_tol: float = 1e-8,
     max_iter: int = 50,
-    truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
     itt_covariate: str = "delta",
 ) -> RelativeRiskEstimate:
-    """Targeted estimator of theta = psi_target / psi_0 within one rule family.
-
-    Iterates a one-parameter fluctuation whose covariate contrasts the
-    target rule against the target-0 rule, scaled by the running
-    plug-in estimates (which are refreshed every step).  Stops when the
-    last step satisfied ``|epsilon| < eps_tol`` and the mean of the
-    ratio-scale estimating function is within ``residual_tol``; raises
-    :class:`ConvergenceError` with the epsilon trace otherwise.
-
-    For ITT rules two covariates are available: ``itt_covariate="delta"``
-    (default) contrasts the two ITT clever covariates, while
-    ``"appendix"`` uses the variant that splits rows on feasibility of
-    the target and contrasts realistic-rule indicators on the rest.
-    """
+    """Targeted estimate of theta = psi_target / psi_0 from evaluated
+    nuisance arrays (see :func:`psi_from_arrays` and
+    :func:`tmle_relative_risk`)."""
     if target == 0:
         raise ValidationError("relative-risk target must differ from the reference level 0")
     if itt_covariate not in ("delta", "appendix"):
         raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
-    ctx_num = _build_context(
-        dataset, rule_num, g_model, q_model,
-        need_weights=True, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    ctx_den = _build_context(
-        dataset, rule_den, g_model, q_model,
-        need_weights=True, truncate_weights=truncate_weights,
-        rules_from_truncated_g=rules_from_truncated_g,
-    )
-    y = dataset.y.astype(float)
-    n = dataset.n
-    rows = np.arange(n)
-    probs_w = ctx_num.probs_w
-    g_obs = ctx_num.g_obs
-    w_q = ctx_num.w_for_q
-    m_obs = q_model.linear_predictor(dataset.a, w_q)
-    m_num = q_model.linear_predictor(ctx_num.assigned, w_q)
-    m_den = q_model.linear_predictor(ctx_den.assigned, w_q)
-    g_num = probs_w[rows, ctx_num.assigned]
-    g_den = probs_w[rows, ctx_den.assigned]
+    _check_models("tmle", rule_num, G, M)
+    rows, k = np.arange(len(a)), M.shape[1]
+    member, d_num = assign(rule_num, G, a, k)
+    _, d_den = assign(rule_den, G, a, k, member)
+    g_obs = G_weights[rows, a]
+    m_obs, m_num, m_den = M[rows, a], M[rows, d_num], M[rows, d_den]
+    g_num, g_den = G_weights[rows, d_num], G_weights[rows, d_den]
     if np.any(g_num <= 0.0) or np.any(g_den <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
 
     if family in ("static", "realistic"):
-        ind_num = (dataset.a == ctx_num.assigned).astype(float)
-        ind_den = (dataset.a == ctx_den.assigned).astype(float)
-        collide = (ctx_num.assigned == ctx_den.assigned).astype(float)
+        ind_num = (a == d_num).astype(float)
+        ind_den = (a == d_den).astype(float)
+        collide = (d_num == d_den).astype(float)
         _check_matched_denominators(g_obs, ind_num > 0)
         _check_matched_denominators(g_obs, ind_den > 0)
 
-        def covariates(theta: float, psi_den: float):
+        def covariates(theta: float, psi_num: float, psi_den: float):
             h_obs = (ind_num - theta * ind_den) / (g_obs * psi_den)
             h_num = (1.0 - theta * collide) / (g_num * psi_den)
             h_den = (collide - theta) / (g_den * psi_den)
             return h_obs, h_num, h_den
 
     else:
-        member = ctx_num.member
-        member_num = member[:, target]
-        member_den = member[:, 0]
-        ha_obs = _itt_base_covariate(member_num, dataset.a, g_obs, target)
-        h0_obs = _itt_base_covariate(member_den, dataset.a, g_obs, 0)
-        ha_num = _itt_base_covariate(member_num, ctx_num.assigned, g_num, target)
-        h0_num = _itt_base_covariate(member_den, ctx_num.assigned, g_num, 0)
-        ha_den = _itt_base_covariate(member_num, ctx_den.assigned, g_den, target)
-        h0_den = _itt_base_covariate(member_den, ctx_den.assigned, g_den, 0)
+        ruled_num, ruled_den = member[:, target], member[:, 0]
+        ha_obs = _clever_covariate(ruled_num, a, target, g_obs)
+        h0_obs = _clever_covariate(ruled_den, a, 0, g_obs)
+        ha_num = _clever_covariate(ruled_num, d_num, target, g_num)
+        h0_num = _clever_covariate(ruled_den, d_num, 0, g_num)
+        ha_den = _clever_covariate(ruled_num, d_den, target, g_den)
+        h0_den = _clever_covariate(ruled_den, d_den, 0, g_den)
         if itt_covariate == "appendix":
-            d_real_num = realistic_assignments(member, target, empty_set_policy)
-            d_real_den = realistic_assignments(member, 0, empty_set_policy)
+            d_real_num, d_real_den = (
+                assign(replace(rule, family="realistic"), G, a, k, member)[1]
+                for rule in (rule_num, rule_den)
+            )
 
             def _appendix(eval_a, g_eval, theta, psi_num, psi_den):
                 realistic_part = (
@@ -641,17 +526,17 @@ def tmle_relative_risk(
                     - theta * (eval_a == d_real_den).astype(float)
                 ) / (g_eval * psi_den)
                 const_part = 1.0 / psi_den - psi_num / psi_den**2
-                return np.where(member_num, const_part, realistic_part)
+                return np.where(ruled_num, const_part, realistic_part)
 
-            def covariates(theta: float, psi_den: float, psi_num: float):
-                h_obs = _appendix(dataset.a, g_obs, theta, psi_num, psi_den)
-                h_num = _appendix(ctx_num.assigned, g_num, theta, psi_num, psi_den)
-                h_den = _appendix(ctx_den.assigned, g_den, theta, psi_num, psi_den)
-                return h_obs, h_num, h_den
+            def covariates(theta: float, psi_num: float, psi_den: float):
+                return tuple(
+                    _appendix(eval_a, g_eval, theta, psi_num, psi_den)
+                    for eval_a, g_eval in ((a, g_obs), (d_num, g_num), (d_den, g_den))
+                )
 
         else:
 
-            def covariates(theta: float, psi_den: float):
+            def covariates(theta: float, psi_num: float, psi_den: float):
                 h_obs = (ha_obs - theta * h0_obs) / psi_den
                 h_num = (ha_num - theta * h0_num) / psi_den
                 h_den = (ha_den - theta * h0_den) / psi_den
@@ -666,18 +551,13 @@ def tmle_relative_risk(
             )
         return psi_num, psi_den
 
-    def current_covariates(theta, psi_den, psi_num):
-        if family == "itt" and itt_covariate == "appendix":
-            return covariates(theta, psi_den, psi_num)
-        return covariates(theta, psi_den)
-
     epsilons: list[float] = []
     converged = False
     residual = np.inf
     psi_num, psi_den = plugins()
     theta = psi_num / psi_den
     for _ in range(max_iter):
-        h_obs, h_num, h_den = current_covariates(theta, psi_den, psi_num)
+        h_obs, h_num, h_den = covariates(theta, psi_num, psi_den)
         fluct = fit_fluctuation(y, h_obs, m_obs)
         eps = fluct.epsilon
         epsilons.append(eps)
@@ -686,7 +566,7 @@ def tmle_relative_risk(
         m_den = m_den + eps * h_den
         psi_num, psi_den = plugins()
         theta = psi_num / psi_den
-        h_obs, _, _ = current_covariates(theta, psi_den, psi_num)
+        h_obs, _, _ = covariates(theta, psi_num, psi_den)
         residual = float(np.mean(h_obs * (y - expit(m_obs))))
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
             converged = True
@@ -709,6 +589,44 @@ def tmle_relative_risk(
         converged=True,
         score_residual=residual,
         epsilons=tuple(epsilons),
+    )
+
+
+def tmle_relative_risk(
+    dataset: Dataset,
+    g_model: TreatmentModel,
+    q_model: OutcomeModel,
+    family: str,
+    target: int,
+    *,
+    alpha: float = 0.05,
+    empty_set_policy: str = "error",
+    eps_tol: float = 1e-6,
+    residual_tol: float = 1e-8,
+    max_iter: int = 50,
+    truncate_weights: bool = True,
+    itt_covariate: str = "delta",
+) -> RelativeRiskEstimate:
+    """Targeted estimator of theta = psi_target / psi_0 within one rule family.
+
+    Iterates a one-parameter fluctuation whose covariate contrasts the
+    target rule against the target-0 rule, scaled by the running
+    plug-in estimates (which are refreshed every step).  Stops when the
+    last step satisfied ``|epsilon| < eps_tol`` and the mean of the
+    ratio-scale estimating function is within ``residual_tol``; raises
+    :class:`ConvergenceError` with the epsilon trace otherwise.
+
+    For ITT rules two covariates are available: ``itt_covariate="delta"``
+    (default) contrasts the two ITT clever covariates, while
+    ``"appendix"`` uses the variant that splits rows on feasibility of
+    the target and contrasts realistic-rule indicators on the rest.
+    """
+    G, M = _evaluate(dataset, g_model, q_model)
+    return rr_tmle_from_arrays(
+        family, target, dataset.a, dataset.y.astype(float),
+        G, _weight_scale(G, g_model, truncate_weights), M,
+        alpha=alpha, empty_set_policy=empty_set_policy, eps_tol=eps_tol,
+        residual_tol=residual_tol, max_iter=max_iter, itt_covariate=itt_covariate,
     )
 
 
@@ -817,18 +735,18 @@ def estimate_suite(
     alpha: float = 0.05,
     empty_set_policy: str = "error",
     truncate_weights: bool | dict = True,
-    rules_from_truncated_g: bool = False,
     itt_covariate: str = "delta",
     rr_max_iter: int = 50,
 ) -> EstimateReport:
     """Estimate psi for every (family, target, estimator) cell plus the
     relative risk of each target against target 0 within the family.
 
-    TMLE relative risks are targeted directly with
-    :func:`tmle_relative_risk`; the other estimators use the plug-in
-    ratio.  Per-cell failures are recorded as messages instead of
-    aborting the grid.  ``truncate_weights`` may be a bool or a mapping
-    from estimator name to bool.
+    The models are evaluated once (:func:`_evaluate`) and every cell is
+    computed from those arrays.  TMLE relative risks are targeted
+    directly as in :func:`tmle_relative_risk`; the other estimators use
+    the plug-in ratio.  Per-cell failures are recorded as messages
+    instead of aborting the grid.  ``truncate_weights`` may be a bool or
+    a mapping from estimator name to bool.
     """
     if targets is None:
         targets = tuple(range(1, dataset.n_treatment_levels))
@@ -840,9 +758,13 @@ def estimate_suite(
     else:
         trunc_for = {e: bool(truncate_weights) for e in ESTIMATORS}
 
+    G, M = _evaluate(dataset, g_model, q_model)
+    G_trunc = _weight_scale(G, g_model, True)
+    a, y = dataset.a, dataset.y.astype(float)
     cells: list[SuiteCell] = []
     for family in families:
         for est in estimators:
+            G_weights = G_trunc if trunc_for[est] else G
             psi_by_target: dict[int, CounterfactualEstimate | None] = {}
             err_by_target: dict[int, str | None] = {}
             grid_targets = sorted(set(targets) | {0})
@@ -852,12 +774,7 @@ def estimate_suite(
                     empty_set_policy=empty_set_policy,
                 )
                 try:
-                    est_obj = estimate_psi(
-                        est, dataset, g_model, q_model, rule,
-                        truncate_weights=trunc_for[est],
-                        rules_from_truncated_g=rules_from_truncated_g,
-                    )
-                    psi_by_target[target] = est_obj
+                    psi_by_target[target] = psi_from_arrays(est, rule, a, y, G, G_weights, M)
                     err_by_target[target] = None
                 except CausalRulesError as exc:
                     psi_by_target[target] = None
@@ -870,13 +787,10 @@ def estimate_suite(
                 if target != 0:
                     try:
                         if est == "tmle":
-                            cell.rr = tmle_relative_risk(
-                                dataset, g_model, q_model, family, target,
+                            cell.rr = rr_tmle_from_arrays(
+                                family, target, a, y, G, G_weights, M,
                                 alpha=alpha, empty_set_policy=empty_set_policy,
-                                truncate_weights=trunc_for[est],
-                                rules_from_truncated_g=rules_from_truncated_g,
-                                itt_covariate=itt_covariate,
-                                max_iter=rr_max_iter,
+                                itt_covariate=itt_covariate, max_iter=rr_max_iter,
                             )
                         else:
                             num = psi_by_target[target]
@@ -895,14 +809,12 @@ def estimate_suite(
                 cells.append(cell)
     metadata = {"n": dataset.n, "alpha": alpha}
     if g_model is not None:
-        w_g = select_covariates(dataset, g_model.covariate_names)
-        raw = g_model.predict_raw(w_g)
         metadata.update(
             {
                 "alpha_trunc": g_model.alpha_trunc,
                 "g_converged": g_model.info.converged,
                 "g_structural_zeros": [[l, f] for l, f in g_model.structural_zeros],
-                "g_truncated_cells": int(np.count_nonzero(raw < g_model.alpha_trunc)),
+                "g_truncated_cells": int(np.count_nonzero(G < g_model.alpha_trunc)),
             }
         )
     if q_model is not None:

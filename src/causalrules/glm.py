@@ -361,12 +361,6 @@ class OutcomeModel:
         )
 
 
-def predict_Q(model: OutcomeModel, a, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probability and its logit for treatment ``a`` and covariates ``w``."""
-    m = model.linear_predictor(a, w)
-    return expit(m), m
-
-
 def select_covariates(dataset: Dataset, names: tuple[str, ...]) -> np.ndarray:
     """Columns of ``dataset.w`` matching ``names``, in model order.
 
@@ -669,11 +663,6 @@ class TreatmentModel:
                 float(d.get("loglik", 0.0)),
             ),
         )
-
-
-def predict_g(model: TreatmentModel, w: np.ndarray, truncated: bool = True) -> np.ndarray:
-    """Treatment probabilities for covariate rows ``w`` (truncated by default)."""
-    return model.predict(w) if truncated else model.predict_raw(w)
 
 
 def fit_multinomial(

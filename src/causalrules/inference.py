@@ -16,7 +16,7 @@ standard deviation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -26,10 +26,12 @@ from .estimators import (
     EstimateReport,
     NuisanceSpec,
     Rule,
-    estimate_psi,
+    _evaluate,
+    _weight_scale,
     estimate_suite,
+    psi_from_arrays,
     relative_risk_plugin,
-    tmle_relative_risk,
+    rr_tmle_from_arrays,
 )
 from .ingest import Dataset
 
@@ -178,7 +180,6 @@ def bootstrap_ci(
     parameter: str = "psi",
     *,
     truncate_weights: bool = True,
-    rules_from_truncated_g: bool = False,
     itt_covariate: str = "delta",
 ) -> IntervalEstimate:
     """Bootstrap interval for one estimator under one rule.
@@ -200,36 +201,19 @@ def bootstrap_ci(
     def compute(ds: Dataset) -> np.ndarray:
         g_model = spec.fit_g(ds) if need_g else None
         q_model = spec.fit_q(ds) if need_q else None
+        G, M = _evaluate(ds, g_model, q_model)
+        arrays = (ds.a, ds.y.astype(float), G, _weight_scale(G, g_model, truncate_weights), M)
         if parameter == "psi":
-            est = estimate_psi(
-                estimator, ds, g_model, q_model, rule,
-                truncate_weights=truncate_weights,
-                rules_from_truncated_g=rules_from_truncated_g,
-            )
-            return np.array([est.psi])
+            return np.array([psi_from_arrays(estimator, rule, *arrays).psi])
         if estimator == "tmle":
-            rr = tmle_relative_risk(
-                ds, g_model, q_model, rule.family, rule.target,
+            rr = rr_tmle_from_arrays(
+                rule.family, rule.target, *arrays,
                 alpha=rule.alpha, empty_set_policy=rule.empty_set_policy,
-                truncate_weights=truncate_weights,
-                rules_from_truncated_g=rules_from_truncated_g,
                 itt_covariate=itt_covariate,
             )
             return np.array([rr.theta])
-        den_rule = Rule(
-            family=rule.family, target=0, alpha=rule.alpha,
-            empty_set_policy=rule.empty_set_policy,
-        )
-        num = estimate_psi(
-            estimator, ds, g_model, q_model, rule,
-            truncate_weights=truncate_weights,
-            rules_from_truncated_g=rules_from_truncated_g,
-        )
-        den = estimate_psi(
-            estimator, ds, g_model, q_model, den_rule,
-            truncate_weights=truncate_weights,
-            rules_from_truncated_g=rules_from_truncated_g,
-        )
+        num = psi_from_arrays(estimator, rule, *arrays)
+        den = psi_from_arrays(estimator, replace(rule, target=0), *arrays)
         return np.array([relative_risk_plugin(num, den).theta])
 
     point = float(compute(dataset)[0])
@@ -245,7 +229,6 @@ def attach_bootstrap_intervals(
     *,
     empty_set_policy: str = "error",
     truncate_weights: bool | dict = True,
-    rules_from_truncated_g: bool = False,
     itt_covariate: str = "delta",
 ) -> EstimateReport:
     """Attach psi and relative-risk intervals to every cell of a report.
@@ -274,7 +257,6 @@ def attach_bootstrap_intervals(
             estimators=report.estimators, alpha=report.alpha,
             empty_set_policy=empty_set_policy,
             truncate_weights=truncate_weights,
-            rules_from_truncated_g=rules_from_truncated_g,
             itt_covariate=itt_covariate,
         )
         values = np.full(len(labels), np.nan)

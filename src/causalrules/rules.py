@@ -10,11 +10,10 @@ then assigns the highest feasible level not exceeding the target,
 target when it is feasible and otherwise leaves the subject at their
 observed level: ``d(a, A, W) = a`` if ``a in D(W)`` else ``A``.
 
-Feasibility sets are built from the *raw* fitted treatment
-probabilities by default.  Building them from the truncated
-probabilities is available via ``use_truncated_g=True`` but is rarely
-useful: with the default floor equal to alpha every level would be
-declared feasible.
+Feasibility sets are always built from the *raw* fitted treatment
+probabilities: with truncated ones and the default floor equal to alpha
+every level would be declared feasible.  :func:`assign` is the one
+place where a rule becomes feasibility sets and assigned levels.
 """
 
 from __future__ import annotations
@@ -61,44 +60,6 @@ class Rule:
 
     def label(self) -> str:
         return f"{self.family}:A={self.target}"
-
-
-@dataclass(frozen=True)
-class RealisticSet:
-    """Feasible levels for one covariate profile."""
-
-    members: frozenset[int]
-    g_probs: tuple[float, ...]
-    alpha: float
-
-
-def realistic_set(g_probs, alpha: float) -> RealisticSet:
-    """Feasible set {a : g(a|W) >= alpha} for one probability vector (ties included)."""
-    probs = np.asarray(g_probs, dtype=float)
-    if probs.ndim != 1:
-        raise ValidationError("g_probs must be a one-dimensional probability vector")
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError("alpha must lie in [0, 1)")
-    members = frozenset(int(a) for a in np.nonzero(probs >= alpha)[0])
-    return RealisticSet(members=members, g_probs=tuple(float(p) for p in probs), alpha=alpha)
-
-
-def assign_realistic(rule: Rule, d_set: RealisticSet) -> int:
-    """Highest feasible level at or below the rule target (single profile)."""
-    eligible = [a for a in d_set.members if a <= rule.target]
-    if eligible:
-        return max(eligible)
-    if rule.empty_set_policy == "assign_min_realistic" and d_set.members:
-        return min(d_set.members)
-    raise RuleInfeasibleError(
-        f"no feasible level at or below target {rule.target} "
-        f"(feasible set {sorted(d_set.members)})"
-    )
-
-
-def assign_itt(rule: Rule, observed_a: int, d_set: RealisticSet) -> int:
-    """Target if feasible, otherwise the observed level (single profile)."""
-    return rule.target if rule.target in d_set.members else int(observed_a)
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +109,42 @@ def itt_assignments(member: np.ndarray, target: int, observed_a: np.ndarray) -> 
     return np.where(member[:, target], target, np.asarray(observed_a, dtype=np.int64))
 
 
+def assign(
+    rule: Rule,
+    g_raw: np.ndarray | None,
+    observed_a: np.ndarray,
+    k_levels: int,
+    member: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feasibility matrix and assigned level of every row under ``rule``.
+
+    Feasibility comes from the raw treatment probabilities ``g_raw``,
+    which may be None for static rules (or any rule with ``alpha == 0``,
+    where every level is feasible by construction).  ``member``
+    overrides the feasibility matrix.
+    """
+    if rule.target >= k_levels:
+        raise ValidationError(f"rule target {rule.target} outside 0..{k_levels - 1}")
+    if member is None:
+        if rule.family == "static" or rule.alpha == 0.0:
+            member = np.ones((len(observed_a), k_levels), dtype=bool)
+        elif g_raw is None:
+            raise ValidationError(f"{rule.family} rules need treatment probabilities")
+        else:
+            member = membership_matrix(g_raw, rule.alpha)
+    if rule.family == "itt":
+        return member, itt_assignments(member, rule.target, observed_a)
+    return member, realistic_assignments(member, rule.target, rule.empty_set_policy)
+
+
 def rule_assignments(
     g_probs_for_rules: np.ndarray | None,
     observed_a: np.ndarray,
     rule: Rule,
     k_levels: int,
 ) -> np.ndarray:
-    """Assigned levels under ``rule`` for every row.
-
-    ``g_probs_for_rules`` may be None for static rules (or any rule with
-    ``alpha == 0``, where every level is feasible by construction).
-    """
-    n = len(observed_a)
-    if rule.target >= k_levels:
-        raise ValidationError(f"rule target {rule.target} outside 0..{k_levels - 1}")
-    if rule.family == "static" or rule.alpha == 0.0:
-        member = np.ones((n, k_levels), dtype=bool)
-    else:
-        if g_probs_for_rules is None:
-            raise ValidationError(f"{rule.family} rules need treatment probabilities")
-        member = membership_matrix(g_probs_for_rules, rule.alpha)
-    if rule.family in ("static", "realistic"):
-        return realistic_assignments(member, rule.target, rule.empty_set_policy)
-    return itt_assignments(member, rule.target, observed_a)
+    """Assigned levels under ``rule`` for every row (see :func:`assign`)."""
+    return assign(rule, g_probs_for_rules, observed_a, k_levels)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +157,6 @@ def rule_assignment_table(
     family: str,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
-    use_truncated_g: bool = False,
 ) -> np.ndarray:
     """(K, K) counts of assigned levels: rows are targets, columns assignments.
 
@@ -194,8 +167,7 @@ def rule_assignment_table(
     if family not in FAMILIES:
         raise ValidationError(f"unknown rule family {family!r}")
     k = dataset.n_treatment_levels
-    w = select_covariates(dataset, g_model.covariate_names)
-    probs = g_model.predict(w) if use_truncated_g else g_model.predict_raw(w)
+    probs = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
     table = np.zeros((k, k), dtype=np.int64)
     for target in range(k):
         rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
@@ -255,13 +227,11 @@ def positivity_report(
     dataset: Dataset,
     g_model: TreatmentModel,
     alpha: float = 0.05,
-    use_truncated_g: bool = False,
 ) -> PositivityReport:
     """Summarize how often each level's fitted probability falls below alpha."""
     if not 0.0 <= alpha < 1.0:
         raise ValidationError("alpha must lie in [0, 1)")
-    w = select_covariates(dataset, g_model.covariate_names)
-    probs = g_model.predict(w) if use_truncated_g else g_model.predict_raw(w)
+    probs = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
     n = dataset.n
     levels = []
     for a in range(dataset.n_treatment_levels):
@@ -283,5 +253,5 @@ def positivity_report(
         alpha=alpha,
         n=n,
         levels=tuple(levels),
-        g_source="truncated" if use_truncated_g else "raw",
+        g_source="raw",
     )

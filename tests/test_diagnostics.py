@@ -6,6 +6,7 @@ from causalrules import (
     Rule,
     ValidationError,
     alpha_sweep,
+    cohort_dgp,
     eta_bias_diagnostic,
     generate,
     make_outcome_model,
@@ -129,6 +130,18 @@ def test_eta_bias_known_g_is_unbiased(gen_nv):
 def test_eta_bias_requires_n_sim(gen_nv):
     with pytest.raises(ValidationError, match="n_sim"):
         eta_bias_diagnostic(gen_nv, replicates=2)
+
+
+def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
+    """At n = 100 some refits pin a cohort level away on a covariate a
+    support row carries, leaving that row with no supported level; the
+    replicate is dropped and counted instead of aborting the run."""
+    with pytest.warns(UserWarning, match="2 of 20 diagnostic replicates failed"):
+        report = eta_bias_diagnostic(
+            cohort_dgp(), estimator="iptw", replicates=20, n_sim=100, seed=0,
+            empty_set_policy="assign_min_realistic",
+        )
+    assert report.n_failed_replicates == 2
 
 
 def test_bias_report_table_and_dict(gen_nv):

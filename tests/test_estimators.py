@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from causalrules import (
+    DGP_REGISTRY,
     CounterfactualEstimate,
     Dataset,
     EstimationError,
@@ -14,7 +15,10 @@ from causalrules import (
     driptw,
     estimate_psi,
     estimate_suite,
+    fit_outcome_model,
+    fit_treatment_model,
     gcomp,
+    generate,
     iptw,
     make_outcome_model,
     make_treatment_model,
@@ -164,26 +168,6 @@ def test_weight_truncation_rescales_exactly():
     assert floored == pytest.approx(0.4, abs=1e-9)  # scaled by 0.02/0.05
 
 
-def test_rules_from_truncated_g_switch():
-    rng = np.random.default_rng(24)
-    n = 100
-    a = np.repeat([0, 1, 2], [2, 49, 49])
-    ds = Dataset(w=rng.integers(0, 2, (n, 1)), a=a, y=rng.integers(0, 2, n),
-                 covariate_names=("x",), n_treatment_levels=3)
-    from causalrules import fit_treatment_model
-
-    g_flat = fit_treatment_model(ds, covariate_names=())
-    q_half = make_outcome_model(("x",), 3, [0.0, 0.0, 0.0, 0.0])
-    rule = Rule(family="realistic", target=0, alpha=0.05)
-    # Raw g(0) = 0.02 < alpha: level 0 is infeasible everywhere.
-    with pytest.raises(RuleInfeasibleError):
-        gcomp(ds, q_half, rule, g_flat)
-    # Feasibility from the truncated g floors the cell at alpha and
-    # makes the set degenerate-complete again.
-    est = gcomp(ds, q_half, rule, g_flat, rules_from_truncated_g=True)
-    assert est.psi == pytest.approx(0.5, abs=1e-12)
-
-
 def test_tmle_solves_its_estimating_equation(data_nv, models_nv):
     g_model, q_model = models_nv
     for family in ("static", "realistic", "itt"):
@@ -229,6 +213,57 @@ def test_tmle_relative_risk_converges(data_nv, models_nv):
         assert rr.theta == pytest.approx(rr.psi_numerator / rr.psi_denominator,
                                          abs=1e-12)
         assert rr.iterations <= 50
+
+
+def test_itt_appendix_covariate_converges_and_recovers_the_null():
+    problems = []
+    for name, factory in DGP_REGISTRY.items():
+        ds = generate(factory(), 1500, seed=31)
+        g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+        for target in (1, 3, 5):
+            rr = tmle_relative_risk(ds, g_model, q_model, "itt", target,
+                                    itt_covariate="appendix")
+            if not rr.converged or abs(rr.epsilons[-1]) >= 1e-6:
+                problems.append(f"{name} {target}: eps {rr.epsilons[-1]:.1e}")
+            if abs(rr.score_residual) > 1e-8:
+                problems.append(f"{name} {target}: residual {rr.score_residual:.1e}")
+    assert not problems, problems
+
+    gen = DGP_REGISTRY["null_effect"]()
+    thetas = []
+    for child in np.random.SeedSequence(404).spawn(25):
+        ds = generate(gen, 2000, np.random.default_rng(child))
+        g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+        thetas.append(tmle_relative_risk(ds, g_model, q_model, "itt", 3,
+                                         itt_covariate="appendix").theta)
+    thetas = np.asarray(thetas)
+    z = abs(thetas.mean() - 1.0) / (thetas.std(ddof=1) / np.sqrt(thetas.size))
+    assert z <= 3.0, (thetas.mean(), z)
+
+
+def test_estimate_suite_cells_equal_the_per_rule_entry_points(data_nv, models_nv):
+    """The grid runs on arrays evaluated once; every cell must equal what
+    the public per-rule functions return, exactly."""
+    g_model, q_model = models_nv
+    report = estimate_suite(data_nv, g_model, q_model, alpha=0.1,
+                            truncate_weights={"iptw": False})
+    assert len(report.cells) == 3 * 5 * 4
+    for cell in report.cells:
+        assert cell.psi_error is None and cell.rr_error is None, cell
+        truncate = cell.estimator != "iptw"
+        psi = {
+            t: estimate_psi(cell.estimator, data_nv, g_model, q_model,
+                            Rule(family=cell.family, target=t, alpha=0.1),
+                            truncate_weights=truncate)
+            for t in (0, cell.target)
+        }
+        assert cell.psi == psi[cell.target]
+        if cell.estimator == "tmle":
+            rr = tmle_relative_risk(data_nv, g_model, q_model, cell.family, cell.target,
+                                    alpha=0.1, truncate_weights=truncate)
+        else:
+            rr = relative_risk_plugin(psi[cell.target], psi[0])
+        assert cell.rr == rr
 
 
 def test_estimate_psi_dispatch_validation(data_nv, models_nv):

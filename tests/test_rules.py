@@ -5,16 +5,43 @@ from causalrules import (
     Rule,
     RuleInfeasibleError,
     ValidationError,
-    assign_itt,
-    assign_realistic,
     itt_assignments,
     membership_matrix,
     positivity_report,
     realistic_assignments,
-    realistic_set,
     rule_assignment_table,
     rule_assignments,
 )
+
+
+def assign_one(probs, rule, observed_a=0):
+    """Assigned level of a single covariate profile."""
+    probs = np.asarray([probs], dtype=float)
+    return int(rule_assignments(probs, np.array([observed_a]), rule, probs.shape[1])[0])
+
+
+def feasible_levels(probs, alpha):
+    """Levels an ITT rule moves a one-row profile to (observed level -1)."""
+    return {
+        t for t in range(len(probs))
+        if assign_one(probs, Rule(family="itt", target=t, alpha=alpha), observed_a=-1) == t
+    }
+
+
+# Scalar oracle for the vectorized assignments: the definitions in the
+# rules module docstring, applied one profile at a time.
+def scalar_realistic(probs, alpha, target, empty_set_policy):
+    members = [a for a, p in enumerate(probs) if p >= alpha]
+    eligible = [a for a in members if a <= target]
+    if eligible:
+        return max(eligible)
+    if empty_set_policy == "assign_min_realistic" and members:
+        return min(members)
+    raise RuleInfeasibleError("empty feasible set")
+
+
+def scalar_itt(probs, alpha, target, observed_a):
+    return target if probs[target] >= alpha else int(observed_a)
 
 
 def test_rule_validation():
@@ -30,37 +57,34 @@ def test_rule_validation():
 
 
 def test_realistic_set_includes_ties():
-    d = realistic_set([0.05, 0.6, 0.3, 0.05], alpha=0.05)
-    assert d.members == {0, 1, 2, 3}
-    d = realistic_set([0.049, 0.6, 0.3, 0.051], alpha=0.05)
-    assert d.members == {1, 2, 3}
+    assert feasible_levels([0.05, 0.6, 0.3, 0.05], alpha=0.05) == {0, 1, 2, 3}
+    assert feasible_levels([0.049, 0.6, 0.3, 0.051], alpha=0.05) == {1, 2, 3}
 
 
 def test_assign_realistic_caps_at_highest_feasible():
-    rule = Rule(family="realistic", target=5, alpha=0.1)
-    d = realistic_set([0.2, 0.2, 0.05, 0.3, 0.05, 0.05], alpha=0.1)
-    assert d.members == {0, 1, 3}
-    assert assign_realistic(rule, d) == 3
+    probs = [0.2, 0.2, 0.05, 0.3, 0.05, 0.05]
+    assert feasible_levels(probs, alpha=0.1) == {0, 1, 3}
+    assert assign_one(probs, Rule(family="realistic", target=5, alpha=0.1)) == 3
     # Target feasible: assign it directly.
-    assert assign_realistic(Rule(family="realistic", target=1, alpha=0.1), d) == 1
+    assert assign_one(probs, Rule(family="realistic", target=1, alpha=0.1)) == 1
 
 
 def test_assign_realistic_empty_set_policy():
-    d = realistic_set([0.01, 0.01, 0.5, 0.47], alpha=0.05)  # members {2, 3}
+    probs = [0.01, 0.01, 0.5, 0.47]  # feasible {2, 3}
     rule = Rule(family="realistic", target=1, alpha=0.05)
     with pytest.raises(RuleInfeasibleError):
-        assign_realistic(rule, d)
+        assign_one(probs, rule)
     fallback = Rule(family="realistic", target=1, alpha=0.05,
                     empty_set_policy="assign_min_realistic")
-    assert assign_realistic(fallback, d) == 2
+    assert assign_one(probs, fallback) == 2
 
 
 def test_assign_itt():
+    probs = [0.3, 0.3, 0.2, 0.1, 0.05, 0.05]
     rule = Rule(family="itt", target=4, alpha=0.1)
-    d = realistic_set([0.3, 0.3, 0.2, 0.1, 0.05, 0.05], alpha=0.1)
-    assert assign_itt(rule, observed_a=1, d_set=d) == 1  # 4 infeasible: keep observed
+    assert assign_one(probs, rule, observed_a=1) == 1  # 4 infeasible: keep observed
     rule2 = Rule(family="itt", target=2, alpha=0.1)
-    assert assign_itt(rule2, observed_a=5, d_set=d) == 2  # 2 feasible: switch
+    assert assign_one(probs, rule2, observed_a=5) == 2  # 2 feasible: switch
 
 
 def test_vectorized_assignments_match_scalar():
@@ -71,17 +95,16 @@ def test_vectorized_assignments_match_scalar():
     for alpha in (0.02, 0.05, 0.12):
         member = membership_matrix(probs, alpha)
         for target in range(k):
-            sets = [realistic_set(probs[i], alpha) for i in range(n)]
-            real_rule = Rule(family="realistic", target=target, alpha=alpha,
-                             empty_set_policy="assign_min_realistic")
-            want = np.array([assign_realistic(real_rule, s) for s in sets])
+            want = np.array([
+                scalar_realistic(probs[i], alpha, target, "assign_min_realistic")
+                for i in range(n)
+            ])
             got = realistic_assignments(member, target, "assign_min_realistic")
             np.testing.assert_array_equal(got, want)
-            itt_rule = Rule(family="itt", target=target, alpha=alpha)
-            want = np.array(
-                [assign_itt(itt_rule, observed[i], sets[i]) for i in range(n)]
-            )
+            want = np.array([scalar_itt(probs[i], alpha, target, observed[i]) for i in range(n)])
             np.testing.assert_array_equal(itt_assignments(member, target, observed), want)
+            itt_rule = Rule(family="itt", target=target, alpha=alpha)
+            np.testing.assert_array_equal(rule_assignments(probs, observed, itt_rule, k), want)
 
 
 def test_realistic_assignment_bounds():

@@ -105,6 +105,19 @@ class GeneratingDistribution:
         return np.column_stack([self.q_model.predict(a, w_q) for a in range(k)])
 
 
+def _draw_levels(g_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one treatment level per row from uniforms ``u``.
+
+    A ``u`` above a row's rounded cumulative sum takes the row's last
+    level of positive probability, never a structurally zero one.
+    """
+    k = g_probs.shape[1]
+    a = (u[:, None] > np.cumsum(g_probs, axis=1)).sum(axis=1)
+    past = np.flatnonzero(a == k)
+    a[past] = k - 1 - np.argmax(g_probs[past, ::-1] > 0.0, axis=1)
+    return a
+
+
 def generate(
     gen: GeneratingDistribution, n: int, seed: int | np.random.Generator = 0
 ) -> Dataset:
@@ -120,10 +133,7 @@ def generate(
     rows = rng.choice(m, size=n, p=gen.w_probs)
     w = gen.w_support[rows]
     w_g = _columns_for(w, gen.covariate_names, gen.g_model.covariate_names)
-    g_probs = gen.g_model.predict_raw(w_g)
-    cum = np.cumsum(g_probs, axis=1)
-    u = rng.random(n)
-    a = np.minimum((u[:, None] > cum).sum(axis=1), gen.n_treatment_levels - 1)
+    a = _draw_levels(gen.g_model.predict_raw(w_g), rng.random(n))
     w_q = _columns_for(w, gen.covariate_names, gen.q_model.design.covariate_names)
     q = gen.q_model.predict(a, w_q)
     y = (rng.random(n) < q).astype(np.int64)

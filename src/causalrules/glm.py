@@ -8,11 +8,14 @@ Two nuisance models drive everything downstream:
   regression on covariate main effects, treatment-level indicators, and
   optional covariate-by-level interactions.
 
-Fits converge on the sup-norm of the score (default ``1e-8``) with
-step-halving, raise on perfect separation or singular designs instead
-of silently returning garbage, and support two features plain library
-GLMs do not: offset-only one-parameter fluctuation fits (the targeting
-step) and structural zeros.  A structural zero is a (level, binary
+The ``g`` and ``Q`` fits converge on the sup-norm of the score (default
+``1e-8``) with step-halving, raise on perfect separation or singular
+designs instead of silently returning garbage, and support two features
+plain library GLMs do not: offset-only one-parameter fluctuation fits
+(the targeting step) and structural zeros.  The fluctuation's score is
+monotone in its one parameter, so it is solved as a scalar root: Newton
+steps inside a bracket that shrinks by the sign of the score, with
+bisection as the safeguard.  A structural zero is a (level, binary
 feature) cell with no observations; the MLE for that coefficient
 diverges to minus infinity, so the fit pins the cell to probability
 zero exactly, restricts each row's choice set accordingly, and flags
@@ -239,11 +242,17 @@ def fit_fluctuation(
 ) -> FluctuationFit:
     """Fit the targeting fluctuation: logistic in ``h`` with no intercept.
 
-    Converges on score sup-norm ``gtol`` (tight by default so that
-    downstream substitution estimators solve their estimating equation
-    to near machine precision); a step-halving stall is accepted only if
-    the mean score per observation is already below 1e-8, which keeps
-    the solved estimating equation within that bound.
+    ``epsilon`` is the root of the score ``s(e) = h . (y - expit(offset +
+    e h))``, which strictly decreases in ``e``.  The root is found by
+    Newton steps inside a bracket that starts at ``+-40`` and shrinks by
+    the sign of ``s`` at every iterate; a step that would leave the
+    bracket, or one taken from an iterate where ``|s|`` did not fall, is
+    replaced by bisection.  Converges at ``|s| <= gtol`` (tight by
+    default so that downstream substitution estimators solve their
+    estimating equation to near machine precision).  When the bracket
+    collapses to float resolution first, the fit is accepted only if the
+    mean score per observation is already below 1e-8.  A root beyond
+    ``+-40`` raises :class:`SeparationError`.
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -251,14 +260,52 @@ def fit_fluctuation(
     if not (y.shape == h.shape == offset.shape):
         raise ValidationError("y, h, and offset must have matching shapes")
     if np.all(h == 0.0):
-        eta = offset
-        ll = _bernoulli_loglik(eta, y)
+        ll = _bernoulli_loglik(offset, y)
         return FluctuationFit(0.0, h, offset, FitInfo(True, 0, 0.0, ll))
-    coef, fit_info = _newton_logistic(
-        h[:, None], y, offset, ("h",), gtol, max_iter,
-        accept_tol=max(gtol, 1e-8 * y.size),
-    )
-    return FluctuationFit(float(coef[0]), h, offset, fit_info)
+    accept_tol = max(gtol, 1e-8 * y.size)
+    lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
+    eps, last = 0.0, math.inf
+    trace: list[float] = []
+    for it in range(max_iter):
+        p = expit(offset + eps * h)
+        score = float(h @ (y - p))
+        trace.append(abs(score))
+        if abs(score) <= gtol:
+            break
+        if score > 0.0:
+            lo = eps
+        else:
+            hi = eps
+        info = float((h * (p * (1.0 - p))) @ h)
+        nxt = eps + score / info if info > 0.0 else math.nan
+        # A Newton update below float resolution (nxt == eps) goes straight
+        # to the collapse test; any other step bisects when it would leave
+        # the bracket or when this iterate did not reduce |s|.
+        if nxt != eps and (not lo < nxt < hi or abs(score) >= last):
+            nxt = 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            # The bracket has collapsed to float resolution around eps; if
+            # eps sits against a bound and s points outward, the root
+            # lies beyond it.
+            if abs(eps) >= math.nextafter(_SEPARATION_BOUND, 0.0) and score * eps > 0.0:
+                raise SeparationError(
+                    "perfect separation: coefficient for 'h' diverges", feature="h"
+                )
+            if abs(score) <= accept_tol:
+                break
+            raise ConvergenceError(
+                f"fluctuation fit stalled with score {abs(score):.3e} > {accept_tol:.1e}",
+                trace,
+            )
+        eps, last = nxt, abs(score)
+    else:
+        raise ConvergenceError(
+            f"fluctuation fit did not converge in {max_iter} iterations "
+            f"(score {trace[-1]:.3e})",
+            trace,
+        )
+    ll = _bernoulli_loglik(offset + eps * h, y)
+    return FluctuationFit(eps, h, offset, FitInfo(True, it, trace[-1], ll))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +493,8 @@ def _multinomial_probs(
     X: np.ndarray, B: np.ndarray, support: np.ndarray
 ) -> np.ndarray:
     """Row-wise probabilities of a multinomial logit restricted to ``support``."""
+    if not support.any(axis=1).all():
+        raise ValidationError("a covariate row has no supported treatment level")
     n, _ = X.shape
     k = support.shape[1]
     eta = np.zeros((n, k))
@@ -454,10 +503,7 @@ def _multinomial_probs(
     m = eta.max(axis=1, keepdims=True)
     ex = np.exp(eta - m)
     ex[~support] = 0.0
-    total = ex.sum(axis=1, keepdims=True)
-    if np.any(total == 0.0):
-        raise ValidationError("a covariate row has no supported treatment level")
-    return ex / total
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def _multinomial_loglik(probs: np.ndarray, y: np.ndarray) -> float:

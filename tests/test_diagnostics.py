@@ -14,7 +14,7 @@ from causalrules import (
     true_psi,
     true_relative_risk,
 )
-from causalrules.diagnostics import bernoulli_block_support, bernoulli_support
+from causalrules.diagnostics import _draw_levels, bernoulli_block_support, bernoulli_support
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,22 @@ def test_generate_is_seed_reproducible(gen_nv):
         generate(gen_nv, 0)
 
 
+def test_draw_levels_never_draws_a_structural_zero():
+    """On cohort rows whose top level is structurally zero, the rounded
+    cumulative sum can end just below 1; a uniform above it takes the
+    row's last supported level. Uniforms below it draw as before."""
+    g = cohort_dgp().support_g_raw()
+    rows = (g[:, -1] == 0.0) & (np.cumsum(g, axis=1)[:, -1] < np.nextafter(1.0, 0.0))
+    assert rows.any()
+    a = _draw_levels(g, np.full(len(g), np.nextafter(1.0, 0.0)))
+    assert np.all(g[np.arange(len(g)), a] > 0.0)
+    for row in np.flatnonzero(rows):
+        assert a[row] == np.flatnonzero(g[row])[-1]
+    u = np.random.default_rng(0).random(len(g))
+    naive = np.minimum((u[:, None] > np.cumsum(g, axis=1)).sum(axis=1), g.shape[1] - 1)
+    np.testing.assert_array_equal(_draw_levels(g, u), naive)
+
+
 def test_from_dataset_uses_empirical_support(data_nv, models_nv):
     g_model, q_model = models_nv
     gen = GeneratingDistribution.from_dataset(data_nv, g_model, q_model)
@@ -135,13 +151,15 @@ def test_eta_bias_requires_n_sim(gen_nv):
 def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
     """At n = 100 some refits pin a cohort level away on a covariate a
     support row carries, leaving that row with no supported level; the
-    replicate is dropped and counted instead of aborting the run."""
-    with pytest.warns(UserWarning, match="2 of 20 diagnostic replicates failed"):
+    replicate is dropped and counted instead of aborting the run, and the
+    unsupported row is caught before any arithmetic warns about it."""
+    with pytest.warns(UserWarning, match="2 of 20 diagnostic replicates failed") as record:
         report = eta_bias_diagnostic(
             cohort_dgp(), estimator="iptw", replicates=20, n_sim=100, seed=0,
             empty_set_policy="assign_min_realistic",
         )
     assert report.n_failed_replicates == 2
+    assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bias_report_table_and_dict(gen_nv):

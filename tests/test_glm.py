@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize_scalar
 from scipy.special import expit, logit
 
@@ -129,6 +132,77 @@ def test_fluctuation_solves_score_to_tolerance():
         fit = fit_fluctuation(y, h, offset)
         score = h @ (y - expit(offset + fit.epsilon * h))
         assert abs(score) / y.size <= 1e-8
+
+
+def _score(y, h, offset, eps):
+    return float(h @ (y - expit(offset + eps * h)))
+
+
+def test_fluctuation_recovers_from_an_overshooting_newton_step():
+    """RR-style contrast over g floored at 0.05 on a rare outcome: the
+    full Newton step from 0 lands past the root with a larger score, so
+    the bracket must catch it."""
+    rng = np.random.default_rng(0)
+    n = 200
+    g = np.maximum(rng.random((n, 2)), 0.05)
+    a = rng.integers(0, 2, n)
+    h = np.where(a == 1, 1.0 / g[:, 1], -1.3 / g[:, 0])
+    offset = rng.normal(-4.0, 0.5, n)
+    y = (rng.random(n) < expit(offset + 0.15 * h)).astype(float)
+    p0 = expit(offset)
+    s0 = _score(y, h, offset, 0.0)
+    s1 = _score(y, h, offset, s0 / float((h * h) @ (p0 * (1.0 - p0))))
+    assert s1 * s0 < 0.0 and abs(s1) > abs(s0)
+
+    fit = fit_fluctuation(y, h, offset)
+    assert fit.info.converged
+    assert abs(_score(y, h, offset, fit.epsilon)) <= 1e-10
+    # Minimise the squared score: unlike the log-likelihood it carries no
+    # large constant, so Brent's method can resolve its minimum to 1e-12.
+    ref = minimize_scalar(lambda e: _score(y, h, offset, e) ** 2,
+                          bracket=(-1.0, 1.0), method="brent", tol=1e-14)
+    assert abs(fit.epsilon - ref.x) < 1e-9
+
+
+def test_fluctuation_separation_names_h():
+    h = np.tile([-0.1, 0.1], 10)
+    with pytest.raises(SeparationError) as err:
+        fit_fluctuation((h > 0).astype(float), h, np.zeros(20))
+    assert err.value.feature == "h"
+
+
+def test_fluctuation_iteration_budget():
+    y, h, offset = _fluct_case(0)
+    with pytest.raises(ConvergenceError) as err:
+        fit_fluctuation(y, h, offset, max_iter=1)
+    assert err.value.trace
+
+
+_finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _fluct_inputs(draw):
+    n = draw(st.integers(1, 30))
+    y = draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0])))
+    h = draw(arrays(float, n, elements=st.floats(-20.0, 20.0, **_finite)))
+    offset = draw(arrays(float, n, elements=st.floats(-6.0, 6.0, **_finite)))
+    return y, h, offset
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fluct_inputs())
+def test_fluctuation_solves_the_score_on_random_inputs(case):
+    y, h, offset = case
+    # The score decreases in epsilon; keep inputs whose root is inside +-40.
+    assume(_score(y, h, offset, -40.0) > 0.0 > _score(y, h, offset, 40.0))
+    fit = fit_fluctuation(y, h, offset)
+    assert abs(_score(y, h, offset, fit.epsilon)) <= max(1e-10, 1e-8 * y.size)
+    s0 = _score(y, h, offset, 0.0)
+    if abs(s0) <= 1e-10:
+        assert fit.epsilon == 0.0
+    else:
+        assert np.sign(fit.epsilon) == np.sign(s0)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,15 @@ def _fail(name: str, want: str):
     raise UsageError(f"config field '{name}' must be {want}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: dict) -> None:
     unknown = sorted(set(cfg) - _TOP_LEVEL_FIELDS)
     if unknown:
@@ -113,14 +122,13 @@ def _validate_config(cfg: dict) -> None:
             _fail(name, "a list of strings")
     if "targets" in cfg and cfg["targets"] is not None:
         value = cfg["targets"]
-        if not (isinstance(value, list)
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        if not (isinstance(value, list) and all(_is_int(v) for v in value)):
             _fail("targets", "a list of integers")
     for name in ("n_treatment_levels", "seed"):
-        if name in cfg and not (isinstance(cfg[name], int) and not isinstance(cfg[name], bool)):
+        if name in cfg and not _is_int(cfg[name]):
             _fail(name, "an integer")
     for name in ("alpha", "alpha_trunc"):
-        if name in cfg and not isinstance(cfg[name], (int, float)):
+        if name in cfg and not _is_number(cfg[name]):
             _fail(name, "a number")
     if "truncate_weights" in cfg:
         value = cfg["truncate_weights"]
@@ -135,7 +143,7 @@ def _validate_config(cfg: dict) -> None:
         value = cfg["q_interactions"]
         ok = isinstance(value, list) and all(
             isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-            and isinstance(p[1], int) and not isinstance(p[1], bool)
+            and _is_int(p[1])
             for p in value
         )
         if not ok:
@@ -148,11 +156,11 @@ def _validate_config(cfg: dict) -> None:
         if unknown:
             raise UsageError("unknown bootstrap field(s): " + ", ".join(unknown))
         for name in ("replicates", "seed"):
-            if name in boot and not (isinstance(boot[name], int) and not isinstance(boot[name], bool)):
+            if name in boot and not _is_int(boot[name]):
                 _fail(f"bootstrap.{name}", "an integer")
         if "interval" in boot and not isinstance(boot["interval"], str):
             _fail("bootstrap.interval", "a string")
-        if "level" in boot and not isinstance(boot["level"], (int, float)):
+        if "level" in boot and not _is_number(boot["level"]):
             _fail("bootstrap.level", "a number")
     diag = cfg.get("diagnostic")
     if diag is not None:
@@ -165,17 +173,15 @@ def _validate_config(cfg: dict) -> None:
             if name in diag and not isinstance(diag[name], str):
                 _fail(f"diagnostic.{name}", "a string")
         for name in ("replicates", "n_sim"):
-            if name in diag and diag[name] is not None and not (
-                isinstance(diag[name], int) and not isinstance(diag[name], bool)
-            ):
+            if name in diag and diag[name] is not None and not _is_int(diag[name]):
                 _fail(f"diagnostic.{name}", "an integer")
         if "refit_g" in diag and not isinstance(diag["refit_g"], bool):
             _fail("diagnostic.refit_g", "a boolean")
-        if "threshold_pct" in diag and not isinstance(diag["threshold_pct"], (int, float)):
+        if "threshold_pct" in diag and not _is_number(diag["threshold_pct"]):
             _fail("diagnostic.threshold_pct", "a number")
         if "alpha_sweep" in diag and diag["alpha_sweep"] is not None:
             value = diag["alpha_sweep"]
-            if not (isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)):
+            if not (isinstance(value, list) and all(_is_number(v) for v in value)):
                 _fail("diagnostic.alpha_sweep", "a list of numbers")
 
 

@@ -20,7 +20,6 @@ the estimator — and the drift of the replicate-specific estimand
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import NuisanceSpec, _evaluate, _weight_scale, psi_from_arrays
 from .glm import OutcomeModel, TreatmentModel
+from .inference import _check_failures
 from .ingest import Dataset
 from .rules import Rule, assign, membership_matrix
 
@@ -375,15 +375,7 @@ def eta_bias_diagnostic(
         # Free this replicate's arrays before the next one draws and fits.
         del ds, G, G_weights, M, y
 
-    if n_failed > 0.10 * replicates:
-        raise EstimationError(
-            f"{n_failed} of {replicates} diagnostic replicates failed (> 10%)"
-        )
-    if n_failed > 0.01 * replicates:
-        warnings.warn(
-            f"{n_failed} of {replicates} diagnostic replicates failed and were dropped",
-            stacklevel=2,
-        )
+    _check_failures(n_failed, replicates, "diagnostic")
 
     entries = []
     for f, t in cells:

@@ -140,20 +140,17 @@ def _clever_covariate(
     ``ruled`` marks the rows the rule moves: every row for static and
     realistic rules, rows with a feasible target for ITT rules (the
     others keep their observed level and outcome, with weight one).
+    ``level`` is one level or the per-row assigned levels.
     """
     match = ruled & (eval_a == level)
-    _check_matched_denominators(g_eval, match)
-    out = np.where(ruled, 0.0, 1.0)
-    out[match] = 1.0 / g_eval[match]
-    return out
-
-
-def _check_matched_denominators(g_obs: np.ndarray, matched: np.ndarray) -> None:
-    if np.any(g_obs[matched] <= 0.0):
+    if np.any(g_eval[match] <= 0.0):
         raise EstimationError(
             "zero treatment probability on a matched row; cannot weight by 1/g "
             "(only possible with truncation disabled)"
         )
+    out = np.where(ruled, 0.0, 1.0)
+    out[match] = 1.0 / g_eval[match]
+    return out
 
 
 def _weight_summary(weights: np.ndarray) -> tuple[int, float | None, float | None, float | None]:
@@ -310,15 +307,9 @@ def psi_from_arrays(
         if np.any(g_assigned[ruled] <= 0.0):
             at = "the target level" if itt else "an assigned level"
             raise EstimationError(f"zero treatment probability at {at}")
-        # ITT multiplies by 1/g, the other families divide by g: the two
-        # round differently, and each keeps its form so estimates are
-        # reproducible bit for bit.
-        if itt:
-            with np.errstate(divide="ignore"):
-                shift = epsilon * np.where(ruled, 1.0 / g_assigned, 0.0)
-        else:
-            shift = epsilon / g_assigned
-        q1_assigned = expit(M[rows, assigned] + shift)
+        # Rows the rule leaves alone keep q1_obs; dividing them by one
+        # keeps an infeasible ITT target's zero g out of the update.
+        q1_assigned = expit(M[rows, assigned] + epsilon / np.where(ruled, g_assigned, 1.0))
         psi = float(np.where(ruled, q1_assigned, q1_obs).mean())
         residual = float(_augmented(ruled, h_obs, y, q1_obs, q1_assigned).mean() - psi)
     n_w, w_min, w_max, w_mean = _weight_summary(weights)
@@ -493,54 +484,44 @@ def rr_tmle_from_arrays(
     if np.any(g_num <= 0.0) or np.any(g_den <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
 
-    if family in ("static", "realistic"):
-        ind_num = (a == d_num).astype(float)
-        ind_den = (a == d_den).astype(float)
-        collide = (d_num == d_den).astype(float)
-        _check_matched_denominators(g_obs, ind_num > 0)
-        _check_matched_denominators(g_obs, ind_den > 0)
+    # Static and realistic rules move every row; ITT rules only the rows
+    # whose target is feasible.
+    itt = family == "itt"
+    ruled_num = member[:, target] if itt else np.ones(len(a), dtype=bool)
+    ruled_den = member[:, 0] if itt else ruled_num
+    ha_obs = _clever_covariate(ruled_num, a, d_num, g_obs)
+    h0_obs = _clever_covariate(ruled_den, a, d_den, g_obs)
+    ha_num = _clever_covariate(ruled_num, d_num, d_num, g_num)
+    h0_num = _clever_covariate(ruled_den, d_num, d_den, g_num)
+    ha_den = _clever_covariate(ruled_num, d_den, d_num, g_den)
+    h0_den = _clever_covariate(ruled_den, d_den, d_den, g_den)
+    if itt and itt_covariate == "appendix":
+        d_real_num, d_real_den = (
+            assign(replace(rule, family="realistic"), G, a, k, member)[1]
+            for rule in (rule_num, rule_den)
+        )
+
+        def _appendix(eval_a, g_eval, theta, psi_num, psi_den):
+            realistic_part = (
+                (eval_a == d_real_num).astype(float)
+                - theta * (eval_a == d_real_den).astype(float)
+            ) / (g_eval * psi_den)
+            const_part = 1.0 / psi_den - psi_num / psi_den**2
+            return np.where(ruled_num, const_part, realistic_part)
 
         def covariates(theta: float, psi_num: float, psi_den: float):
-            h_obs = (ind_num - theta * ind_den) / (g_obs * psi_den)
-            h_num = (1.0 - theta * collide) / (g_num * psi_den)
-            h_den = (collide - theta) / (g_den * psi_den)
-            return h_obs, h_num, h_den
-
-    else:
-        ruled_num, ruled_den = member[:, target], member[:, 0]
-        ha_obs = _clever_covariate(ruled_num, a, target, g_obs)
-        h0_obs = _clever_covariate(ruled_den, a, 0, g_obs)
-        ha_num = _clever_covariate(ruled_num, d_num, target, g_num)
-        h0_num = _clever_covariate(ruled_den, d_num, 0, g_num)
-        ha_den = _clever_covariate(ruled_num, d_den, target, g_den)
-        h0_den = _clever_covariate(ruled_den, d_den, 0, g_den)
-        if itt_covariate == "appendix":
-            d_real_num, d_real_den = (
-                assign(replace(rule, family="realistic"), G, a, k, member)[1]
-                for rule in (rule_num, rule_den)
+            return tuple(
+                _appendix(eval_a, g_eval, theta, psi_num, psi_den)
+                for eval_a, g_eval in ((a, g_obs), (d_num, g_num), (d_den, g_den))
             )
 
-            def _appendix(eval_a, g_eval, theta, psi_num, psi_den):
-                realistic_part = (
-                    (eval_a == d_real_num).astype(float)
-                    - theta * (eval_a == d_real_den).astype(float)
-                ) / (g_eval * psi_den)
-                const_part = 1.0 / psi_den - psi_num / psi_den**2
-                return np.where(ruled_num, const_part, realistic_part)
+    else:
 
-            def covariates(theta: float, psi_num: float, psi_den: float):
-                return tuple(
-                    _appendix(eval_a, g_eval, theta, psi_num, psi_den)
-                    for eval_a, g_eval in ((a, g_obs), (d_num, g_num), (d_den, g_den))
-                )
-
-        else:
-
-            def covariates(theta: float, psi_num: float, psi_den: float):
-                h_obs = (ha_obs - theta * h0_obs) / psi_den
-                h_num = (ha_num - theta * h0_num) / psi_den
-                h_den = (ha_den - theta * h0_den) / psi_den
-                return h_obs, h_num, h_den
+        def covariates(theta: float, psi_num: float, psi_den: float):
+            h_obs = (ha_obs - theta * h0_obs) / psi_den
+            h_num = (ha_num - theta * h0_num) / psi_den
+            h_den = (ha_den - theta * h0_den) / psi_den
+            return h_obs, h_num, h_den
 
     def plugins():
         psi_num = float(np.mean(expit(m_num)))

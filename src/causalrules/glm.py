@@ -8,11 +8,14 @@ Two nuisance models drive everything downstream:
   regression on covariate main effects, treatment-level indicators, and
   optional covariate-by-level interactions.
 
-The ``g`` and ``Q`` fits converge on the sup-norm of the score (default
-``1e-8``) with step-halving, raise on perfect separation or singular
-designs instead of silently returning garbage, and support two features
-plain library GLMs do not: offset-only one-parameter fluctuation fits
-(the targeting step) and structural zeros.  The fluctuation's score is
+The ``g`` and ``Q`` fits share one damped Newton driver.  It converges
+on the sup-norm of the score (default ``1e-8``) and damps each step by
+one line search: halve up to 40 times and take the first candidate
+whose log-likelihood rose or whose score fell.  The fits raise on
+perfect separation or singular designs instead of silently returning
+garbage, and the module supports two features plain library GLMs do
+not: offset-only one-parameter fluctuation fits (the targeting step)
+and structural zeros.  The fluctuation's score is
 monotone in its one parameter, so it is solved as a scalar root: Newton
 steps inside a bracket that shrinks by the sign of the score, with
 bisection as the safeguard.  A structural zero is a (level, binary
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -57,98 +60,91 @@ class FitInfo:
 
 
 # ---------------------------------------------------------------------------
+# Damped Newton: the one convergence policy of the g and Q fits
+
+
+def _sup_norm(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _damped_newton(
+    evaluate,
+    information,
+    check_separation,
+    dim: int,
+    n: int,
+    gtol: float,
+    max_iter: int,
+    model: str,
+) -> tuple[np.ndarray, FitInfo]:
+    """Maximise a concave log-likelihood over ``dim`` free parameters from zero.
+
+    The model supplies what differs between fits: ``evaluate(theta)``
+    returns ``(state, loglik, score)``, ``information(state)`` the
+    Fisher information over the free parameters, and
+    ``check_separation(theta)`` raises :class:`SeparationError` when a
+    coefficient has passed the separation bound.
+
+    Converges when the score sup-norm is <= ``gtol``.  Each Newton step
+    is damped by one line search that halves it up to 40 times and takes
+    the first candidate whose log-likelihood rose or whose score
+    sup-norm fell.  The second test matters at the log-likelihood's
+    machine-precision plateau, where a whole Newton step can shrink the
+    score by orders of magnitude while moving the log-likelihood by
+    less than one ulp.  When the search finds nothing, or the budget
+    runs out, the fit is accepted if the score is below a mean of 1e-8
+    per observation (the summed score grows with n, and so does the
+    achievable plateau) and raises :class:`ConvergenceError` otherwise.
+    """
+    accept_tol = max(gtol, 1e-8 * n)
+    theta = np.zeros(dim)
+    state, ll, score = evaluate(theta)
+    gnorm = _sup_norm(score)
+    trace: list[float] = []
+    for it in range(max_iter):
+        trace.append(gnorm)
+        if gnorm <= gtol:
+            return theta, FitInfo(True, it, gnorm, ll)
+        try:
+            step = np.linalg.solve(information(state), score)
+        except np.linalg.LinAlgError:
+            raise SingularInformationError(
+                f"singular information matrix in {model} fit; "
+                "design columns are collinear or degenerate"
+            ) from None
+        scale = 1.0
+        for _ in range(40):
+            cand = theta + scale * step
+            c_state, c_ll, c_score = evaluate(cand)
+            c_gnorm = _sup_norm(c_score)
+            if c_ll > ll or c_gnorm < gnorm:
+                break
+            scale *= 0.5
+        else:
+            if gnorm <= accept_tol:
+                return theta, FitInfo(True, it + 1, gnorm, ll)
+            raise ConvergenceError(
+                f"{model} fit stalled with score sup-norm {gnorm:.3e} > {accept_tol:.1e}",
+                trace,
+            )
+        theta, state, ll, score, gnorm = cand, c_state, c_ll, c_score, c_gnorm
+        check_separation(theta)
+    if gnorm <= accept_tol:
+        return theta, FitInfo(True, max_iter, gnorm, ll)
+    raise ConvergenceError(
+        f"{model} fit did not converge in {max_iter} iterations "
+        f"(score sup-norm {gnorm:.3e})",
+        trace,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Binary logistic regression
 
 
 def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray) -> float:
     # log P(y | eta) = y*eta - log(1 + exp(eta)), stably
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-
-
-def _newton_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    offset: np.ndarray | None,
-    feature_names: tuple[str, ...],
-    gtol: float,
-    max_iter: int,
-    accept_tol: float,
-) -> tuple[np.ndarray, FitInfo]:
-    n, q = X.shape
-    off = np.zeros(n) if offset is None else offset
-    beta = np.zeros(q)
-    eta = off + X @ beta
-    ll = _bernoulli_loglik(eta, y)
-    trace: list[float] = []
-    for it in range(max_iter):
-        p = expit(eta)
-        grad = X.T @ (y - p)
-        gnorm = float(np.max(np.abs(grad))) if q else 0.0
-        trace.append(gnorm)
-        if gnorm <= gtol:
-            return beta, FitInfo(True, it, gnorm, ll)
-        wdiag = p * (1.0 - p)
-        info = (X * wdiag[:, None]).T @ X
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            raise SingularInformationError(
-                "singular information matrix; design columns are collinear or degenerate"
-            ) from None
-        # Step-halving: accept the first step that improves the loglik.
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            cand = beta + scale * step
-            eta_cand = off + X @ cand
-            ll_cand = _bernoulli_loglik(eta_cand, y)
-            if ll_cand > ll:
-                beta, eta, ll = cand, eta_cand, ll_cand
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            # The loglik is at machine resolution but the score may not
-            # be: near the optimum a whole Newton step can shrink the
-            # gradient by orders of magnitude while moving the loglik by
-            # less than one ulp.  Fall back to accepting steps on score
-            # decrease so the estimating equation is still driven to
-            # (effectively) zero.
-            scale = 1.0
-            for _ in range(40):
-                cand = beta + scale * step
-                eta_cand = off + X @ cand
-                g_cand = float(np.max(np.abs(X.T @ (y - expit(eta_cand)))))
-                if g_cand < gnorm:
-                    beta, eta = cand, eta_cand
-                    ll = _bernoulli_loglik(eta_cand, y)
-                    improved = True
-                    break
-                scale *= 0.5
-        if not improved:
-            # Stalled at numerical precision.
-            if gnorm <= accept_tol:
-                return beta, FitInfo(True, it + 1, gnorm, ll)
-            raise ConvergenceError(
-                f"logistic fit stalled with score sup-norm {gnorm:.3e} > {accept_tol:.1e}",
-                trace,
-            )
-        big = np.abs(beta) > _SEPARATION_BOUND
-        if big.any():
-            j = int(np.argmax(np.abs(beta)))
-            raise SeparationError(
-                f"perfect separation: coefficient for {feature_names[j]!r} diverges",
-                feature=feature_names[j],
-            )
-    p = expit(eta)
-    gnorm = float(np.max(np.abs(X.T @ (y - p)))) if q else 0.0
-    if gnorm <= accept_tol:
-        return beta, FitInfo(True, max_iter, gnorm, ll)
-    raise ConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations "
-        f"(score sup-norm {gnorm:.3e})",
-        trace,
-    )
 
 
 @dataclass(frozen=True)
@@ -159,40 +155,26 @@ class LogisticFit:
     feature_names: tuple[str, ...]
     info: FitInfo
 
-    def linear_predictor(self, X: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-        eta = np.asarray(X, dtype=float) @ self.coef
-        if offset is not None:
-            eta = eta + offset
-        return eta
-
-    def predict(self, X: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-        return expit(self.linear_predictor(X, offset))
-
 
 def fit_logistic(
     X: np.ndarray,
     y: np.ndarray,
-    offset: np.ndarray | None = None,
     feature_names: tuple[str, ...] | None = None,
     gtol: float = DEFAULT_GTOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    accept_tol: float | None = None,
 ) -> LogisticFit:
     """Maximum-likelihood binary logistic regression.
 
-    ``X`` is the full design matrix (include your own intercept column);
-    ``offset`` is an optional fixed term added to the linear predictor.
+    ``X`` is the full design matrix (include your own intercept column).
     Raises :class:`SeparationError` when the MLE diverges,
     :class:`SingularInformationError` for collinear designs, and
     :class:`ConvergenceError` when the iteration budget is exhausted.
 
-    Convergence requires score sup-norm <= ``gtol``.  When step-halving
-    stalls on the log-likelihood's machine-precision plateau, the fit is
-    still accepted if the score is below ``accept_tol``, which defaults
-    to a mean score of 1e-8 per observation: the summed score scales
-    with n while the achievable plateau does too, so an absolute bound
-    would spuriously fail large fits that are converged for every
-    statistical purpose.
+    Newton steps are damped by one line search that takes the first
+    halving whose log-likelihood rose or whose score sup-norm fell.
+    Convergence requires score sup-norm <= ``gtol``; a search that
+    stalls, or a budget that runs out, is still accepted when the score
+    is below a mean of 1e-8 per observation (see :func:`_damped_newton`).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -201,20 +183,31 @@ def fit_logistic(
     n, q = X.shape
     if y.shape != (n,):
         raise ValidationError("outcome length does not match design rows")
-    if offset is not None:
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape != (n,):
-            raise ValidationError("offset length does not match design rows")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(q))
     else:
         feature_names = tuple(feature_names)
         if len(feature_names) != q:
             raise ValidationError("feature_names length does not match design columns")
-    if accept_tol is None:
-        accept_tol = max(gtol, 1e-8 * n)
-    coef, fit_info = _newton_logistic(
-        X, y, offset, feature_names, gtol, max_iter, accept_tol
+
+    def evaluate(beta):
+        eta = X @ beta
+        p = expit(eta)
+        return p, _bernoulli_loglik(eta, y), X.T @ (y - p)
+
+    def information(p):
+        return (X * (p * (1.0 - p))[:, None]).T @ X
+
+    def check_separation(beta):
+        if np.any(np.abs(beta) > _SEPARATION_BOUND):
+            j = int(np.argmax(np.abs(beta)))
+            raise SeparationError(
+                f"perfect separation: coefficient for {feature_names[j]!r} diverges",
+                feature=feature_names[j],
+            )
+
+    coef, fit_info = _damped_newton(
+        evaluate, information, check_separation, q, n, gtol, max_iter, "logistic"
     )
     return LogisticFit(coef=coef, feature_names=feature_names, info=fit_info)
 
@@ -228,8 +221,6 @@ class FluctuationFit:
     """
 
     epsilon: float
-    covariate: np.ndarray
-    offset: np.ndarray
     info: FitInfo
 
 
@@ -261,7 +252,7 @@ def fit_fluctuation(
         raise ValidationError("y, h, and offset must have matching shapes")
     if np.all(h == 0.0):
         ll = _bernoulli_loglik(offset, y)
-        return FluctuationFit(0.0, h, offset, FitInfo(True, 0, 0.0, ll))
+        return FluctuationFit(0.0, FitInfo(True, 0, 0.0, ll))
     accept_tol = max(gtol, 1e-8 * y.size)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
@@ -305,7 +296,7 @@ def fit_fluctuation(
             trace,
         )
     ll = _bernoulli_loglik(offset + eps * h, y)
-    return FluctuationFit(eps, h, offset, FitInfo(True, it, trace[-1], ll))
+    return FluctuationFit(eps, FitInfo(True, it, trace[-1], ll))
 
 
 # ---------------------------------------------------------------------------
@@ -511,123 +502,6 @@ def _multinomial_loglik(probs: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(np.log(p_obs)))
 
 
-def _newton_multinomial(
-    X: np.ndarray,
-    y: np.ndarray,
-    k_levels: int,
-    pins: list[tuple[int, int]],
-    feature_names: tuple[str, ...],
-    gtol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, FitInfo]:
-    n, q = X.shape
-    # Same plateau allowance as the logistic fits: a stall is accepted
-    # once the mean score per observation is below 1e-8.
-    accept_tol = max(gtol, 1e-8 * n)
-    support = _support_matrix(X, pins, k_levels)
-    if not support[np.arange(n), y].all():
-        raise ValidationError("observed treatment level conflicts with a structural zero")
-    free = np.ones((k_levels - 1, q), dtype=bool)
-    for l, c in pins:
-        if l >= 1:
-            if c == 0:
-                # Level never observed: the whole coefficient row is
-                # unidentified (its probabilities are zero everywhere).
-                free[l - 1, :] = False
-            else:
-                free[l - 1, c] = False
-    free_flat = free.ravel()
-    n_free = int(free_flat.sum())
-    ind = np.zeros((n, k_levels))
-    ind[np.arange(n), y] = 1.0
-
-    B = np.zeros((k_levels - 1, q))
-    probs = _multinomial_probs(X, B, support)
-    ll = _multinomial_loglik(probs, y)
-    trace: list[float] = []
-    for it in range(max_iter):
-        resid = ind[:, 1:] - probs[:, 1:]  # (n, k-1)
-        grad = (X.T @ resid).T  # (k-1, q)
-        grad_free = grad.ravel()[free_flat]
-        gnorm = float(np.max(np.abs(grad_free))) if n_free else 0.0
-        trace.append(gnorm)
-        if gnorm <= gtol:
-            return B, FitInfo(True, it, gnorm, ll)
-        # Fisher information over the free parameters, in (k-1, q) blocks.
-        dim = (k_levels - 1) * q
-        info = np.empty((dim, dim))
-        for l in range(1, k_levels):
-            for m in range(l, k_levels):
-                wlm = probs[:, l] * ((l == m) - probs[:, m])
-                block = (X * wlm[:, None]).T @ X
-                info[(l - 1) * q : l * q, (m - 1) * q : m * q] = block
-                if m != l:
-                    info[(m - 1) * q : m * q, (l - 1) * q : l * q] = block
-        info_free = info[np.ix_(free_flat, free_flat)]
-        try:
-            step_free = np.linalg.solve(info_free, grad_free)
-        except np.linalg.LinAlgError:
-            raise SingularInformationError(
-                "singular information matrix in multinomial fit; "
-                "design columns are collinear or degenerate"
-            ) from None
-        step = np.zeros(dim)
-        step[free_flat] = step_free
-        step = step.reshape(k_levels - 1, q)
-        scale = 1.0
-        improved = False
-        for _ in range(40):
-            cand = B + scale * step
-            probs_cand = _multinomial_probs(X, cand, support)
-            ll_cand = _multinomial_loglik(probs_cand, y)
-            if ll_cand > ll:
-                B, probs, ll = cand, probs_cand, ll_cand
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            # Same machine-plateau fallback as the logistic fit: accept
-            # a step that shrinks the score even if the loglik gain is
-            # below one ulp.
-            scale = 1.0
-            for _ in range(40):
-                cand = B + scale * step
-                probs_cand = _multinomial_probs(X, cand, support)
-                g_cand = (X.T @ (ind[:, 1:] - probs_cand[:, 1:])).T.ravel()[free_flat]
-                if (float(np.max(np.abs(g_cand))) if n_free else 0.0) < gnorm:
-                    B, probs = cand, probs_cand
-                    ll = _multinomial_loglik(probs_cand, y)
-                    improved = True
-                    break
-                scale *= 0.5
-        if not improved:
-            if gnorm <= accept_tol:
-                return B, FitInfo(True, it + 1, gnorm, ll)
-            raise ConvergenceError(
-                f"multinomial fit stalled with score sup-norm {gnorm:.3e}", trace
-            )
-        mags = np.abs(B)
-        mags[~free] = 0.0
-        if mags.max() > _SEPARATION_BOUND:
-            l_bad, c_bad = np.unravel_index(int(np.argmax(mags)), mags.shape)
-            raise SeparationError(
-                f"perfect separation: coefficient for level {l_bad + 1}, "
-                f"feature {feature_names[c_bad]!r} diverges",
-                feature=feature_names[c_bad],
-                level=int(l_bad + 1),
-            )
-    resid = ind[:, 1:] - probs[:, 1:]
-    grad_free = (X.T @ resid).T.ravel()[free_flat]
-    gnorm = float(np.max(np.abs(grad_free))) if n_free else 0.0
-    if gnorm <= accept_tol:
-        return B, FitInfo(True, max_iter, gnorm, ll)
-    raise ConvergenceError(
-        f"multinomial fit did not converge in {max_iter} iterations "
-        f"(score sup-norm {gnorm:.3e})",
-        trace,
-    )
-
-
 @dataclass(frozen=True)
 class TreatmentModel:
     """Fitted treatment mechanism ``g(a | W)``.
@@ -727,6 +601,11 @@ def fit_multinomial(
     estimated as exactly zero and flagged on the returned model rather
     than sent diverging.  Genuine separation elsewhere raises
     :class:`SeparationError` naming the level and feature.
+
+    The free coefficients are fitted by the same damped Newton iteration
+    as :func:`fit_logistic`: one line search that takes the first
+    halving whose log-likelihood rose or whose score sup-norm fell, and
+    a stall accepted only below a mean score of 1e-8 per observation.
     """
     w = np.asarray(w)
     a = np.asarray(a, dtype=np.int64)
@@ -749,13 +628,68 @@ def fit_multinomial(
             raise ValidationError("covariate_names length does not match covariate columns")
 
     X = np.column_stack([np.ones(n), np.asarray(w, dtype=float)])
+    q = p + 1
     names = (INTERCEPT_NAME,) + covariate_names
     pins = _detect_structural_zeros(X, a, k_levels)
     # Drop pins made redundant by an absent level (pinned on the intercept).
     absent = {l for l, c in pins if c == 0}
     pins = [(l, c) for l, c in pins if c == 0 or l not in absent]
-    B, fit_info = _newton_multinomial(X, a, k_levels, pins, names, gtol, max_iter)
-    coef = B.copy()
+    support = _support_matrix(X, pins, k_levels)
+    if not support[np.arange(n), a].all():
+        raise ValidationError("observed treatment level conflicts with a structural zero")
+    free = np.ones((k_levels - 1, q), dtype=bool)
+    for l, c in pins:
+        if l >= 1:
+            if c == 0:
+                # Level never observed: the whole coefficient row is
+                # unidentified (its probabilities are zero everywhere).
+                free[l - 1, :] = False
+            else:
+                free[l - 1, c] = False
+    free_flat = free.ravel()
+    ind = np.zeros((n, k_levels))
+    ind[np.arange(n), a] = 1.0
+
+    def coefficients(theta):
+        B = np.zeros((k_levels - 1, q))
+        B[free] = theta
+        return B
+
+    def evaluate(theta):
+        probs = _multinomial_probs(X, coefficients(theta), support)
+        score = (X.T @ (ind[:, 1:] - probs[:, 1:])).T.ravel()[free_flat]
+        return probs, _multinomial_loglik(probs, a), score
+
+    def information(probs):
+        # Fisher information in (k-1, q) blocks, restricted to the free
+        # parameters.
+        dim = (k_levels - 1) * q
+        info = np.empty((dim, dim))
+        for l in range(1, k_levels):
+            for m in range(l, k_levels):
+                wlm = probs[:, l] * ((l == m) - probs[:, m])
+                block = (X * wlm[:, None]).T @ X
+                info[(l - 1) * q : l * q, (m - 1) * q : m * q] = block
+                if m != l:
+                    info[(m - 1) * q : m * q, (l - 1) * q : l * q] = block
+        return info[np.ix_(free_flat, free_flat)]
+
+    def check_separation(theta):
+        mags = np.abs(coefficients(theta))
+        if mags.max() > _SEPARATION_BOUND:
+            l_bad, c_bad = np.unravel_index(int(np.argmax(mags)), mags.shape)
+            raise SeparationError(
+                f"perfect separation: coefficient for level {l_bad + 1}, "
+                f"feature {names[c_bad]!r} diverges",
+                feature=names[c_bad],
+                level=int(l_bad + 1),
+            )
+
+    theta, fit_info = _damped_newton(
+        evaluate, information, check_separation, int(free.sum()), n, gtol, max_iter,
+        "multinomial",
+    )
+    coef = coefficients(theta)
     for l, c in pins:
         if l >= 1:
             coef[l - 1, c] = -np.inf

@@ -130,14 +130,18 @@ def interval_from_replicates(
     )
 
 
-def _check_failures(n_failed: int, replicates: int) -> None:
+def _check_failures(n_failed: int, replicates: int, noun: str) -> None:
+    """Raise when more than 10% of the ``noun`` replicates failed, warn above 1%.
+
+    Called from a public replicate loop; the warning points at its caller.
+    """
     if n_failed > 0.10 * replicates:
         raise EstimationError(
-            f"{n_failed} of {replicates} bootstrap replicates failed (> 10%)"
+            f"{n_failed} of {replicates} {noun} replicates failed (> 10%)"
         )
     if n_failed > 0.01 * replicates:
         warnings.warn(
-            f"{n_failed} of {replicates} bootstrap replicates failed and were dropped",
+            f"{n_failed} of {replicates} {noun} replicates failed and were dropped",
             stacklevel=3,
         )
 
@@ -167,7 +171,7 @@ def bootstrap_statistics(
         except CausalRulesError:
             pass
     n_failed = int(np.isnan(out).all(axis=1).sum())
-    _check_failures(n_failed, config.replicates)
+    _check_failures(n_failed, config.replicates, "bootstrap")
     return out
 
 

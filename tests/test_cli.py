@@ -117,6 +117,22 @@ def test_config_validation(tmp_path, sim_csv, capsys):
                  "--output-dir", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("field, cfg", [
+    ("alpha_trunc", {"alpha_trunc": False}),
+    ("alpha", {"alpha": True}),
+    ("bootstrap.level", {"bootstrap": {"level": True}}),
+    ("diagnostic.threshold_pct", {"diagnostic": {"threshold_pct": False}}),
+    ("diagnostic.alpha_sweep", {"diagnostic": {"alpha_sweep": [0, True]}}),
+])
+def test_config_rejects_booleans_as_numbers(tmp_path, sim_csv, capsys, field, cfg):
+    """JSON true/false would otherwise pass as 1 and 0 (alpha_trunc 0 silently
+    leaves the weights untruncated)."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"input": str(sim_csv), **cfg}))
+    assert main(["estimate", "--config", str(path), "--output-dir", str(tmp_path / "x")]) == 1
+    assert f"config field '{field}' must be a" in capsys.readouterr().err
+
+
 def test_estimate_missing_csv_is_a_data_error(tmp_path):
     rc = main(["estimate", "--input", str(tmp_path / "none.csv"),
                "--output-dir", str(tmp_path / "o")])

@@ -160,6 +160,7 @@ def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
         )
     assert report.n_failed_replicates == 2
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+    assert [w.filename for w in record if w.category is UserWarning] == [__file__]
 
 
 def test_bias_report_table_and_dict(gen_nv):

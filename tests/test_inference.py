@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -98,6 +100,35 @@ def test_bootstrap_statistics_failure_accounting(data_nv):
 
     with pytest.raises(EstimationError, match="> 10%"):
         bootstrap_statistics(data_nv, broken, BootstrapConfig(replicates=20, seed=0), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 11])
+def test_bootstrap_failure_thresholds(data_nv, k):
+    """Of 100 replicates, 1 failure (1%) is silent, 2 to 10 warn at the
+    caller, and 11 (> 10%) raise."""
+    calls = {"i": 0}
+
+    def fails_k_times(ds):
+        calls["i"] += 1
+        if calls["i"] <= k:
+            raise CausalRulesError("synthetic failure")
+        return np.array([ds.y.mean()])
+
+    cfg = BootstrapConfig(replicates=100, seed=0)
+    if k > 10:
+        with pytest.raises(EstimationError, match=f"{k} of 100 bootstrap replicates failed"):
+            bootstrap_statistics(data_nv, fails_k_times, cfg, n_stats=1)
+        return
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        reps = bootstrap_statistics(data_nv, fails_k_times, cfg, n_stats=1)
+    assert int(np.isnan(reps[:, 0]).sum()) == k
+    if k == 1:
+        assert not record
+    else:
+        (w,) = record
+        assert str(w.message) == f"{k} of 100 bootstrap replicates failed and were dropped"
+        assert w.filename == __file__
 
 
 def test_bootstrap_statistics_is_deterministic(data_nv):

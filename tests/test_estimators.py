@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from causalrules import (
@@ -9,6 +12,8 @@ from causalrules import (
     CounterfactualEstimate,
     Dataset,
     EstimationError,
+    FitError,
+    GeneratingDistribution,
     Rule,
     RuleInfeasibleError,
     ValidationError,
@@ -27,6 +32,7 @@ from causalrules import (
     tmle_relative_risk,
 )
 from causalrules.estimators import EstimateDiagnostics
+from causalrules.glm import DEFAULT_GTOL
 
 # A fully hand-checkable setup: K=3, g = (1/4, 1/2, 1/4) for every row,
 # Q(0)=0.2, Q(1)=0.6, Q(2)=0.8 regardless of the covariate.
@@ -316,3 +322,68 @@ def test_estimate_suite_records_cell_failures(data_nv, models_nv):
     assert "RuleInfeasibleError" in real_cell.psi_error
     d = report.to_dict()
     assert d["cells"][0]["family"] == "static"
+
+
+# ---------------------------------------------------------------------------
+# The fitted grid is a function of the sample's patterns and their shares
+
+
+@st.composite
+def _small_samples(draw):
+    """A sample from a random system on 1-3 binary covariates, uniform
+    over their patterns, with 2-4 treatment levels."""
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    names = tuple(f"w{j}" for j in range(p))
+    coef = st.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
+    g = make_treatment_model(names, draw(arrays(float, (k - 1, p + 1), elements=coef)))
+    q = make_outcome_model(names, k, draw(arrays(float, p + k, elements=coef)))
+    support = np.array([[(j >> b) & 1 for b in range(p)] for j in range(2 ** p)])
+    gen = GeneratingDistribution(support, np.full(2 ** p, 2.0 ** -p), names, g, q)
+    return generate(gen, draw(st.integers(150, 300)), seed=draw(st.integers(0, 2 ** 31)))
+
+
+def _fitted_grid(ds, scale=1):
+    """Every psi and theta of the grid fitted on ``ds``; a failed cell or
+    fit gives its exception type (row numbers in messages follow the order).
+
+    The g and Q fits stop on the summed score, which grows with the number
+    of rows, so their tolerance is scaled with it: a sample repeated
+    ``scale`` times then takes the same Newton iterates and stops at the
+    same one.
+    """
+    gtol = scale * DEFAULT_GTOL
+    try:
+        report = estimate_suite(
+            ds, fit_treatment_model(ds, gtol=gtol), fit_outcome_model(ds, gtol=gtol)
+        )
+    except FitError as exc:
+        return type(exc).__name__
+    return {
+        (c.family, c.target, c.estimator): (
+            c.psi.psi if c.psi else c.psi_error.split(":")[0],
+            c.rr.theta if c.rr else (c.rr_error or "").split(":")[0],
+        )
+        for c in report.cells
+    }
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grid_is_invariant_to_row_order_and_duplication(copies, data):
+    """Shuffling the rows (copies=1) or repeating every row (copies=2)
+    leaves every estimate unchanged."""
+    ds = data.draw(_small_samples())
+    rows = np.random.default_rng(0).permutation(np.tile(np.arange(ds.n), copies))
+    want, got = _fitted_grid(ds), _fitted_grid(ds.take(rows), scale=copies)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.keys() == want.keys()
+    for key, values in want.items():
+        for a, b in zip(got[key], values):
+            if isinstance(b, str):
+                assert a == b, key
+            else:
+                assert abs(a - b) <= 1e-10, key

@@ -75,6 +75,26 @@ def test_logistic_input_validation():
         fit_logistic(np.ones(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("X, y, match", [
+    (np.zeros((0, 2)), np.zeros(0), "at least one row"),
+    (np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), "0 or 1"),
+    (np.array([[1.0, 0.0], [1.0, np.nan], [1.0, 1.0]]), np.array([0.0, 1.0, 1.0]),
+     "non-finite"),
+], ids=["no-rows", "outcome-not-binary", "nan-in-design"])
+def test_logistic_rejects_degenerate_input(X, y, match):
+    with pytest.raises(ValidationError, match=match):
+        fit_logistic(X, y)
+
+
+@pytest.mark.parametrize("w, a, match", [
+    (np.zeros((0, 2)), np.zeros(0, dtype=int), "at least one row"),
+    (np.array([[0.0], [np.nan], [1.0]]), np.array([0, 1, 1]), "non-finite"),
+], ids=["no-rows", "nan-in-covariates"])
+def test_multinomial_rejects_degenerate_input(w, a, match):
+    with pytest.raises(ValidationError, match=match):
+        fit_multinomial(w, a, 2)
+
+
 def test_logistic_iteration_budget():
     rng = np.random.default_rng(6)
     X = np.column_stack([np.ones(60), rng.integers(0, 2, 60)])
@@ -348,6 +368,25 @@ def test_plateau_step_is_taken_without_a_second_search(monkeypatch):
     monkeypatch.setattr(glm, "_multinomial_probs", counted)
     model = fit_treatment_model(ds)
     assert calls["n"] <= model.info.iterations + 1
+
+
+def test_treatment_fit_works_on_distinct_covariate_rows(monkeypatch):
+    """Every probability evaluation of the g fit sees one row per distinct
+    covariate pattern, however often the sample repeats them."""
+    ds = generate(cohort_dgp(), 2000, seed=0)
+    distinct = np.unique(ds.w, axis=0).shape[0]
+    rows: list[int] = []
+    probs = glm._multinomial_probs
+
+    def counted(X, B, support):
+        rows.append(X.shape[0])
+        return probs(X, B, support)
+
+    monkeypatch.setattr(glm, "_multinomial_probs", counted)
+    for sample in (ds, ds.take(np.tile(np.arange(ds.n), 3))):
+        rows.clear()
+        fit_treatment_model(sample)
+        assert rows and set(rows) == {distinct}
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,16 @@ def test_estimate_missing_csv_is_a_data_error(tmp_path):
     assert rc == 2
 
 
+def test_estimate_infinite_level_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("W1,A,Y\n1,2,1\n0,inf,0\n")
+    rc = main(["estimate", "--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "row 2, column 'A': treatment level must be an integer, got 'inf'" in (
+        capsys.readouterr().err
+    )
+
+
 def test_diagnose_dgp_mode(tmp_path, capsys):
     outdir = tmp_path / "diag"
     rc = main([

@@ -1,8 +1,15 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causalrules import Dataset, ValidationError, categorize_met, load_csv, write_csv
-from causalrules.ingest import DEFAULT_COVARIATES, MET_BREAKS
+from causalrules import ingest
+from causalrules.ingest import DEFAULT_COVARIATES, MET_BREAKS, _parse_cell
 
 
 def test_categorize_met_band_edges():
@@ -135,3 +142,166 @@ def test_load_csv_explicit_covariate_subset(tmp_path):
     assert ds.w[:, 0].tolist() == [0, 1]
     with pytest.raises(ValidationError, match="not in header"):
         load_csv(path, covariate_names=("W9",))
+
+
+def test_load_csv_rejects_infinite_levels(tmp_path):
+    path = tmp_path / "inf.csv"
+    for token in ("inf", "-inf", "NAN"):
+        path.write_text(f"W1,A,Y\n1,2,1\n1,{token},1\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"row 2, column 'A': treatment level must be an integer, got {token!r}"
+        )
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffW1,A,Y\n1,2,1\n".encode())
+    assert load_csv(path).covariate_names == ("W1",)
+    path.write_bytes("\ufeffA,W1,Y\n3,0,1\n".encode())
+    ds = load_csv(path)
+    assert ds.covariate_names == ("W1",)
+    assert ds.a.tolist() == [3]
+
+
+def test_load_csv_header_only(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("W1,A,Y\n")
+    with pytest.raises(ValidationError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: no data rows"
+
+
+def test_load_csv_first_bad_row_across_chunks(tmp_path):
+    path = tmp_path / "chunks.csv"
+    with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
+        path.write_text("W1,A,Y\n1,2,1\n,1,0\n0,3,1\n1,1,1\n1,7,0\n0,yes,1\n")
+        with pytest.raises(ValidationError, match=r"^row 5, column 'A': level 7 outside"):
+            load_csv(path)
+        path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1\n2,1,0\n")
+        with pytest.raises(ValidationError, match=r"^row 4: expected 3 fields, got 2$"):
+            load_csv(path)
+        path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1,1\n1,4,0\n")
+        ds = load_csv(path)
+    assert ds.a.tolist() == [2, 1, 3, 1, 4]
+
+
+def _oracle_load(path, covariate_names=None, n_treatment_levels=6):
+    """The row-by-row parse that ``load_csv`` replaced: ``(w, a, y, dropped)``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = list(reader)
+    treatment = "LTPA_MET" if "LTPA_MET" in header else "A"
+    names = tuple(covariate_names or [c for c in header if c not in (treatment, "Y")])
+    w_idx = [header.index(c) for c in names]
+    a_idx, y_idx = header.index(treatment), header.index("Y")
+    w_rows, a_vals, y_vals, dropped = [], [], [], 0
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValidationError(f"row {i}: expected {len(header)} fields, got {len(row)}")
+        cells = [_parse_cell(row[j], i, names[k], "binary") for k, j in enumerate(w_idx)]
+        a_cell = _parse_cell(row[a_idx], i, treatment, "met" if treatment == "LTPA_MET" else "level")
+        y_cell = _parse_cell(row[y_idx], i, "Y", "binary")
+        if any(c is None for c in cells) or a_cell is None or y_cell is None:
+            dropped += 1
+            continue
+        if treatment == "LTPA_MET":
+            try:
+                a_val = categorize_met(a_cell)
+            except ValidationError as exc:
+                raise ValidationError(f"row {i}, column 'LTPA_MET': {exc}") from None
+        else:
+            a_val = int(a_cell)
+            if not 0 <= a_val < n_treatment_levels:
+                raise ValidationError(
+                    f"row {i}, column 'A': level {a_val} outside 0..{n_treatment_levels - 1}"
+                )
+        w_rows.append([int(c) for c in cells])
+        a_vals.append(a_val)
+        y_vals.append(int(y_cell))
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    if not w_rows:
+        raise ValidationError(f"{path}: all {dropped} data rows were dropped as incomplete")
+    return w_rows, a_vals, y_vals, dropped
+
+
+# Cell pools per column, weighted towards valid cells so that many
+# generated files load.
+_MISSING_CELLS = ["", "NA", " NA ", ".", "nan", " NaN"]
+_POOLS = {
+    "W": ["0", "1"] * 8 + [" 1 ", "1.0", "0.0", "2", "yes", "inf"] + _MISSING_CELLS,
+    "A": [str(k) for k in range(6)] * 4 + ["2.0", " 3 ", "6", "-1", "1.5", "inf", "x"] + _MISSING_CELLS,
+    "LTPA_MET": ["0", "0.0", "10", "20", "40", "60", "60.0001", "35.5", " 5 "] * 3
+    + ["-2", "inf", "NAN", "x"] + _MISSING_CELLS,
+    "Y": ["0", "1"] * 8 + ["1.0", "2", "no"] + _MISSING_CELLS,
+    "Z": ["junk", "1", ""],
+}
+
+
+@st.composite
+def _csv_files(draw):
+    p = draw(st.integers(1, 3))
+    treatment = draw(st.sampled_from(["A", "LTPA_MET"]))
+    unused = draw(st.booleans())
+    header = draw(st.permutations(
+        [f"W{j}" for j in range(p)] + ["Z"] * unused + [treatment, "Y"]
+    ))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(st.sampled_from(_POOLS[c[0] if c[0] == "W" else c])) for c in header]
+        if draw(st.integers(0, 24)) == 0:
+            row = row[:-1]
+        rows.append(",".join(row))
+    names = tuple(c for c in header if c[0] == "W") if unused else None
+    return "\n".join([",".join(header), *rows]) + "\n", names
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=_csv_files(), chunk=st.sampled_from([1, 3, 4096]))
+@example(case=("W1,A,Y\n,9,1\n1,NA,yes\n2,1,0\n", None), chunk=4096)  # bad after dropped
+@example(case=("W1,junk,A,Y\n1,x,2,1\n0,,1,0\n", ("W1",)), chunk=4096)  # unused bad column
+def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
+    text, names = case
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    path.write_text(text)
+    try:
+        want = _oracle_load(path, names)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info, \
+                mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+            load_csv(path, covariate_names=names)
+        assert str(info.value) == str(exc)
+        return
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        ds = load_csv(path, covariate_names=names)
+    w, a, y, dropped = want
+    assert ds.w.tolist() == w
+    assert ds.a.tolist() == a
+    assert ds.y.tolist() == y
+    assert ds.dropped_rows == dropped
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 300
+    ds = Dataset(
+        w=rng.integers(0, 2, (n, 4)),
+        a=np.r_[0, 11, rng.integers(0, 12, n - 2)],
+        y=rng.integers(0, 2, n),
+        covariate_names=("W1", "AGE.2", "has,comma", 'q"uote'),
+        n_treatment_levels=12,
+    )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(list(ds.covariate_names) + ["A", "Y"])
+    for i in range(n):
+        writer.writerow([int(v) for v in ds.w[i]] + [int(ds.a[i]), int(ds.y[i])])
+    path = tmp_path / "out.csv"
+    write_csv(ds, path)
+    assert path.read_bytes() == buf.getvalue().encode()
+    back = load_csv(path, n_treatment_levels=12)
+    assert back == ds
+    assert back.covariate_names == ds.covariate_names

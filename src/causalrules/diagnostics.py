@@ -355,13 +355,12 @@ def eta_bias_diagnostic(
         except CausalRulesError:
             n_failed += 1
             continue
-        G, M = _evaluate(ds, g_model, q_model)
-        G_weights = _weight_scale(G, g_model, truncate_weights)
-        y = ds.y.astype(float)
+        table = _evaluate(ds, g_model, q_model)
+        G_weights = _weight_scale(table.G, g_model, truncate_weights)
         for c in cells:
             rule = rules[c]
             try:
-                est = psi_from_arrays(estimator, rule, ds.a, y, G, G_weights, M)
+                est = psi_from_arrays(estimator, rule, table, G_weights)
                 estimates[c].append(est.psi)
             except CausalRulesError:
                 continue
@@ -373,7 +372,7 @@ def eta_bias_diagnostic(
                 except CausalRulesError:
                     pass
         # Free this replicate's arrays before the next one draws and fits.
-        del ds, G, G_weights, M, y
+        del ds, table, G_weights
 
     _check_failures(n_failed, replicates, "diagnostic")
 

@@ -25,11 +25,17 @@ equation residual are both negligible.
 ``estimate_suite`` runs the full grid of rule families, target levels,
 and estimators and collects the results in a tabular report.
 
-Every estimator reads its nuisance values off two arrays evaluated once
-per dataset: the raw treatment probabilities ``G`` and the logit of the
-outcome regression ``M``, one column per level.  Feasibility sets always
-use the raw probabilities (see ``rules``); weight denominators use the
-truncated ones unless ``truncate_weights=False``.
+Every estimator runs on one pattern table per dataset (``_evaluate``):
+the distinct (W, A) rows, each with its outcome successes out of trials.
+The estimators, the fluctuation score and the relative-risk residual are
+all linear in the outcomes, so a mean over rows is a sum over patterns
+weighted by their trials, divided by n.  The models are evaluated once
+per dataset, on the distinct W rows only: the raw treatment
+probabilities ``G`` and the logit of the outcome regression ``M``, one
+column per level.  Each rule's assignment is computed once per table and
+shared by every estimator.  Feasibility sets always use the raw
+probabilities (see ``rules``); weight denominators use the truncated
+ones unless ``truncate_weights=False``.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .glm import (
     OutcomeDesign,
     OutcomeModel,
     TreatmentModel,
+    _distinct_rows,
     fit_fluctuation,
     fit_outcome_model,
     fit_treatment_model,
@@ -101,28 +108,84 @@ class NuisanceSpec:
 
 
 # ---------------------------------------------------------------------------
-# Nuisance arrays shared by every estimator
+# The pattern table shared by every estimator
+
+
+@dataclass(frozen=True)
+class _Patterns:
+    """A dataset's distinct (W, A) patterns with its models evaluated on them.
+
+    Pattern ``i`` has level ``a[i]`` and ``successes[i]`` outcomes out
+    of ``trials[i]`` rows; ``inverse`` gives the pattern of every input
+    row.  ``G`` is the raw ``g(a | W)`` and ``M`` the logit of
+    ``Q(a, W)``, one row per pattern and one column per level (None for
+    a missing model).
+    """
+
+    a: np.ndarray
+    successes: np.ndarray
+    trials: np.ndarray
+    inverse: np.ndarray
+    k: int
+    G: np.ndarray | None
+    M: np.ndarray | None
+    _assignments: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.inverse.size
+
+    def mean(self, values: np.ndarray) -> float:
+        """Mean over rows of a value that is constant within each pattern."""
+        return float(self.trials @ values) / self.n
+
+    def assign(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
+        """Feasibility and assigned level of every pattern under ``rule``.
+
+        Computed once per rule; a rule that cannot be assigned raises
+        the same error on every call.
+        """
+        hit = self._assignments.get(rule)
+        if hit is None:
+            try:
+                hit = assign(rule, self.G, self.a, self.k, inverse=self.inverse)
+            except CausalRulesError as exc:
+                hit = exc
+            self._assignments[rule] = hit
+        if isinstance(hit, CausalRulesError):
+            raise hit
+        return hit
 
 
 def _evaluate(
     dataset: Dataset, g_model: TreatmentModel | None, q_model: OutcomeModel | None
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Evaluate the fitted models once on a dataset.
+) -> _Patterns:
+    """Group a dataset into (W, A) patterns and evaluate the models once.
 
-    Returns ``G``, the raw ``g(a | W)``, and ``M``, the logit of
-    ``Q(a, W)``, each of shape ``(n, K)`` with one column per level
-    (None for a missing model).  Every estimator reads its nuisance
-    values off these two arrays.
+    ``G`` and ``M`` are predicted on the distinct W rows only, then read
+    off per pattern.  Every estimator runs on the returned table.
     """
+    k = dataset.n_treatment_levels
+    w_first, w_index = _distinct_rows(dataset.w)
+    keys, inverse = np.unique(w_index * k + dataset.a, return_inverse=True)
+    inverse = inverse.ravel()
+    w_of = keys // k
     G = M = None
     if g_model is not None:
-        G = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
+        w_g = select_covariates(dataset, g_model.covariate_names)[w_first]
+        G = g_model.predict_raw(w_g)[w_of]
     if q_model is not None:
-        w_q = select_covariates(dataset, q_model.design.covariate_names)
-        M = np.column_stack(
-            [q_model.linear_predictor(l, w_q) for l in range(dataset.n_treatment_levels)]
-        )
-    return G, M
+        w_q = select_covariates(dataset, q_model.design.covariate_names)[w_first]
+        M = np.column_stack([q_model.linear_predictor(l, w_q) for l in range(k)])[w_of]
+    return _Patterns(
+        a=keys % k,
+        successes=np.bincount(inverse, weights=dataset.y),
+        trials=np.bincount(inverse).astype(float),
+        inverse=inverse,
+        k=k,
+        G=G,
+        M=M,
+    )
 
 
 def _weight_scale(G: np.ndarray | None, g_model: TreatmentModel | None, truncate: bool):
@@ -137,10 +200,10 @@ def _clever_covariate(
 ) -> np.ndarray:
     """``I(eval_a = level) / g_eval`` on ruled rows, 1 elsewhere.
 
-    ``ruled`` marks the rows the rule moves: every row for static and
-    realistic rules, rows with a feasible target for ITT rules (the
-    others keep their observed level and outcome, with weight one).
-    ``level`` is one level or the per-row assigned levels.
+    ``ruled`` marks the patterns the rule moves: every pattern for
+    static and realistic rules, patterns with a feasible target for ITT
+    rules (the others keep their observed level and outcome, with weight
+    one).  ``level`` is one level or the per-pattern assigned levels.
     """
     match = ruled & (eval_a == level)
     if np.any(g_eval[match] <= 0.0):
@@ -153,11 +216,16 @@ def _clever_covariate(
     return out
 
 
-def _weight_summary(weights: np.ndarray) -> tuple[int, float | None, float | None, float | None]:
-    nz = weights[weights > 0]
-    if nz.size == 0:
+def _weight_summary(
+    weights: np.ndarray, trials: np.ndarray
+) -> tuple[int, float | None, float | None, float | None]:
+    """Count, min, max and mean of the nonzero weights over rows."""
+    nz = weights > 0
+    if not nz.any():
         return 0, None, None, None
-    return int(nz.size), float(nz.min()), float(nz.max()), float(nz.mean())
+    w, t = weights[nz], trials[nz]
+    n_w = t.sum()
+    return int(n_w), float(w.min()), float(w.max()), float(t @ w) / float(n_w)
 
 
 # ---------------------------------------------------------------------------
@@ -253,55 +321,55 @@ def _check_models(estimator: str, rule: Rule, G, M) -> None:
         raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
 
 
-def _augmented(ruled, h_obs, y, q_obs, q_assigned) -> np.ndarray:
-    """Augmented-IPTW terms; rows the rule leaves alone keep their outcome."""
-    return np.where(ruled, h_obs * (y - q_obs) + q_assigned, y)
+def _augmented(ruled, h_obs, successes, trials, q_obs, q_assigned) -> np.ndarray:
+    """Augmented-IPTW terms summed over each pattern's rows; rows the
+    rule leaves alone keep their outcome."""
+    return np.where(ruled, h_obs * (successes - trials * q_obs) + trials * q_assigned, successes)
 
 
 def psi_from_arrays(
     estimator: str,
     rule: Rule,
-    a: np.ndarray,
-    y: np.ndarray,
-    G: np.ndarray | None,
+    table: _Patterns,
     G_weights: np.ndarray | None,
-    M: np.ndarray | None,
 ) -> CounterfactualEstimate:
-    """One estimate of psi = E[Y_d] from evaluated nuisance arrays.
+    """One estimate of psi = E[Y_d] from a dataset's pattern table.
 
-    ``a`` and ``y`` are the observed levels and outcomes (as floats),
-    ``G`` the raw treatment probabilities that define feasibility,
-    ``G_weights`` the probabilities used as weight denominators, and
-    ``M`` the logit of the outcome regression at every level (see
-    :func:`_evaluate`).
+    ``table`` holds the distinct (W, A) patterns with their outcome
+    successes out of trials, the raw treatment probabilities ``G`` that
+    define feasibility and the logit ``M`` of the outcome regression
+    (see :func:`_evaluate`); ``G_weights`` are the probabilities used as
+    weight denominators, one row per pattern.  Every mean over rows is a
+    sum over patterns weighted by their trials, divided by
+    ``n = sum(trials)``.
     """
     if estimator not in ESTIMATORS:
         raise ValidationError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
-    _check_models(estimator, rule, G, M)
-    n = len(a)
-    rows = np.arange(n)
-    member, assigned = assign(rule, G, a, (G if M is None else M).shape[1])
+    M = table.M
+    _check_models(estimator, rule, table.G, M)
+    a, s, t, n = table.a, table.successes, table.trials, table.n
+    rows = np.arange(a.size)
+    member, assigned = table.assign(rule)
     itt = rule.family == "itt"
-    ruled = member[:, rule.target] if itt else np.ones(n, dtype=bool)
+    ruled = member[:, rule.target] if itt else np.ones(a.size, dtype=bool)
     if estimator == "gcomp":
-        values = np.where(ruled, expit(M[rows, assigned]), y)
+        psi = float(np.sum(np.where(ruled, t * expit(M[rows, assigned]), s))) / n
         return CounterfactualEstimate(
-            estimator="gcomp", rule=rule, psi=float(values.mean()),
-            diagnostics=EstimateDiagnostics(n=n),
+            estimator="gcomp", rule=rule, psi=psi, diagnostics=EstimateDiagnostics(n=n),
         )
     h_obs = _clever_covariate(ruled, a, assigned, G_weights[rows, a])
     epsilon = residual = None
     weights = h_obs
     if estimator == "iptw":
-        psi = float((h_obs * y).mean())
+        psi = float(h_obs @ s) / n
     elif estimator == "driptw":
         # Rows with an infeasible ITT target carry no weight here.
         weights = np.where(ruled, h_obs, 0.0)
         q_obs, q_assigned = expit(M[rows, a]), expit(M[rows, assigned])
-        psi = float(_augmented(ruled, h_obs, y, q_obs, q_assigned).mean())
+        psi = float(np.sum(_augmented(ruled, h_obs, s, t, q_obs, q_assigned))) / n
     else:
         m_obs = M[rows, a]
-        epsilon = fit_fluctuation(y, h_obs, m_obs).epsilon
+        epsilon = fit_fluctuation(s, h_obs, m_obs, trials=t).epsilon
         q1_obs = expit(m_obs + epsilon * h_obs)
         g_assigned = G_weights[rows, assigned]
         if np.any(g_assigned[ruled] <= 0.0):
@@ -310,9 +378,9 @@ def psi_from_arrays(
         # Rows the rule leaves alone keep q1_obs; dividing them by one
         # keeps an infeasible ITT target's zero g out of the update.
         q1_assigned = expit(M[rows, assigned] + epsilon / np.where(ruled, g_assigned, 1.0))
-        psi = float(np.where(ruled, q1_assigned, q1_obs).mean())
-        residual = float(_augmented(ruled, h_obs, y, q1_obs, q1_assigned).mean() - psi)
-    n_w, w_min, w_max, w_mean = _weight_summary(weights)
+        psi = table.mean(np.where(ruled, q1_assigned, q1_obs))
+        residual = float(np.sum(_augmented(ruled, h_obs, s, t, q1_obs, q1_assigned))) / n - psi
+    n_w, w_min, w_max, w_mean = _weight_summary(weights, t)
     return CounterfactualEstimate(
         estimator=estimator,
         rule=rule,
@@ -339,12 +407,11 @@ def estimate_psi(
     under a static rule (or at ``alpha == 0``) never touches ``g_model``.
     """
     needs_g = estimator != "gcomp" or (rule.family != "static" and rule.alpha > 0.0)
-    G, M = _evaluate(
+    table = _evaluate(
         dataset, g_model if needs_g else None, None if estimator == "iptw" else q_model
     )
     return psi_from_arrays(
-        estimator, rule, dataset.a, dataset.y.astype(float),
-        G, _weight_scale(G, g_model, truncate_weights), M,
+        estimator, rule, table, _weight_scale(table.G, g_model, truncate_weights)
     )
 
 
@@ -452,11 +519,8 @@ def relative_risk_plugin(
 def rr_tmle_from_arrays(
     family: str,
     target: int,
-    a: np.ndarray,
-    y: np.ndarray,
-    G: np.ndarray | None,
+    table: _Patterns,
     G_weights: np.ndarray | None,
-    M: np.ndarray | None,
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
@@ -465,19 +529,23 @@ def rr_tmle_from_arrays(
     max_iter: int = 50,
     itt_covariate: str = "delta",
 ) -> RelativeRiskEstimate:
-    """Targeted estimate of theta = psi_target / psi_0 from evaluated
-    nuisance arrays (see :func:`psi_from_arrays` and
-    :func:`tmle_relative_risk`)."""
+    """Targeted estimate of theta = psi_target / psi_0 from a dataset's
+    pattern table (see :func:`psi_from_arrays` and
+    :func:`tmle_relative_risk`).  The plug-ins, the fluctuation and the
+    residual are sums over patterns weighted by their trials, divided by
+    ``n = sum(trials)``; the two rules' assignments are the table's."""
     if target == 0:
         raise ValidationError("relative-risk target must differ from the reference level 0")
     if itt_covariate not in ("delta", "appendix"):
         raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
-    _check_models("tmle", rule_num, G, M)
-    rows, k = np.arange(len(a)), M.shape[1]
-    member, d_num = assign(rule_num, G, a, k)
-    _, d_den = assign(rule_den, G, a, k, member)
+    M = table.M
+    _check_models("tmle", rule_num, table.G, M)
+    a, s, t = table.a, table.successes, table.trials
+    rows = np.arange(a.size)
+    member, d_num = table.assign(rule_num)
+    _, d_den = table.assign(rule_den)
     g_obs = G_weights[rows, a]
     m_obs, m_num, m_den = M[rows, a], M[rows, d_num], M[rows, d_den]
     g_num, g_den = G_weights[rows, d_num], G_weights[rows, d_den]
@@ -487,7 +555,7 @@ def rr_tmle_from_arrays(
     # Static and realistic rules move every row; ITT rules only the rows
     # whose target is feasible.
     itt = family == "itt"
-    ruled_num = member[:, target] if itt else np.ones(len(a), dtype=bool)
+    ruled_num = member[:, target] if itt else np.ones(a.size, dtype=bool)
     ruled_den = member[:, 0] if itt else ruled_num
     ha_obs = _clever_covariate(ruled_num, a, d_num, g_obs)
     h0_obs = _clever_covariate(ruled_den, a, d_den, g_obs)
@@ -497,8 +565,7 @@ def rr_tmle_from_arrays(
     h0_den = _clever_covariate(ruled_den, d_den, d_den, g_den)
     if itt and itt_covariate == "appendix":
         d_real_num, d_real_den = (
-            assign(replace(rule, family="realistic"), G, a, k, member)[1]
-            for rule in (rule_num, rule_den)
+            table.assign(replace(rule, family="realistic"))[1] for rule in (rule_num, rule_den)
         )
 
         def _appendix(eval_a, g_eval, theta, psi_num, psi_den):
@@ -524,8 +591,8 @@ def rr_tmle_from_arrays(
             return h_obs, h_num, h_den
 
     def plugins():
-        psi_num = float(np.mean(expit(m_num)))
-        psi_den = float(np.mean(expit(m_den)))
+        psi_num = table.mean(expit(m_num))
+        psi_den = table.mean(expit(m_den))
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
@@ -539,7 +606,7 @@ def rr_tmle_from_arrays(
     theta = psi_num / psi_den
     for _ in range(max_iter):
         h_obs, h_num, h_den = covariates(theta, psi_num, psi_den)
-        fluct = fit_fluctuation(y, h_obs, m_obs)
+        fluct = fit_fluctuation(s, h_obs, m_obs, trials=t)
         eps = fluct.epsilon
         epsilons.append(eps)
         m_obs = m_obs + eps * h_obs
@@ -548,7 +615,7 @@ def rr_tmle_from_arrays(
         psi_num, psi_den = plugins()
         theta = psi_num / psi_den
         h_obs, _, _ = covariates(theta, psi_num, psi_den)
-        residual = float(np.mean(h_obs * (y - expit(m_obs))))
+        residual = float(h_obs @ (s - t * expit(m_obs))) / table.n
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
             converged = True
             break
@@ -602,10 +669,9 @@ def tmle_relative_risk(
     ``"appendix"`` uses the variant that splits rows on feasibility of
     the target and contrasts realistic-rule indicators on the rest.
     """
-    G, M = _evaluate(dataset, g_model, q_model)
+    table = _evaluate(dataset, g_model, q_model)
     return rr_tmle_from_arrays(
-        family, target, dataset.a, dataset.y.astype(float),
-        G, _weight_scale(G, g_model, truncate_weights), M,
+        family, target, table, _weight_scale(table.G, g_model, truncate_weights),
         alpha=alpha, empty_set_policy=empty_set_policy, eps_tol=eps_tol,
         residual_tol=residual_tol, max_iter=max_iter, itt_covariate=itt_covariate,
     )
@@ -722,10 +788,12 @@ def estimate_suite(
     """Estimate psi for every (family, target, estimator) cell plus the
     relative risk of each target against target 0 within the family.
 
-    The models are evaluated once (:func:`_evaluate`) and every cell is
-    computed from those arrays.  TMLE relative risks are targeted
-    directly as in :func:`tmle_relative_risk`; the other estimators use
-    the plug-in ratio.  Per-cell failures are recorded as messages
+    The models are evaluated once, on the dataset's pattern table
+    (:func:`_evaluate`), and every cell is computed from that table; each
+    (family, target) rule is assigned once and shared by the cells.
+    TMLE relative risks are targeted directly as in
+    :func:`tmle_relative_risk`; the other estimators use the plug-in
+    ratio.  Per-cell failures are recorded as messages
     instead of aborting the grid.  ``truncate_weights`` may be a bool or
     a mapping from estimator name to bool.
     """
@@ -739,9 +807,9 @@ def estimate_suite(
     else:
         trunc_for = {e: bool(truncate_weights) for e in ESTIMATORS}
 
-    G, M = _evaluate(dataset, g_model, q_model)
+    table = _evaluate(dataset, g_model, q_model)
+    G = table.G
     G_trunc = _weight_scale(G, g_model, True)
-    a, y = dataset.a, dataset.y.astype(float)
     cells: list[SuiteCell] = []
     for family in families:
         for est in estimators:
@@ -755,7 +823,7 @@ def estimate_suite(
                     empty_set_policy=empty_set_policy,
                 )
                 try:
-                    psi_by_target[target] = psi_from_arrays(est, rule, a, y, G, G_weights, M)
+                    psi_by_target[target] = psi_from_arrays(est, rule, table, G_weights)
                     err_by_target[target] = None
                 except CausalRulesError as exc:
                     psi_by_target[target] = None
@@ -769,7 +837,7 @@ def estimate_suite(
                     try:
                         if est == "tmle":
                             cell.rr = rr_tmle_from_arrays(
-                                family, target, a, y, G, G_weights, M,
+                                family, target, table, G_weights,
                                 alpha=alpha, empty_set_policy=empty_set_policy,
                                 itt_covariate=itt_covariate, max_iter=rr_max_iter,
                             )
@@ -795,7 +863,9 @@ def estimate_suite(
                 "alpha_trunc": g_model.alpha_trunc,
                 "g_converged": g_model.info.converged,
                 "g_structural_zeros": [[l, f] for l, f in g_model.structural_zeros],
-                "g_truncated_cells": int(np.count_nonzero(G < g_model.alpha_trunc)),
+                "g_truncated_cells": int(
+                    table.trials @ np.count_nonzero(G < g_model.alpha_trunc, axis=1)
+                ),
             }
         )
     if q_model is not None:

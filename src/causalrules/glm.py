@@ -26,11 +26,12 @@ not: offset-only one-parameter fluctuation fits (the targeting step)
 and structural zeros.  The fluctuation's score is
 monotone in its one parameter, so it is solved as a scalar root: Newton
 steps inside a bracket that shrinks by the sign of the score, with
-bisection as the safeguard.  A structural zero is a (level, binary
-feature) cell with no observations; the MLE for that coefficient
-diverges to minus infinity, so the fit pins the cell to probability
-zero exactly, restricts each row's choice set accordingly, and flags
-the pin on the fitted model.
+bisection as the safeguard.  It too takes successes out of trials, so
+the estimators can target on distinct patterns.  A structural zero is a
+(level, binary feature) cell with no observations; the MLE for that
+coefficient diverges to minus infinity, so the fit pins the cell to
+probability zero exactly, restricts each row's choice set accordingly,
+and flags the pin on the fitted model.
 """
 
 from __future__ import annotations
@@ -287,11 +288,15 @@ def fit_fluctuation(
     offset: np.ndarray,
     gtol: float = 1e-10,
     max_iter: int = DEFAULT_MAX_ITER,
+    trials: np.ndarray | None = None,
 ) -> FluctuationFit:
     """Fit the targeting fluctuation: logistic in ``h`` with no intercept.
 
-    ``epsilon`` is the root of the score ``s(e) = h . (y - expit(offset +
-    e h))``, which strictly decreases in ``e``.  The root is found by
+    ``y`` counts the successes out of ``trials`` at each entry (one trial
+    each when ``trials`` is None), so distinct patterns with their counts
+    give the same fit as the rows they stand for.  ``epsilon`` is the
+    root of the score ``s(e) = h . (y - trials * expit(offset + e h))``,
+    which strictly decreases in ``e``.  The root is found by
     Newton steps inside a bracket that starts at ``+-40`` and shrinks by
     the sign of ``s`` at every iterate; a step that would leave the
     bracket, or one taken from an iterate where ``|s|`` did not fall, is
@@ -299,24 +304,32 @@ def fit_fluctuation(
     default so that downstream substitution estimators solve their
     estimating equation to near machine precision).  When the bracket
     collapses to float resolution first, the fit is accepted only if the
-    mean score per observation is already below 1e-8.  A root beyond
-    ``+-40`` raises :class:`SeparationError`.
+    mean score per observation is already below 1e-8, where the number of
+    observations is ``n = sum(trials)``.  A root beyond ``+-40`` raises
+    :class:`SeparationError`.
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
     offset = np.asarray(offset, dtype=float)
     if not (y.shape == h.shape == offset.shape):
         raise ValidationError("y, h, and offset must have matching shapes")
+    if trials is None:
+        t, n = 1.0, y.size
+    else:
+        t = np.asarray(trials, dtype=float)
+        if t.shape != y.shape:
+            raise ValidationError("trials must match the shape of y")
+        n = float(t.sum())
     if np.all(h == 0.0):
-        ll = _bernoulli_loglik(offset, y)
+        ll = _bernoulli_loglik(offset, y, t)
         return FluctuationFit(0.0, FitInfo(True, 0, 0.0, ll))
-    accept_tol = max(gtol, 1e-8 * y.size)
+    accept_tol = max(gtol, 1e-8 * n)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
     trace: list[float] = []
     for it in range(max_iter):
         p = expit(offset + eps * h)
-        score = float(h @ (y - p))
+        score = float(h @ (y - t * p))
         trace.append(abs(score))
         if abs(score) <= gtol:
             break
@@ -324,7 +337,7 @@ def fit_fluctuation(
             lo = eps
         else:
             hi = eps
-        info = float((h * (p * (1.0 - p))) @ h)
+        info = float((h * (t * p * (1.0 - p))) @ h)
         nxt = eps + score / info if info > 0.0 else math.nan
         # A Newton update below float resolution (nxt == eps) goes straight
         # to the collapse test; any other step bisects when it would leave
@@ -352,7 +365,7 @@ def fit_fluctuation(
             f"(score {trace[-1]:.3e})",
             trace,
         )
-    ll = _bernoulli_loglik(offset + eps * h, y)
+    ll = _bernoulli_loglik(offset + eps * h, y, t)
     return FluctuationFit(eps, FitInfo(True, it, trace[-1], ll))
 
 

@@ -205,8 +205,8 @@ def bootstrap_ci(
     def compute(ds: Dataset) -> np.ndarray:
         g_model = spec.fit_g(ds) if need_g else None
         q_model = spec.fit_q(ds) if need_q else None
-        G, M = _evaluate(ds, g_model, q_model)
-        arrays = (ds.a, ds.y.astype(float), G, _weight_scale(G, g_model, truncate_weights), M)
+        table = _evaluate(ds, g_model, q_model)
+        arrays = (table, _weight_scale(table.G, g_model, truncate_weights))
         if parameter == "psi":
             return np.array([psi_from_arrays(estimator, rule, *arrays).psi])
         if estimator == "tmle":

@@ -293,15 +293,23 @@ def load_csv(
     unparseable cell, or, if no field is missing, a level or MET score
     out of range.  Only that row is checked cell by cell again, so the
     error names the same row and column as a row-by-row parse would.
+    A file that is not UTF-8 text, or that the CSV reader rejects (a
+    field over the reader's size limit), raises :class:`ValidationError`
+    naming the file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
+            codes, tokens, short = _code_rows(reader, len(header))
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        codes, tokens, short = _code_rows(reader, len(header))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
 
     if treatment_column is None:
         present = [c for c in TREATMENT_COLUMNS if c in header]

@@ -71,8 +71,25 @@ def membership_matrix(g_probs: np.ndarray, alpha: float) -> np.ndarray:
     return np.asarray(g_probs, dtype=float) >= alpha
 
 
-def realistic_assignments(member: np.ndarray, target: int, empty_set_policy: str = "error") -> np.ndarray:
-    """Vectorized d(a, W): highest feasible level <= target per row."""
+def _first_rows(failed: np.ndarray, inverse: np.ndarray | None) -> list[int]:
+    """The first ten input rows whose row of the feasibility matrix failed."""
+    if inverse is not None:
+        failed = failed[inverse]
+    return np.nonzero(failed)[0][:10].tolist()
+
+
+def realistic_assignments(
+    member: np.ndarray,
+    target: int,
+    empty_set_policy: str = "error",
+    inverse: np.ndarray | None = None,
+) -> np.ndarray:
+    """Vectorized d(a, W): highest feasible level <= target per row.
+
+    ``member`` may hold one row per distinct pattern, with ``inverse``
+    giving the pattern of every input row; errors then still name the
+    input rows.
+    """
     member = np.asarray(member, dtype=bool)
     n, k = member.shape
     if not 0 <= target < k:
@@ -86,16 +103,16 @@ def realistic_assignments(member: np.ndarray, target: int, empty_set_policy: str
         if empty_set_policy == "assign_min_realistic":
             any_member = member.any(axis=1)
             if not any_member[bad].all():
-                rows = np.nonzero(bad & ~any_member)[0][:10]
+                rows = _first_rows(bad & ~any_member, inverse)
                 raise RuleInfeasibleError(
-                    f"rows with an empty feasible set: {rows.tolist()}", rows=rows.tolist()
+                    f"rows with an empty feasible set: {rows}", rows=rows
                 )
             assigned = np.where(bad, member.argmax(axis=1), assigned)
         else:
-            rows = np.nonzero(bad)[0][:10]
+            rows = _first_rows(bad, inverse)
             raise RuleInfeasibleError(
-                f"no feasible level at or below target {target} for rows {rows.tolist()}",
-                rows=rows.tolist(),
+                f"no feasible level at or below target {target} for rows {rows}",
+                rows=rows,
             )
     return assigned.astype(np.int64)
 
@@ -115,13 +132,16 @@ def assign(
     observed_a: np.ndarray,
     k_levels: int,
     member: np.ndarray | None = None,
+    inverse: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feasibility matrix and assigned level of every row under ``rule``.
 
     Feasibility comes from the raw treatment probabilities ``g_raw``,
     which may be None for static rules (or any rule with ``alpha == 0``,
     where every level is feasible by construction).  ``member``
-    overrides the feasibility matrix.
+    overrides the feasibility matrix.  When the rows are distinct
+    patterns, ``inverse`` maps every input row to its pattern so that an
+    infeasible rule names input rows (see :func:`realistic_assignments`).
     """
     if rule.target >= k_levels:
         raise ValidationError(f"rule target {rule.target} outside 0..{k_levels - 1}")
@@ -134,7 +154,7 @@ def assign(
             member = membership_matrix(g_raw, rule.alpha)
     if rule.family == "itt":
         return member, itt_assignments(member, rule.target, observed_a)
-    return member, realistic_assignments(member, rule.target, rule.empty_set_policy)
+    return member, realistic_assignments(member, rule.target, rule.empty_set_policy, inverse)
 
 
 def rule_assignments(

@@ -139,6 +139,15 @@ def test_estimate_missing_csv_is_a_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("body", [b"0,\xff,0\n", b'0,"' + b"x" * 200_000 + b'",0\n'])
+def test_estimate_unreadable_csv_is_a_data_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"W1,A,Y\n1,2,1\n" + body)
+    rc = main(["estimate", "--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 def test_estimate_infinite_level_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("W1,A,Y\n1,2,1\n0,inf,0\n")

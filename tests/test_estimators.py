@@ -31,8 +31,18 @@ from causalrules import (
     tmle_mean,
     tmle_relative_risk,
 )
-from causalrules.estimators import EstimateDiagnostics
+from causalrules.errors import CausalRulesError
+from causalrules.estimators import (
+    ESTIMATORS,
+    EstimateDiagnostics,
+    _evaluate,
+    _Patterns,
+    _weight_scale,
+    psi_from_arrays,
+    rr_tmle_from_arrays,
+)
 from causalrules.glm import DEFAULT_GTOL
+from causalrules.rules import EMPTY_SET_POLICIES, FAMILIES, membership_matrix, realistic_assignments
 
 # A fully hand-checkable setup: K=3, g = (1/4, 1/2, 1/4) for every row,
 # Q(0)=0.2, Q(1)=0.6, Q(2)=0.8 regardless of the covariate.
@@ -324,6 +334,27 @@ def test_estimate_suite_records_cell_failures(data_nv, models_nv):
     assert d["cells"][0]["family"] == "static"
 
 
+def test_infeasible_rule_errors_name_input_rows():
+    """The grid runs on distinct (W, A) patterns, yet an infeasible
+    realistic rule must name the first failing input rows, exactly as a
+    row-by-row assignment does (the failing rows here are not 0..9)."""
+    ds = generate(DGP_REGISTRY["cohort"](), 600, seed=5)
+    g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    member = membership_matrix(g_model.predict_raw(ds.w), 0.3)
+    for policy in EMPTY_SET_POLICIES:
+        with pytest.raises(RuleInfeasibleError) as err:
+            realistic_assignments(member, 1, policy)
+        assert err.value.rows != list(range(10))
+        want = f"RuleInfeasibleError: {err.value}"
+        report = estimate_suite(ds, g_model, q_model, families=("realistic",),
+                                targets=(1,), alpha=0.3, empty_set_policy=policy)
+        for cell in report.cells:
+            assert cell.psi_error == want, (policy, cell.estimator)
+            rr_want = want if cell.estimator == "tmle" else (
+                f"EstimationError: numerator failed: {want}")
+            assert cell.rr_error == rr_want, (policy, cell.estimator)
+
+
 # ---------------------------------------------------------------------------
 # The fitted grid is a function of the sample's patterns and their shares
 
@@ -387,3 +418,71 @@ def test_grid_is_invariant_to_row_order_and_duplication(copies, data):
                 assert a == b, key
             else:
                 assert abs(a - b) <= 1e-10, key
+
+
+def _expanded(ds, table):
+    """``table``'s data with one pattern per input row, each one trial."""
+    return _Patterns(
+        a=ds.a, successes=ds.y.astype(float), trials=np.ones(ds.n),
+        inverse=np.arange(ds.n), k=table.k,
+        G=table.G[table.inverse], M=table.M[table.inverse],
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """The estimate as a dict, or the failure as (type name, message)."""
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except CausalRulesError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same(got, want, where):
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 1e-12, (where, got, want)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same(got[key], want[key], (where, key))
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), (where, got, want)
+        for u, v in zip(got, want):
+            _assert_same(u, v, where)
+    else:
+        assert got == want, (where, got, want)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_estimators_on_patterns_equal_the_expanded_rows(data):
+    """Every estimator on (W, A) patterns with successes out of trials
+    equals the same estimator on one row per observation: psi, theta,
+    epsilons and residuals to 1e-12, every count exactly, and every
+    failure with the same type and message (rows named included)."""
+    ds = data.draw(_small_samples())
+    alpha = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+    policy = data.draw(st.sampled_from(EMPTY_SET_POLICIES))
+    truncate = data.draw(st.booleans())
+    try:
+        g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    except FitError:
+        return
+    grouped = _evaluate(ds, g_model, q_model)
+    assert grouped.a.size < ds.n
+    tables = [
+        (table, _weight_scale(table.G, g_model, truncate))
+        for table in (grouped, _expanded(ds, grouped))
+    ]
+    for family in FAMILIES:
+        for target in range(ds.n_treatment_levels):
+            rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=policy)
+            for est in ESTIMATORS:
+                got, want = (_outcome(psi_from_arrays, est, rule, *t) for t in tables)
+                _assert_same(got, want, (rule, est))
+            for covariate in ("delta", "appendix") if target else ():
+                got, want = (
+                    _outcome(rr_tmle_from_arrays, family, target, *t, alpha=alpha,
+                             empty_set_policy=policy, itt_covariate=covariate)
+                    for t in tables
+                )
+                _assert_same(got, want, (rule, covariate))

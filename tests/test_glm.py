@@ -175,6 +175,25 @@ def test_fluctuation_recovers_from_an_overshooting_newton_step():
     assert abs(fit.epsilon - ref.x) < 1e-9
 
 
+def test_fluctuation_on_successes_out_of_trials_equals_the_expanded_rows():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        m = 40
+        trials = rng.integers(1, 6, m)
+        offset = rng.normal(0.0, 0.8, m)
+        h = rng.normal(0.0, 1.0, m) / np.maximum(rng.random(m), 0.1)
+        successes = rng.binomial(trials, expit(offset + 0.3 * h))
+        rows = np.repeat(np.arange(m), trials)
+        # The first successes[i] rows of pattern i have y = 1.
+        within = np.arange(rows.size) - np.repeat(np.cumsum(trials) - trials, trials)
+        y = (within < successes[rows]).astype(float)
+        grouped = fit_fluctuation(successes.astype(float), h, offset, trials=trials)
+        expanded = fit_fluctuation(y, h[rows], offset[rows])
+        assert abs(grouped.epsilon - expanded.epsilon) <= 1e-12
+        assert grouped.info.iterations == expanded.info.iterations
+        assert grouped.info.loglik == pytest.approx(expanded.info.loglik, abs=1e-9)
+
+
 def test_fluctuation_separation_names_h():
     h = np.tile([-0.1, 0.1], 10)
     with pytest.raises(SeparationError) as err:

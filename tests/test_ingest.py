@@ -165,6 +165,19 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert ds.a.tolist() == [3]
 
 
+def test_load_csv_undecodable_or_oversized_input_is_a_validation_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"W1,A,Y\n1,2,1\n0,\xff,0\n")
+    with pytest.raises(ValidationError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+    path = tmp_path / "huge.csv"
+    path.write_text('W1,A,Y\n1,2,1\n0,"' + "x" * (csv.field_size_limit() + 1) + '",0\n')
+    with pytest.raises(ValidationError) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"{path}: line 3: field larger than field limit")
+
+
 def test_load_csv_header_only(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("W1,A,Y\n")

@@ -12,15 +12,23 @@ unaffected, is the signature of a practical positivity violation rather
 than confounding.
 
 Generation always uses the raw (untruncated) treatment probabilities.
+Every draw lands on one of the support cells, so generation reads ``g``
+and ``Q`` off the support, where they are evaluated once per system,
+instead of predicting them on the drawn rows.  It also hands each
+generated dataset its grouping into distinct covariate rows, read off
+the support's own grouping: a replicate's fits and estimators share
+that grouping, and its rows are never grouped.
+
 By default each replicate refits g — the feasibility sets are part of
-the estimator — and the drift of the replicate-specific estimand
-(the truth under the refit feasibility sets) is recorded alongside.
+the estimator — and the drift of the replicate-specific estimand (the
+truth under the refit feasibility sets) is recorded alongside.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +36,7 @@ from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import NuisanceSpec, _evaluate, _weight_scale, psi_from_arrays
 from .glm import OutcomeModel, TreatmentModel
 from .inference import _check_failures
-from .ingest import Dataset
+from .ingest import Dataset, _distinct_codes, _distinct_rows
 from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
@@ -92,17 +100,42 @@ class GeneratingDistribution:
         )
 
     def support_g_raw(self) -> np.ndarray:
-        """Raw treatment probabilities on the support rows."""
-        w_g = _columns_for(self.w_support, self.covariate_names, self.g_model.covariate_names)
-        return self.g_model.predict_raw(w_g)
+        """Raw treatment probabilities on the support rows.
+
+        Evaluated once per system; the returned array is read-only.
+        """
+        return self._support_g_raw
 
     def support_q(self) -> np.ndarray:
-        """(m, K) outcome probabilities on the support rows."""
+        """(m, K) outcome probabilities on the support rows.
+
+        Evaluated once per system; the returned array is read-only.
+        """
+        return self._support_q
+
+    @cached_property
+    def _support_g_raw(self) -> np.ndarray:
+        w_g = _columns_for(self.w_support, self.covariate_names, self.g_model.covariate_names)
+        return _read_only(self.g_model.predict_raw(w_g))
+
+    @cached_property
+    def _support_q(self) -> np.ndarray:
         w_q = _columns_for(
             self.w_support, self.covariate_names, self.q_model.design.covariate_names
         )
         k = self.n_treatment_levels
-        return np.column_stack([self.q_model.predict(a, w_q) for a in range(k)])
+        return _read_only(np.column_stack([self.q_model.predict(a, w_q) for a in range(k)]))
+
+    @cached_property
+    def _support_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The support's distinct rows, in byte order: ``(first, inverse)``
+        as :func:`~causalrules.ingest._distinct_rows` gives them."""
+        return tuple(_read_only(x) for x in _distinct_rows(self.w_support))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _draw_levels(g_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -123,26 +156,36 @@ def generate(
 ) -> Dataset:
     """Draw n iid observations (W, A, Y) from the generating system.
 
-    Treatment is drawn from the raw (untruncated) probabilities, so
-    structurally zero cells never appear in generated data.
+    Each observation draws a support cell, then its treatment level from
+    the raw (untruncated) probabilities, so structurally zero cells
+    never appear in generated data, then its outcome.  ``g`` and ``Q``
+    are read off the support (:meth:`GeneratingDistribution.support_g_raw`
+    and :meth:`~GeneratingDistribution.support_q`, evaluated once per
+    system), never predicted on the drawn rows.
+
+    The returned dataset comes with its grouping into distinct covariate
+    rows: the distinct support rows are in byte order and the drawn ones
+    are a subset of them, so ranking the drawn cells' support ranks gives
+    exactly what grouping the drawn rows would.  The dataset is never
+    grouped again.
     """
     if n < 1:
         raise ValidationError("n must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    m = gen.w_support.shape[0]
-    rows = rng.choice(m, size=n, p=gen.w_probs)
-    w = gen.w_support[rows]
-    w_g = _columns_for(w, gen.covariate_names, gen.g_model.covariate_names)
-    a = _draw_levels(gen.g_model.predict_raw(w_g), rng.random(n))
-    w_q = _columns_for(w, gen.covariate_names, gen.q_model.design.covariate_names)
-    q = gen.q_model.predict(a, w_q)
-    y = (rng.random(n) < q).astype(np.int64)
+    cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
+    a = _draw_levels(gen.support_g_raw()[cells], rng.random(n))
+    y = (rng.random(n) < gen.support_q()[cells, a]).astype(np.int64)
+    support_first, support_inverse = gen._support_groups
+    drawn, inverse = _distinct_codes(support_inverse[cells], support_first.size)
+    first = np.full(drawn.size, n)
+    np.minimum.at(first, inverse, np.arange(n))
     return Dataset(
-        w=w,
+        w=gen.w_support[cells],
         a=a,
         y=y,
         covariate_names=gen.covariate_names,
         n_treatment_levels=gen.n_treatment_levels,
+        _groups=(first, inverse),
     )
 
 
@@ -306,8 +349,8 @@ def eta_bias_diagnostic(
     the data-adaptive estimand itself moves, separately from estimation
     error around it.
 
-    The generating system is evaluated on its support once per call,
-    and each replicate's refit models once per replicate.  Replicates
+    The generating system is evaluated on its support once, and each
+    replicate's refit models once per replicate.  Replicates
     whose fits (or refit feasibility sets on the support) fail are
     dropped and counted; more than 10% failing raises, more than 1%
     warns.

@@ -32,10 +32,13 @@ all linear in the outcomes, so a mean over rows is a sum over patterns
 weighted by their trials, divided by n.  The models are evaluated once
 per dataset, on the distinct W rows only: the raw treatment
 probabilities ``G`` and the logit of the outcome regression ``M``, one
-column per level.  Each rule's assignment is computed once per table and
-shared by every estimator.  Feasibility sets always use the raw
-probabilities (see ``rules``); weight denominators use the truncated
-ones unless ``truncate_weights=False``.
+column per level.  The distinct W rows are the dataset's one grouping,
+shared with the ``g`` and ``Q`` fits, so a dataset's rows are grouped
+once however many models and estimators read them.  Each rule's
+assignment is computed once per table and shared by every estimator.
+Feasibility sets always use the raw probabilities (see ``rules``);
+weight denominators use the truncated ones unless
+``truncate_weights=False``.
 """
 
 from __future__ import annotations
@@ -56,13 +59,12 @@ from .glm import (
     OutcomeDesign,
     OutcomeModel,
     TreatmentModel,
-    _distinct_rows,
     fit_fluctuation,
     fit_outcome_model,
     fit_treatment_model,
     select_covariates,
 )
-from .ingest import Dataset
+from .ingest import Dataset, _distinct_codes
 from .rules import Rule, assign
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -162,13 +164,14 @@ def _evaluate(
 ) -> _Patterns:
     """Group a dataset into (W, A) patterns and evaluate the models once.
 
-    ``G`` and ``M`` are predicted on the distinct W rows only, then read
-    off per pattern.  Every estimator runs on the returned table.
+    The W patterns are the dataset's own grouping, which the ``g`` and
+    ``Q`` fits read too.  ``G`` and ``M`` are predicted on the distinct W
+    rows only, then read off per pattern.  Every estimator runs on the
+    returned table.
     """
     k = dataset.n_treatment_levels
-    w_first, w_index = _distinct_rows(dataset.w)
-    keys, inverse = np.unique(w_index * k + dataset.a, return_inverse=True)
-    inverse = inverse.ravel()
+    w_first, w_index = dataset._w_groups()
+    keys, inverse = _distinct_codes(w_index * k + dataset.a, w_first.size * k)
     w_of = keys // k
     G = M = None
     if g_model is not None:

@@ -12,9 +12,10 @@ Both fits run on sufficient statistics rather than rows.  The rows are
 grouped into distinct covariate patterns with per-level counts (``g``)
 and into distinct (covariate, treatment) patterns with successes out of
 trials (``Q``), so each Newton iteration costs the number of patterns,
-not the number of rows.  Binary covariates make the patterns few: a
-20,000-row draw of the 15-covariate cohort system has about 2,400
-distinct covariate rows.
+not the number of rows.  The covariate patterns are the dataset's own
+grouping, made once per dataset and shared with the estimators.  Binary
+covariates make the patterns few: a 20,000-row draw of the 15-covariate
+cohort system has about 2,400 distinct covariate rows.
 
 The ``g`` and ``Q`` fits share one damped Newton driver.  It converges
 on the sup-norm of the score (default ``1e-8``) and damps each step by
@@ -49,7 +50,7 @@ from .errors import (
     SingularInformationError,
     ValidationError,
 )
-from .ingest import Dataset
+from .ingest import Dataset, _distinct_codes, _distinct_rows
 
 DEFAULT_GTOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -157,23 +158,6 @@ def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray, trials=1.0) -> float:
     # log P(y | eta) = y*eta - trials*log(1 + exp(eta)), stably; y counts
     # the successes out of trials
     return float(np.sum(y * eta - trials * np.logaddexp(0.0, eta)))
-
-
-def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first occurrence of each distinct row of ``x``, and
-    each row's position among those distinct rows.
-
-    Rows are compared by their bytes, so pass the raw data rather than a
-    float design built from it: the grouping then costs no float copy.
-    A matrix with no columns is one group.
-    """
-    n, p = x.shape
-    if p == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    x = np.ascontiguousarray(x)
-    keys = x.view(np.dtype((np.void, x.dtype.itemsize * p))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
 
 
 def _fit_binomial(
@@ -487,6 +471,23 @@ def select_covariates(dataset: Dataset, names: tuple[str, ...]) -> np.ndarray:
     return dataset.w[:, idx]
 
 
+def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the covariates ``names``, in byte order, and the
+    pattern of every row of the dataset.
+
+    Read off the dataset's one grouping (``Dataset._w_groups``).  A
+    covariate subset regroups the distinct rows rather than the rows;
+    byte order is kept, so the patterns come out as :func:`_distinct_rows`
+    would give them on all the rows.
+    """
+    w = select_covariates(dataset, names)
+    first, inverse = dataset._w_groups()
+    if w is dataset.w:
+        return w[first], inverse
+    sub_first, sub_inverse = _distinct_rows(w[first])
+    return w[first[sub_first]], sub_inverse[inverse]
+
+
 def fit_outcome_model(
     dataset: Dataset,
     design: OutcomeDesign | None = None,
@@ -496,9 +497,10 @@ def fit_outcome_model(
     """Fit ``Q(a, W)`` on a dataset; default design is main effects plus level indicators.
 
     The fit runs on the distinct (W, A) rows, each with its outcome
-    successes out of trials; only those rows get a design row.  The
-    acceptance rule of :func:`_damped_newton` still counts every row of
-    the dataset.
+    successes out of trials; only those rows get a design row.  The W
+    patterns are the dataset's own grouping (:func:`_covariate_patterns`).
+    The acceptance rule of :func:`_damped_newton` still counts every row
+    of the dataset.
     """
     if design is None:
         design = OutcomeDesign(
@@ -507,13 +509,11 @@ def fit_outcome_model(
         )
     elif design.n_treatment_levels != dataset.n_treatment_levels:
         raise ValidationError("design and dataset disagree on the number of treatment levels")
-    w = select_covariates(dataset, design.covariate_names)
-    _, w_index = _distinct_rows(w)
-    _, first, inverse = np.unique(
-        w_index * dataset.n_treatment_levels + dataset.a, return_index=True, return_inverse=True
-    )
+    k = dataset.n_treatment_levels
+    w, w_index = _covariate_patterns(dataset, design.covariate_names)
+    keys, inverse = _distinct_codes(w_index * k + dataset.a, w.shape[0] * k)
     coef, fit_info = _fit_binomial(
-        design.matrix(dataset.a[first], w[first]),
+        design.matrix(keys % k, w[keys // k]),
         np.bincount(inverse, weights=dataset.y),
         np.bincount(inverse).astype(float),
         dataset.n, design.column_names, gtol, max_iter,
@@ -696,19 +696,37 @@ def fit_multinomial(
         raise ValidationError("k_levels must be at least 2")
     if a.min() < 0 or a.max() >= k_levels:
         raise ValidationError(f"treatment levels must lie in 0..{k_levels - 1}")
-    if not 0.0 <= alpha_trunc < 1.0:
-        raise ValidationError("alpha_trunc must lie in [0, 1)")
     if covariate_names is None:
         covariate_names = tuple(f"w{j}" for j in range(p))
     else:
         covariate_names = tuple(covariate_names)
         if len(covariate_names) != p:
             raise ValidationError("covariate_names length does not match covariate columns")
-
     first, inverse = _distinct_rows(w)
-    X = np.column_stack([np.ones(first.size), np.asarray(w[first], dtype=float)])
-    counts = np.bincount(inverse * k_levels + a, minlength=first.size * k_levels)
-    counts = counts.reshape(first.size, k_levels).astype(float)
+    return _fit_multinomial(
+        w[first], inverse, a, k_levels, covariate_names, alpha_trunc, gtol, max_iter
+    )
+
+
+def _fit_multinomial(
+    w: np.ndarray,
+    inverse: np.ndarray,
+    a: np.ndarray,
+    k_levels: int,
+    covariate_names: tuple[str, ...],
+    alpha_trunc: float,
+    gtol: float,
+    max_iter: int,
+) -> TreatmentModel:
+    """:func:`fit_multinomial` on the distinct covariate rows ``w``, where
+    ``inverse`` gives the row of ``w`` of each observation and ``a`` its level."""
+    if not 0.0 <= alpha_trunc < 1.0:
+        raise ValidationError("alpha_trunc must lie in [0, 1)")
+    n = a.size
+    m, p = w.shape
+    X = np.column_stack([np.ones(m), np.asarray(w, dtype=float)])
+    counts = np.bincount(inverse * k_levels + a, minlength=m * k_levels)
+    counts = counts.reshape(m, k_levels).astype(float)
     totals = counts.sum(axis=1)
     observed = counts > 0
     observed_counts = counts[observed]
@@ -795,23 +813,18 @@ def fit_treatment_model(
     """Fit ``g(a | W)`` on a dataset, optionally on a covariate subset.
 
     ``covariate_names=()`` fits an intercept-only model (empirical level
-    frequencies).
+    frequencies).  The fit is :func:`fit_multinomial` on the dataset's
+    own grouping of its covariate rows (:func:`_covariate_patterns`).
     """
     if covariate_names is None:
         covariate_names = dataset.covariate_names
     else:
         covariate_names = tuple(covariate_names)
-    w = select_covariates(dataset, covariate_names)
-    model = fit_multinomial(
-        w,
-        dataset.a,
-        dataset.n_treatment_levels,
-        covariate_names=covariate_names,
-        alpha_trunc=alpha_trunc,
-        gtol=gtol,
-        max_iter=max_iter,
+    w, inverse = _covariate_patterns(dataset, covariate_names)
+    return _fit_multinomial(
+        w, inverse, dataset.a, dataset.n_treatment_levels, covariate_names,
+        alpha_trunc, gtol, max_iter,
     )
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,47 @@ def categorize_met(met: float) -> int:
     return int(np.searchsorted(MET_BREAKS, met, side="left")) + 1
 
 
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first occurrence of each distinct row of ``x``, and
+    each row's position among those distinct rows.
+
+    The distinct rows are ordered by their bytes.  Pass the raw data
+    rather than a float design built from it: the grouping then costs no
+    float copy.  A matrix with no columns is one group.  This is the one
+    grouping of rows into patterns: a :class:`Dataset` groups its
+    covariates with it once, and the fits group their own arrays with it.
+    """
+    n, p = x.shape
+    if p == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    x = np.ascontiguousarray(x)
+    keys = x.view(np.dtype((np.void, x.dtype.itemsize * p))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _distinct_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for integer codes in
+    ``0..size-1``: the distinct codes in ascending order, and the position
+    of every code among them.  Costs O(n + size) instead of a sort."""
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[codes]
+
+
+def _numeric(values, what: str) -> np.ndarray:
+    """``values`` as an array of booleans, integers or floats, not yet cast."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be numeric, got dtype {arr.dtype}")
+    return arr
+
+
+def _binary(values: np.ndarray) -> bool:
+    """Whether every value is 0 or 1, whatever the numeric dtype."""
+    return bool(((values == 0) | (values == 1)).all())
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Validated analysis sample.
@@ -76,6 +117,18 @@ class Dataset:
     covariate_names : column names for ``w``.
     n_treatment_levels : number of treatment categories K.
     dropped_rows : rows discarded at load time for missing fields.
+
+    The values are checked before they are cast: a covariate or outcome
+    that is not 0 or 1, or a treatment level that is not an integer in
+    ``0..K-1``, raises :class:`ValidationError` rather than being
+    truncated.
+
+    A dataset is grouped once into its distinct covariate rows
+    (:meth:`_w_groups`); the ``g`` and ``Q`` fits, the estimators and
+    the positivity report all read that one grouping.  The arrays are
+    taken as they are, so they must not be changed in place afterwards.
+    A caller that already knows that grouping may hand it in as
+    ``_groups``, as the simulator does for the support cells it draws.
     """
 
     w: np.ndarray
@@ -84,11 +137,14 @@ class Dataset:
     covariate_names: tuple[str, ...]
     n_treatment_levels: int = DEFAULT_K
     dropped_rows: int = field(default=0, compare=False)
+    _groups: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.w, dtype=np.int8))
-        a = np.ascontiguousarray(np.asarray(self.a, dtype=np.int64))
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=np.int64))
+        w = _numeric(self.w, "covariate matrix")
+        a = _numeric(self.a, "treatment")
+        y = _numeric(self.y, "outcome")
         if w.ndim != 2:
             raise ValidationError("covariate matrix must be two-dimensional")
         n = w.shape[0]
@@ -100,26 +156,35 @@ class Dataset:
             raise ValidationError("covariate_names length does not match W columns")
         if len(set(self.covariate_names)) != len(self.covariate_names):
             raise ValidationError("covariate names must be unique")
-        if not np.isin(w, (0, 1)).all():
+        if not _binary(w):
             raise ValidationError("covariates must be binary 0/1")
-        if not np.isin(y, (0, 1)).all():
+        if not _binary(y):
             raise ValidationError("outcome Y must be binary 0/1")
         k = self.n_treatment_levels
         if k < 2:
             raise ValidationError("n_treatment_levels must be at least 2")
+        if a.dtype.kind not in "biu" and not (np.isfinite(a) & (a == np.floor(a))).all():
+            raise ValidationError("treatment levels must be integers")
         if a.min() < 0 or a.max() >= k:
             raise ValidationError(
                 f"treatment levels must lie in 0..{k - 1}, found range "
-                f"[{a.min()}, {a.max()}]"
+                f"[{int(a.min())}, {int(a.max())}]"
             )
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w", np.ascontiguousarray(w, dtype=np.int8))
+        object.__setattr__(self, "a", np.ascontiguousarray(a, dtype=np.int64))
+        object.__setattr__(self, "y", np.ascontiguousarray(y, dtype=np.int64))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
+
+    def _w_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, inverse)`` of the distinct rows of ``w`` (see
+        :func:`_distinct_rows`), computed on first use and kept."""
+        if self._groups is None:
+            object.__setattr__(self, "_groups", _distinct_rows(self.w))
+        return self._groups
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

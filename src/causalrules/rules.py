@@ -171,6 +171,13 @@ def rule_assignments(
 # Reporting
 
 
+def _g_raw_rows(dataset: Dataset, g_model: TreatmentModel) -> np.ndarray:
+    """Raw ``g`` on every row, predicted once per distinct covariate row."""
+    first, inverse = dataset._w_groups()
+    w = select_covariates(dataset, g_model.covariate_names)[first]
+    return g_model.predict_raw(w)[inverse]
+
+
 def rule_assignment_table(
     dataset: Dataset,
     g_model: TreatmentModel,
@@ -187,7 +194,7 @@ def rule_assignment_table(
     if family not in FAMILIES:
         raise ValidationError(f"unknown rule family {family!r}")
     k = dataset.n_treatment_levels
-    probs = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
+    probs = _g_raw_rows(dataset, g_model)
     table = np.zeros((k, k), dtype=np.int64)
     for target in range(k):
         rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
@@ -251,7 +258,7 @@ def positivity_report(
     """Summarize how often each level's fitted probability falls below alpha."""
     if not 0.0 <= alpha < 1.0:
         raise ValidationError("alpha must lie in [0, 1)")
-    probs = g_model.predict_raw(select_covariates(dataset, g_model.covariate_names))
+    probs = _g_raw_rows(dataset, g_model)
     n = dataset.n
     levels = []
     for a in range(dataset.n_treatment_levels):

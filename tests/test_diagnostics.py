@@ -2,19 +2,31 @@ import numpy as np
 import pytest
 
 from causalrules import (
+    DGP_REGISTRY,
+    Dataset,
     GeneratingDistribution,
+    NuisanceSpec,
     Rule,
     ValidationError,
     alpha_sweep,
     cohort_dgp,
+    estimate_suite,
     eta_bias_diagnostic,
     generate,
     make_outcome_model,
     make_treatment_model,
+    positivity_report,
     true_psi,
     true_relative_risk,
 )
-from causalrules.diagnostics import _draw_levels, bernoulli_block_support, bernoulli_support
+from causalrules import diagnostics, glm, ingest
+from causalrules.diagnostics import (
+    _columns_for,
+    _draw_levels,
+    bernoulli_block_support,
+    bernoulli_support,
+)
+from causalrules.ingest import _distinct_rows
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +105,116 @@ def test_generate_is_seed_reproducible(gen_nv):
     assert generate(gen_nv, 100, seed=7) == generate(gen_nv, 100, seed=7)
     with pytest.raises(ValidationError):
         generate(gen_nv, 0)
+
+
+def _generate_rowwise(gen, n, seed):
+    """W, A and Y as a generator that predicts g and Q on every drawn row
+    draws them, from the same stream of random numbers."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
+    w = gen.w_support[cells]
+    w_g = _columns_for(w, gen.covariate_names, gen.g_model.covariate_names)
+    a = _draw_levels(gen.g_model.predict_raw(w_g), rng.random(n))
+    w_q = _columns_for(w, gen.covariate_names, gen.q_model.design.covariate_names)
+    y = (rng.random(n) < gen.q_model.predict(a, w_q)).astype(np.int64)
+    return w, a, y
+
+
+def _from_cohort_sample():
+    """An empirical system whose support repeats rows: a cohort sample
+    with the cohort's own models."""
+    cohort = cohort_dgp()
+    sample = generate(cohort, 1500, seed=2)
+    return GeneratingDistribution.from_dataset(sample, cohort.g_model, cohort.q_model)
+
+
+@pytest.mark.parametrize("name", [*DGP_REGISTRY, "from_dataset"])
+def test_generate_reads_the_support_bit_for_bit(name):
+    """Reading g and Q off the support draws exactly what predicting them
+    on the drawn rows draws, and the grouping handed to the dataset is
+    the grouping of its rows."""
+    gen = _from_cohort_sample() if name == "from_dataset" else DGP_REGISTRY[name]()
+    for n, seed in ((4000, 0), (257, 9)):
+        ds = generate(gen, n, seed)
+        w, a, y = _generate_rowwise(gen, n, seed)
+        np.testing.assert_array_equal(ds.w, w)
+        np.testing.assert_array_equal(ds.a, a)
+        np.testing.assert_array_equal(ds.y, y)
+        first, inverse = ds._w_groups()
+        want_first, want_inverse = _distinct_rows(ds.w)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse)
+
+
+def test_support_evaluations_are_computed_once_and_read_only():
+    gen = cohort_dgp()
+    for read in (gen.support_g_raw, gen.support_q):
+        assert read() is read()
+        with pytest.raises(ValueError, match="read-only"):
+            read()[0, 0] = 0.5
+
+
+def test_each_dataset_is_grouped_once(monkeypatch):
+    """One estimate_suite call with its fitted g and Q groups the rows
+    once; a generated dataset arrives grouped and is never grouped again,
+    and a system groups its support once."""
+    sizes = []
+    group = ingest._distinct_rows
+
+    def counted(x):
+        sizes.append(x.shape[0])
+        return group(x)
+
+    for module in (ingest, glm, diagnostics):
+        monkeypatch.setattr(module, "_distinct_rows", counted)
+    gen = cohort_dgp()
+    sample = generate(gen, 5000, seed=0)
+    generate(gen, 100, seed=1)
+    assert sizes == [gen.w_support.shape[0]]
+
+    spec = NuisanceSpec()
+    loaded = Dataset(w=sample.w, a=sample.a, y=sample.y, covariate_names=sample.covariate_names)
+    sizes.clear()
+    estimate_suite(loaded, spec.fit_g(loaded), spec.fit_q(loaded))
+    assert sizes == [loaded.n]
+
+    sizes.clear()
+    estimate_suite(sample, spec.fit_g(sample), spec.fit_q(sample))
+    positivity_report(sample, gen.g_model)
+    eta_bias_diagnostic(gen, estimator="tmle", targets=(0, 2), replicates=2, n_sim=3000,
+                        empty_set_policy="assign_min_realistic")
+    assert sizes == []
+
+
+def test_eta_bias_with_covariate_subsets_is_unchanged():
+    """The g and Q fits on covariate subsets regroup the distinct rows, not
+    the rows.  The numbers below were computed by grouping the subset's
+    rows directly."""
+    spec = NuisanceSpec(
+        g_covariates=("AGE.4", "AGE.5", "HLT.POOR", "CARD", "FEMALE"),
+        q_covariates=("SMK.CURR", "AGE.5", "HLT.FAIR", "DECLINE"),
+    )
+    report = eta_bias_diagnostic(
+        cohort_dgp(), estimator="driptw", targets=(0, 3, 5), replicates=4, n_sim=2000,
+        seed=3, spec=spec, empty_set_policy="assign_min_realistic",
+    )
+    want = [
+        ("static", 0, 0.14359144263619741, 0.024936335271548683, None),
+        ("static", 3, 0.11599399868540525, 0.023017987208829374, None),
+        ("static", 5, 0.0984689039465536, 0.007250215744392245, None),
+        ("realistic", 0, 0.14359144263619741, 0.024936335271548683, 0.0),
+        ("realistic", 3, 0.11403351236488904, 0.020968174274303798, -0.00034960012996662626),
+        ("realistic", 5, 0.1072218658968805, 0.012445436929737017, 0.001911917967051785),
+        ("itt", 0, 0.14359144263619741, 0.024936335271548683, 0.0),
+        ("itt", 3, 0.11630824851139637, 0.019320682926385235, -0.0010304177731883524),
+        ("itt", 5, 0.10695105471676071, 0.006570980722238062, -0.0019019983957336006),
+    ]
+    assert report.n_failed_replicates == 0
+    for e, (family, target, mean, sd, drift) in zip(report.entries, want, strict=True):
+        assert (e.family, e.target) == (family, target)
+        assert e.mean_estimate == pytest.approx(mean, abs=1e-12)
+        assert e.sd_estimate == pytest.approx(sd, abs=1e-12)
+        assert e.drift == (None if drift is None else pytest.approx(drift, abs=1e-12))
 
 
 def test_draw_levels_never_draws_a_structural_zero():

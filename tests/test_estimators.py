@@ -42,7 +42,13 @@ from causalrules.estimators import (
     rr_tmle_from_arrays,
 )
 from causalrules.glm import DEFAULT_GTOL
-from causalrules.rules import EMPTY_SET_POLICIES, FAMILIES, membership_matrix, realistic_assignments
+from causalrules.rules import (
+    EMPTY_SET_POLICIES,
+    FAMILIES,
+    assign,
+    membership_matrix,
+    realistic_assignments,
+)
 
 # A fully hand-checkable setup: K=3, g = (1/4, 1/2, 1/4) for every row,
 # Q(0)=0.2, Q(1)=0.6, Q(2)=0.8 regardless of the covariate.
@@ -360,9 +366,9 @@ def test_infeasible_rule_errors_name_input_rows():
 
 
 @st.composite
-def _small_samples(draw):
-    """A sample from a random system on 1-3 binary covariates, uniform
-    over their patterns, with 2-4 treatment levels."""
+def _small_systems(draw):
+    """A random system on 1-3 binary covariates, uniform over their
+    patterns, with 2-4 treatment levels."""
     p = draw(st.integers(1, 3))
     k = draw(st.integers(2, 4))
     names = tuple(f"w{j}" for j in range(p))
@@ -370,7 +376,13 @@ def _small_samples(draw):
     g = make_treatment_model(names, draw(arrays(float, (k - 1, p + 1), elements=coef)))
     q = make_outcome_model(names, k, draw(arrays(float, p + k, elements=coef)))
     support = np.array([[(j >> b) & 1 for b in range(p)] for j in range(2 ** p)])
-    gen = GeneratingDistribution(support, np.full(2 ** p, 2.0 ** -p), names, g, q)
+    return GeneratingDistribution(support, np.full(2 ** p, 2.0 ** -p), names, g, q)
+
+
+@st.composite
+def _small_samples(draw):
+    """A sample of 150-300 rows from a random system (:func:`_small_systems`)."""
+    gen = draw(_small_systems())
     return generate(gen, draw(st.integers(150, 300)), seed=draw(st.integers(0, 2 ** 31)))
 
 
@@ -486,3 +498,58 @@ def test_estimators_on_patterns_equal_the_expanded_rows(data):
                     for t in tables
                 )
                 _assert_same(got, want, (rule, covariate))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the rule families on random systems
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gen=_small_systems(), alphas=st.lists(st.floats(0.0, 0.6), min_size=2, max_size=4))
+def test_feasible_sets_only_shrink_as_alpha_grows(gen, alphas):
+    """A level feasible at some alpha is feasible at every smaller alpha,
+    for realistic and ITT rules alike, and alpha 0 makes every level
+    feasible."""
+    alphas = sorted([0.0] + alphas)
+    g_raw = gen.support_g_raw()
+    m, k = g_raw.shape
+    observed = np.zeros(m, dtype=np.int64)
+    for target in range(k):
+        for family in ("realistic", "itt"):
+            members = []
+            for alpha in alphas:
+                rule = Rule(family, target, alpha, empty_set_policy="assign_min_realistic")
+                try:
+                    members.append(assign(rule, g_raw, observed, k)[0])
+                except RuleInfeasibleError:
+                    members.append(membership_matrix(g_raw, alpha))
+            assert members[0].all()
+            for wider, narrower in zip(members, members[1:]):
+                assert not (narrower & ~wider).any(), (family, target, alphas)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_alpha_zero_rules_equal_the_static_rule(data):
+    """At alpha = 0 every level is feasible, so realistic and ITT rules
+    give the static rule's psi and relative risk, or its failure, under
+    every estimator."""
+    gen = data.draw(_small_systems())
+    ds = generate(gen, data.draw(st.integers(150, 300)), seed=data.draw(st.integers(0, 2 ** 31)))
+    try:
+        g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    except FitError:
+        g_model, q_model = gen.g_model, gen.q_model
+    report = estimate_suite(ds, g_model, q_model, alpha=0.0)
+
+    def outcome(cell):
+        return (
+            cell.psi.psi if cell.psi else cell.psi_error,
+            cell.rr.theta if cell.rr else cell.rr_error,
+        )
+
+    for est in ESTIMATORS:
+        for target in report.targets:
+            static = outcome(report.cell("static", target, est))
+            for family in ("realistic", "itt"):
+                assert outcome(report.cell(family, target, est)) == static, (family, target, est)

@@ -408,6 +408,18 @@ def test_treatment_fit_works_on_distinct_covariate_rows(monkeypatch):
         assert rows and set(rows) == {distinct}
 
 
+def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
+    """A subset regroups the dataset's distinct rows; the fit equals
+    fit_multinomial on the subset's columns, which groups the rows."""
+    ds = generate(cohort_dgp(), 3000, seed=4)
+    names = ("SMK.CURR", "AGE.5", "CARD", "FEMALE")
+    model = fit_treatment_model(ds, covariate_names=names)
+    direct = fit_multinomial(select_covariates(ds, names), ds.a, ds.n_treatment_levels, names)
+    np.testing.assert_array_equal(model.coef, direct.coef)
+    assert model.structural_zeros == direct.structural_zeros
+    assert model.info == direct.info
+
+
 # ---------------------------------------------------------------------------
 # Outcome design and model
 

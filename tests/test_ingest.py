@@ -55,6 +55,33 @@ def test_dataset_validation():
         Dataset(w=w, a=np.array([0, 1]), y=np.array([0, 1]), covariate_names=("a", "a"))
 
 
+@pytest.mark.parametrize("column, values, match", [
+    ("w", [[0.5], [1.0]], "binary"),
+    ("w", [[256], [1]], "binary"),
+    ("w", [[np.nan], [1.0]], "binary"),
+    ("y", [0.7, 1], "binary"),
+    ("y", [-255, 1], "binary"),
+    ("a", [0.9, 1], "integers"),
+    ("a", [np.inf, 1], "integers"),
+    ("a", [2.0 ** 64, 1], "0..5"),
+    ("a", ["1", "2"], "numeric"),
+])
+def test_dataset_rejects_values_that_a_cast_would_change(column, values, match):
+    """Values are checked before the cast to int8/int64, which would
+    truncate or wrap them into valid-looking ones."""
+    columns = {"w": [[0], [1]], "a": [0, 1], "y": [0, 1], column: values}
+    with pytest.raises(ValidationError, match=match):
+        Dataset(**columns, covariate_names=("x",))
+
+
+def test_dataset_accepts_integral_floats_and_booleans():
+    ds = Dataset(w=np.array([[True], [False]]), a=[0.0, 5.0], y=[1.0, 0.0],
+                 covariate_names=("x",))
+    assert ds.w.dtype == np.int8 and ds.a.dtype == np.int64 and ds.y.dtype == np.int64
+    assert ds.w.ravel().tolist() == [1, 0] and ds.a.tolist() == [0, 5]
+    assert ds.y.tolist() == [1, 0]
+
+
 def test_dataset_level_counts_and_take():
     ds = Dataset(
         w=np.array([[0], [1], [1], [0]]),

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     CausalRulesError,
@@ -59,6 +58,7 @@ from .glm import (
     OutcomeDesign,
     OutcomeModel,
     TreatmentModel,
+    _expit,
     fit_fluctuation,
     fit_outcome_model,
     fit_treatment_model,
@@ -356,7 +356,7 @@ def psi_from_arrays(
     itt = rule.family == "itt"
     ruled = member[:, rule.target] if itt else np.ones(a.size, dtype=bool)
     if estimator == "gcomp":
-        psi = float(np.sum(np.where(ruled, t * expit(M[rows, assigned]), s))) / n
+        psi = float(np.sum(np.where(ruled, t * _expit(M[rows, assigned]), s))) / n
         return CounterfactualEstimate(
             estimator="gcomp", rule=rule, psi=psi, diagnostics=EstimateDiagnostics(n=n),
         )
@@ -368,19 +368,19 @@ def psi_from_arrays(
     elif estimator == "driptw":
         # Rows with an infeasible ITT target carry no weight here.
         weights = np.where(ruled, h_obs, 0.0)
-        q_obs, q_assigned = expit(M[rows, a]), expit(M[rows, assigned])
+        q_obs, q_assigned = _expit(M[rows, a]), _expit(M[rows, assigned])
         psi = float(np.sum(_augmented(ruled, h_obs, s, t, q_obs, q_assigned))) / n
     else:
         m_obs = M[rows, a]
         epsilon = fit_fluctuation(s, h_obs, m_obs, trials=t).epsilon
-        q1_obs = expit(m_obs + epsilon * h_obs)
+        q1_obs = _expit(m_obs + epsilon * h_obs)
         g_assigned = G_weights[rows, assigned]
         if np.any(g_assigned[ruled] <= 0.0):
             at = "the target level" if itt else "an assigned level"
             raise EstimationError(f"zero treatment probability at {at}")
         # Rows the rule leaves alone keep q1_obs; dividing them by one
         # keeps an infeasible ITT target's zero g out of the update.
-        q1_assigned = expit(M[rows, assigned] + epsilon / np.where(ruled, g_assigned, 1.0))
+        q1_assigned = _expit(M[rows, assigned] + epsilon / np.where(ruled, g_assigned, 1.0))
         psi = table.mean(np.where(ruled, q1_assigned, q1_obs))
         residual = float(np.sum(_augmented(ruled, h_obs, s, t, q1_obs, q1_assigned))) / n - psi
     n_w, w_min, w_max, w_mean = _weight_summary(weights, t)
@@ -594,8 +594,8 @@ def rr_tmle_from_arrays(
             return h_obs, h_num, h_den
 
     def plugins():
-        psi_num = table.mean(expit(m_num))
-        psi_den = table.mean(expit(m_den))
+        psi_num = table.mean(_expit(m_num))
+        psi_den = table.mean(_expit(m_den))
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
@@ -618,7 +618,7 @@ def rr_tmle_from_arrays(
         psi_num, psi_den = plugins()
         theta = psi_num / psi_den
         h_obs, _, _ = covariates(theta, psi_num, psi_den)
-        residual = float(h_obs @ (s - t * expit(m_obs))) / table.n
+        residual = float(h_obs @ (s - t * _expit(m_obs))) / table.n
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
             converged = True
             break

@@ -10,16 +10,17 @@ counted; more than 1% dropped warns, more than 10% raises.
 
 Intervals are percentile by default; ``interval="normal"`` uses the
 point estimate plus/minus a normal quantile times the replicate
-standard deviation.
+standard deviation.  The quantile comes from the standard library's
+``statistics.NormalDist``, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import (
@@ -103,7 +104,16 @@ def interval_from_replicates(
     level: float = 0.95,
     method: str = "percentile",
 ) -> IntervalEstimate:
-    """Build an interval from finite replicate values of one statistic."""
+    """Build an interval from finite replicate values of one statistic.
+
+    ``level`` must lie in (0, 1) and ``method`` be one of
+    ``INTERVAL_METHODS``; either is checked before any work, with the
+    :class:`ValidationError` that :class:`BootstrapConfig` raises.
+    """
+    if method not in INTERVAL_METHODS:
+        raise ValidationError(f"interval must be one of {INTERVAL_METHODS}, got {method!r}")
+    if not 0.0 < level < 1.0:
+        raise ValidationError("confidence level must lie in (0, 1)")
     values = np.asarray(values, dtype=float)
     finite = values[np.isfinite(values)]
     n_failed = int(values.size - finite.size)
@@ -112,12 +122,10 @@ def interval_from_replicates(
     if method == "percentile":
         tail = (1.0 - level) / 2.0
         lower, upper = np.quantile(finite, [tail, 1.0 - tail])
-    elif method == "normal":
-        z = float(norm.ppf(1.0 - (1.0 - level) / 2.0))
+    else:
+        z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
         sd = float(finite.std(ddof=1)) if finite.size > 1 else 0.0
         lower, upper = point - z * sd, point + z * sd
-    else:
-        raise ValidationError(f"interval must be one of {INTERVAL_METHODS}, got {method!r}")
     return IntervalEstimate(
         point=float(point),
         lower=float(lower),

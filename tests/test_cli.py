@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causalrules
 from causalrules.cli import main
 
 
@@ -252,3 +257,48 @@ def test_categorize(tmp_path, capsys):
     assert main(["categorize"]) == 1
     assert main(["categorize", "abc"]) == 1
     assert main(["categorize", "-5"]) == 2
+
+
+# Runs in a fresh interpreter in which importing scipy fails: the import
+# of the CLI must load no scipy module, and each command must exit 0.
+_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from causalrules.cli import main
+
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+work = Path(sys.argv[1])
+(work / "run.json").write_text(json.dumps({"bootstrap": {"interval": "normal"}}))
+commands = [
+    ["simulate", "--dgp", "cohort", "--n", "2000", "--seed", "2",
+     "--output", str(work / "cohort.csv")],
+    ["estimate", "--input", str(work / "cohort.csv"), "--output-dir", str(work / "est"),
+     "--config", str(work / "run.json"), "--bootstrap-replicates", "2"],
+    ["diagnose", "--dgp", "cohort", "--estimator", "tmle", "--n-sim", "1000",
+     "--replicates", "2", "--output-dir", str(work / "diag")],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    src = Path(causalrules.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads((tmp_path / "est" / "estimates.json").read_text())
+    assert report["cells"][0]["psi_interval"]["method"] == "normal"

@@ -500,6 +500,42 @@ def test_estimators_on_patterns_equal_the_expanded_rows(data):
                 _assert_same(got, want, (rule, covariate))
 
 
+def test_a_flat_fluctuation_score_fixes_psi_but_not_epsilon():
+    """Every outcome at the target level is 1, so the TMLE score
+    ``s(e) = h . (y - trials * expit(m + e h))`` only decays towards 0 as
+    ``e`` grows and is flat where it meets the tolerance.  The grouped and
+    the expanded tables may then stop at different epsilons; what holds
+    on both is ``|s| <= 1e-10`` and the same psi to 1e-12."""
+    names = ("w0",)
+    gen = GeneratingDistribution(
+        np.array([[0], [1]]), np.array([0.5, 0.5]), names,
+        make_treatment_model(names, np.array([[0.12, -0.6], [-0.23, -1.42], [-1.13, 0.51]])),
+        make_outcome_model(names, 4, np.array([1.94, 0.35, -0.35, 1.49, 1.44])),
+    )
+    ds = generate(gen, 207, seed=1472190201)
+    assert ds.y[ds.a == 3].all()
+    g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    grouped = _evaluate(ds, g_model, q_model)
+    rule = Rule(family="static", target=3)
+    psis = []
+    for table in (grouped, _expanded(ds, grouped)):
+        G_weights = _weight_scale(table.G, g_model, True)
+        est = psi_from_arrays("tmle", rule, table, G_weights)
+        rows = np.arange(table.a.size)
+        h = np.where(table.a == 3, 1.0 / G_weights[rows, 3], 0.0)
+        m = table.M[rows, table.a]
+
+        def score(e):
+            return float(h @ (table.successes - table.trials * expit(m + e * h)))
+
+        eps = est.diagnostics.epsilon
+        # Every epsilon within 1e-4 of the one found meets the tolerance.
+        for e in (eps - 1e-4, eps, eps + 1e-4):
+            assert abs(score(e)) <= 1e-10
+        psis.append(est.psi)
+    assert abs(psis[0] - psis[1]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Properties of the rule families on random systems
 

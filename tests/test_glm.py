@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ from causalrules.glm import INTERCEPT_NAME, select_covariates
 
 # ---------------------------------------------------------------------------
 # Binary logistic
+
+
+def test_expit_matches_scipy():
+    """The package's own logistic function against SciPy's, over normal
+    draws at scales 0.5 to 300 and past both ends of exp's range."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [rng.normal(0.0, scale, 5000) for scale in (0.5, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)]
+        + [np.array([709.0, -709.0, 745.0, -745.0, 800.0, -800.0])]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = glm._expit(x)
+        edges = glm._expit(np.array([-np.inf, 0.0, np.inf, np.nan]))
+    assert np.max(np.abs(got - expit(x))) <= 2.3e-16
+    assert edges[:3].tolist() == [0.0, 0.5, 1.0]
+    assert np.isnan(edges[3])
 
 
 def test_logistic_saturated_closed_form():

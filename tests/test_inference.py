@@ -64,6 +64,29 @@ def test_normal_interval_matches_closed_form():
     assert ci.upper == pytest.approx(0.31 + z * sd, abs=1e-12)
 
 
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 0.9999])
+def test_normal_interval_quantile_matches_scipy(level):
+    # Replicates -1, 0, 1 have standard deviation exactly 1, so the upper
+    # end about a point of 0 is the normal quantile itself.
+    ci = interval_from_replicates(np.array([-1.0, 0.0, 1.0]), 0.0, level, "normal")
+    z = norm.ppf(1.0 - (1.0 - level) / 2.0)
+    assert abs(ci.upper - z) <= 1e-15
+    assert ci.lower == -ci.upper
+
+
+@pytest.mark.parametrize("method", ["percentile", "normal"])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+def test_interval_rejects_a_level_outside_the_unit_interval(level, method):
+    values = np.random.default_rng(4).normal(size=50)
+    with pytest.raises(ValidationError, match=r"confidence level must lie in \(0, 1\)"):
+        interval_from_replicates(values, 0.0, level=level, method=method)
+
+
+def test_interval_rejects_an_unknown_method_before_any_work():
+    with pytest.raises(ValidationError, match="interval must be one of"):
+        interval_from_replicates(np.array([np.nan]), 0.0, method="studentized")
+
+
 def test_intervals_nest_across_levels():
     rng = np.random.default_rng(3)
     values = rng.normal(0.0, 1.0, size=1000)

@@ -8,8 +8,9 @@ Five subcommands cover the workflow end to end:
 * ``fit``        -- fit the treatment/outcome models and save them for reuse
 * ``categorize`` -- map raw MET-hour scores to treatment levels
 
-``estimate`` and ``diagnose`` read a flat JSON config file (``--config``);
-command line flags override config values.  Outputs are deterministic:
+``estimate`` and ``diagnose`` read a JSON config file (``--config``) whose
+fields are the rows of ``_FIELDS``; command line flags override config
+values, which override the defaults.  Outputs are deterministic:
 the same inputs, config, and seed produce byte-identical files.
 
 Exit codes: 0 on success, 1 for usage or config problems, 2 for data or
@@ -79,24 +80,6 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
 
 
-_TOP_LEVEL_FIELDS = {
-    "input", "output_dir", "covariates", "treatment_column",
-    "n_treatment_levels", "alpha", "alpha_trunc", "families", "targets",
-    "estimators", "empty_set_policy", "truncate_weights",
-    "itt_covariate", "q_interactions", "seed",
-    "bootstrap", "diagnostic",
-}
-_BOOTSTRAP_FIELDS = {"replicates", "seed", "interval", "level"}
-_DIAGNOSTIC_FIELDS = {
-    "dgp", "estimator", "replicates", "n_sim", "refit_g", "alpha_sweep",
-    "threshold_pct",
-}
-
-
-def _fail(name: str, want: str):
-    raise UsageError(f"config field '{name}' must be {want}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -106,83 +89,131 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _validate_config(cfg: dict) -> None:
-    unknown = sorted(set(cfg) - _TOP_LEVEL_FIELDS)
+def _is_list_of(test):
+    return lambda value: isinstance(value, list) and all(test(v) for v in value)
+
+
+# What a config value must be, keyed by the words its error message uses.
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": _is_list_of(lambda v: isinstance(v, str)),
+    "a list of integers": _is_list_of(_is_int),
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list of numbers": _is_list_of(_is_number),
+    "a boolean or an {estimator: boolean} object": lambda v: isinstance(v, bool) or (
+        isinstance(v, dict) and set(v) <= set(ESTIMATORS)
+        and all(isinstance(b, bool) for b in v.values())
+    ),
+    "a list of [covariate, level] pairs": _is_list_of(
+        lambda p: isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+        and _is_int(p[1])
+    ),
+    "an object or null": lambda v: isinstance(v, dict),
+}
+# How a value of these kinds is handed on; the other kinds pass as they are.
+_CONVERT = {
+    "a number": float,
+    "a list of [covariate, level] pairs": lambda v: tuple(map(tuple, v)),
+}
+
+
+def _must(ok, text: str):
+    def check(name, value):
+        if not ok(value):
+            raise UsageError(f"{name} must {text}")
+    return check
+
+
+def _one_of(choices: tuple[str, ...]):
+    def check(name, value):
+        if value not in choices:
+            raise UsageError(f"{name} must be one of {', '.join(choices)} (got {value!r})")
+    return check
+
+
+def _subset_of(choices: tuple[str, ...]):
+    def check(name, values):
+        if not values:
+            raise UsageError(f"{name} must not be empty")
+        bad = [v for v in values if v not in choices]
+        if bad:
+            raise UsageError(f"unknown {name} {bad[0]!r}; choose from {', '.join(choices)}")
+    return check
+
+
+_UNIT = _must(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_POSITIVE = _must(lambda v: v >= 1, "be a positive integer")
+_NON_NEGATIVE = _must(lambda v: v >= 0, "be a non-negative integer")
+_BOTH, _ESTIMATE, _DIAGNOSE = ("estimate", "diagnose"), ("estimate",), ("diagnose",)
+
+
+class _Field:
+    """A config field of ``estimate`` and ``diagnose``: its place in the
+    config, its kind (a key of ``_KINDS``), its default, whether the config
+    may set it to null (meaning the default), the check on its resolved
+    value, the dest of its flag, and the commands that read it."""
+
+    def __init__(self, path, kind, default=None, *, nullable=False, check=None,
+                 flag=None, reads=_BOTH):
+        self.path, self.kind, self.default = path, kind, default
+        self.nullable, self.check, self.flag, self.reads = nullable, check, flag, reads
+        self.section, _, self.name = path.rpartition(".")
+
+
+# Rows are in the order the config is type-checked.  Values are checked
+# when a command reads them, by the name of their flag or else their path.
+_FIELDS = (
+    _Field("input", "a string", flag="input"),
+    _Field("output_dir", "a string", flag="output_dir"),
+    _Field("treatment_column", "a string"),
+    _Field("empty_set_policy", "a string", "error", check=_one_of(EMPTY_SET_POLICIES)),
+    _Field("itt_covariate", "a string", "delta", check=_one_of(ITT_COVARIATES), reads=_ESTIMATE),
+    _Field("covariates", "a list of strings", nullable=True),
+    _Field("families", "a list of strings", FAMILIES, nullable=True,
+           check=_subset_of(FAMILIES), flag="families"),
+    _Field("estimators", "a list of strings", ESTIMATORS, nullable=True,
+           check=_subset_of(ESTIMATORS), flag="estimators", reads=_ESTIMATE),
+    _Field("targets", "a list of integers", nullable=True, flag="targets"),
+    _Field("n_treatment_levels", "an integer", DEFAULT_K,
+           check=_must(lambda v: v >= 2, "be at least 2")),
+    _Field("seed", "an integer", 0, check=_NON_NEGATIVE, flag="seed"),
+    _Field("alpha", "a number", 0.05, check=_UNIT, flag="alpha"),
+    _Field("alpha_trunc", "a number", 0.05, check=_UNIT),
+    _Field("truncate_weights", "a boolean or an {estimator: boolean} object", True),
+    _Field("q_interactions", "a list of [covariate, level] pairs", ()),
+    # BootstrapConfig checks the replicates, interval and level.  With no
+    # bootstrap.seed, the bootstrap uses the run's seed.
+    _Field("bootstrap", "an object or null", nullable=True, reads=_ESTIMATE),
+    _Field("bootstrap.replicates", "an integer", 1000, flag="bootstrap_replicates",
+           reads=_ESTIMATE),
+    _Field("bootstrap.seed", "an integer", check=_NON_NEGATIVE, reads=_ESTIMATE),
+    _Field("bootstrap.interval", "a string", "percentile", reads=_ESTIMATE),
+    _Field("bootstrap.level", "a number", 0.95, reads=_ESTIMATE),
+    _Field("diagnostic", "an object or null", nullable=True, reads=_DIAGNOSE),
+    _Field("diagnostic.dgp", "a string", flag="dgp", reads=_DIAGNOSE),
+    _Field("diagnostic.estimator", "a string", "iptw", check=_one_of(ESTIMATORS),
+           flag="estimator", reads=_DIAGNOSE),
+    _Field("diagnostic.replicates", "an integer", 500, nullable=True, check=_POSITIVE,
+           flag="replicates", reads=_DIAGNOSE),
+    _Field("diagnostic.n_sim", "an integer", nullable=True, check=_POSITIVE, flag="n_sim",
+           reads=_DIAGNOSE),
+    _Field("diagnostic.refit_g", "a boolean", True, flag="refit_g", reads=_DIAGNOSE),
+    _Field("diagnostic.threshold_pct", "a number", 2.0,
+           check=_must(lambda v: 0.0 < v < float("inf"), "be a finite positive number"),
+           reads=_DIAGNOSE),
+    # diagnose checks these, and that they are sorted.
+    _Field("diagnostic.alpha_sweep", "a list of numbers", nullable=True, flag="alpha_sweep",
+           reads=_DIAGNOSE),
+)
+_BY_PATH = {f.path: f for f in _FIELDS}
+
+
+def _reject_unknown(holder: dict, section: str) -> None:
+    unknown = sorted(set(holder) - {f.name for f in _FIELDS if f.section == section})
     if unknown:
-        raise UsageError("unknown config field(s): " + ", ".join(unknown))
-    for name in ("input", "output_dir", "treatment_column", "empty_set_policy",
-                 "itt_covariate"):
-        if name in cfg and not isinstance(cfg[name], str):
-            _fail(name, "a string")
-    for name in ("covariates", "families", "estimators"):
-        value = cfg.get(name)
-        if value is not None and not (
-            isinstance(value, list) and all(isinstance(v, str) for v in value)
-        ):
-            _fail(name, "a list of strings")
-    if "targets" in cfg and cfg["targets"] is not None:
-        value = cfg["targets"]
-        if not (isinstance(value, list) and all(_is_int(v) for v in value)):
-            _fail("targets", "a list of integers")
-    for name in ("n_treatment_levels", "seed"):
-        if name in cfg and not _is_int(cfg[name]):
-            _fail(name, "an integer")
-    for name in ("alpha", "alpha_trunc"):
-        if name in cfg and not _is_number(cfg[name]):
-            _fail(name, "a number")
-    if "truncate_weights" in cfg:
-        value = cfg["truncate_weights"]
-        ok = isinstance(value, bool) or (
-            isinstance(value, dict)
-            and set(value) <= set(ESTIMATORS)
-            and all(isinstance(v, bool) for v in value.values())
-        )
-        if not ok:
-            _fail("truncate_weights", "a boolean or an {estimator: boolean} object")
-    if "q_interactions" in cfg:
-        value = cfg["q_interactions"]
-        ok = isinstance(value, list) and all(
-            isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
-            and _is_int(p[1])
-            for p in value
-        )
-        if not ok:
-            _fail("q_interactions", "a list of [covariate, level] pairs")
-    boot = cfg.get("bootstrap")
-    if boot is not None:
-        if not isinstance(boot, dict):
-            _fail("bootstrap", "an object or null")
-        unknown = sorted(set(boot) - _BOOTSTRAP_FIELDS)
-        if unknown:
-            raise UsageError("unknown bootstrap field(s): " + ", ".join(unknown))
-        for name in ("replicates", "seed"):
-            if name in boot and not _is_int(boot[name]):
-                _fail(f"bootstrap.{name}", "an integer")
-        if "interval" in boot and not isinstance(boot["interval"], str):
-            _fail("bootstrap.interval", "a string")
-        if "level" in boot and not _is_number(boot["level"]):
-            _fail("bootstrap.level", "a number")
-    diag = cfg.get("diagnostic")
-    if diag is not None:
-        if not isinstance(diag, dict):
-            _fail("diagnostic", "an object or null")
-        unknown = sorted(set(diag) - _DIAGNOSTIC_FIELDS)
-        if unknown:
-            raise UsageError("unknown diagnostic field(s): " + ", ".join(unknown))
-        for name in ("dgp", "estimator"):
-            if name in diag and not isinstance(diag[name], str):
-                _fail(f"diagnostic.{name}", "a string")
-        for name in ("replicates", "n_sim"):
-            if name in diag and diag[name] is not None and not _is_int(diag[name]):
-                _fail(f"diagnostic.{name}", "an integer")
-        if "refit_g" in diag and not isinstance(diag["refit_g"], bool):
-            _fail("diagnostic.refit_g", "a boolean")
-        if "threshold_pct" in diag and not _is_number(diag["threshold_pct"]):
-            _fail("diagnostic.threshold_pct", "a number")
-        if "alpha_sweep" in diag and diag["alpha_sweep"] is not None:
-            value = diag["alpha_sweep"]
-            if not (isinstance(value, list) and all(_is_number(v) for v in value)):
-                _fail("diagnostic.alpha_sweep", "a list of numbers")
+        raise UsageError(f"unknown {section or 'config'} field(s): " + ", ".join(unknown))
 
 
 def _load_config(path: str | None) -> dict:
@@ -197,23 +228,39 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    _validate_config(cfg)
+    _reject_unknown(cfg, "")
+    for f in _FIELDS:
+        # A section's own row comes first, so here it is an object or absent.
+        holder = (cfg.get(f.section) or {}) if f.section else cfg
+        value = holder.get(f.name)
+        if f.name not in holder or (value is None and f.nullable):
+            continue
+        if not _KINDS[f.kind](value):
+            raise UsageError(f"config field '{f.path}' must be {f.kind}")
+        if f.kind == "an object or null":
+            _reject_unknown(value, f.path)
     return cfg
 
 
-def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
-    if value not in choices:
-        raise UsageError(f"{name} must be one of {', '.join(choices)} (got {value!r})")
+def _settings(args, cfg: dict):
+    """Return ``get(path)``: a field's flag if given, else its config
+    value, else its default.  Each value is checked as it is read, so a
+    command reports bad values in the order it reads them."""
 
+    def get(path: str):
+        f = _BY_PATH[path]
+        value = getattr(args, f.flag, None) if f.flag else None
+        if value is None:
+            value = ((cfg.get(f.section) or {}) if f.section else cfg).get(f.name)
+        if value is None:
+            value = f.default
+        if value is not None:
+            value = _CONVERT.get(f.kind, lambda v: v)(value)
+            if f.check is not None:
+                f.check(f.flag or f.path, value)
+        return value
 
-def _check_subset(name: str, values, choices: tuple[str, ...]) -> None:
-    if not values:
-        raise UsageError(f"{name} must not be empty")
-    bad = [v for v in values if v not in choices]
-    if bad:
-        raise UsageError(
-            f"unknown {name} {bad[0]!r}; choose from {', '.join(choices)}"
-        )
+    return get
 
 
 def _check_targets(targets, k: int) -> tuple[int, ...] | None:
@@ -226,13 +273,6 @@ def _check_targets(targets, k: int) -> tuple[int, ...] | None:
     if not out:
         raise UsageError("targets must not be empty")
     return out
-
-
-def _check_alpha(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value < 1.0:
-        raise UsageError(f"{name} must lie in [0, 1)")
-    return value
 
 
 def _make_dgp(name: str) -> GeneratingDistribution:
@@ -279,61 +319,46 @@ def _print_table(header: list[str], rows: list[list[str]]) -> None:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
-
-    def pick(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        value = cfg.get(name)
-        return default if value is None else value
-
-    input_path = pick("input")
+    get = _settings(args, cfg)
+    input_path = get("input")
     if input_path is None:
         raise UsageError("an input CSV is required (--input or config field 'input')")
-    output_dir = pick("output_dir")
+    output_dir = get("output_dir")
     if output_dir is None:
         raise UsageError(
             "an output directory is required (--output-dir or config field 'output_dir')"
         )
-    k = int(cfg.get("n_treatment_levels", DEFAULT_K))
-    alpha = _check_alpha("alpha", pick("alpha", 0.05))
-    alpha_trunc = _check_alpha("alpha_trunc", cfg.get("alpha_trunc", 0.05))
-    families = tuple(pick("families", list(FAMILIES)))
-    _check_subset("families", families, FAMILIES)
-    estimators = tuple(pick("estimators", list(ESTIMATORS)))
-    _check_subset("estimators", estimators, ESTIMATORS)
-    targets = _check_targets(pick("targets"), k)
-    policy = cfg.get("empty_set_policy", "error")
-    _check_choice("empty_set_policy", policy, EMPTY_SET_POLICIES)
-    itt_covariate = cfg.get("itt_covariate", "delta")
-    _check_choice("itt_covariate", itt_covariate, ITT_COVARIATES)
-    truncate_weights = cfg.get("truncate_weights", True)
-    interactions = tuple((str(c), int(l)) for c, l in cfg.get("q_interactions", []))
-    seed = int(pick("seed", 0))
+    k = get("n_treatment_levels")
+    alpha = get("alpha")
+    alpha_trunc = get("alpha_trunc")
+    families = get("families")
+    estimators = get("estimators")
+    targets = _check_targets(get("targets"), k)
+    policy = get("empty_set_policy")
+    itt_covariate = get("itt_covariate")
+    truncate_weights = get("truncate_weights")
+    seed = get("seed")
 
-    boot_cfg = cfg.get("bootstrap")
-    if args.bootstrap_replicates is not None:
-        boot_cfg = dict(boot_cfg or {})
-        boot_cfg["replicates"] = args.bootstrap_replicates
     boot = None
-    if boot_cfg:
+    if cfg.get("bootstrap") or args.bootstrap_replicates is not None:
+        boot_seed = get("bootstrap.seed")
         try:
             boot = BootstrapConfig(
-                replicates=int(boot_cfg.get("replicates", 1000)),
-                seed=int(boot_cfg.get("seed", seed)),
-                interval=str(boot_cfg.get("interval", "percentile")),
-                level=float(boot_cfg.get("level", 0.95)),
+                replicates=get("bootstrap.replicates"),
+                seed=seed if boot_seed is None else boot_seed,
+                interval=get("bootstrap.interval"),
+                level=get("bootstrap.level"),
             )
         except ValidationError as exc:
             raise UsageError(f"bootstrap config: {exc}") from None
 
     dataset = load_csv(
         input_path,
-        covariate_names=cfg.get("covariates"),
-        treatment_column=cfg.get("treatment_column"),
+        covariate_names=get("covariates"),
+        treatment_column=get("treatment_column"),
         n_treatment_levels=k,
     )
-    spec = NuisanceSpec(q_interactions=interactions, alpha_trunc=alpha_trunc)
+    spec = NuisanceSpec(q_interactions=get("q_interactions"), alpha_trunc=alpha_trunc)
     g_model = spec.fit_g(dataset)
     q_model = spec.fit_q(dataset)
     report = estimate_suite(
@@ -354,26 +379,11 @@ def cmd_estimate(args) -> int:
     _write_json(outdir / "estimates.json", report.to_dict())
     header, rows = report.rr_table()
     _write_csv_table(outdir / "estimates_table.csv", header, rows)
-    settings = {
-        "input": str(input_path),
-        "covariates": cfg.get("covariates"),
-        "treatment_column": cfg.get("treatment_column"),
-        "n_treatment_levels": k,
-        "alpha": alpha,
-        "alpha_trunc": alpha_trunc,
-        "families": list(families),
-        "targets": None if targets is None else list(targets),
-        "estimators": list(estimators),
-        "empty_set_policy": policy,
-        "truncate_weights": truncate_weights,
-        "itt_covariate": itt_covariate,
-        "q_interactions": [list(p) for p in interactions],
-        "seed": seed,
-        "bootstrap": None if boot is None else {
-            "replicates": boot.replicates, "seed": boot.seed,
-            "interval": boot.interval, "level": boot.level,
-        },
-    }
+    # Every setting estimate reads except where its files go, and the
+    # bootstrap as it ran.
+    settings = {f.path: get(f.path) for f in _FIELDS
+                if "estimate" in f.reads and not f.section and f.path != "output_dir"}
+    settings["bootstrap"] = None if boot is None else vars(boot)
     _write_json(outdir / "run_metadata.json", {
         "command": "estimate",
         "version": __version__,
@@ -390,58 +400,36 @@ def cmd_estimate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _load_config(args.config)
-    diag = cfg.get("diagnostic") or {}
-
-    def pick(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        value = diag.get(name)
-        if value is None:
-            value = cfg.get(name)
-        return default if value is None else value
-
-    dgp_name = args.dgp if args.dgp is not None else diag.get("dgp")
-    input_path = pick("input")
+    get = _settings(args, cfg)
+    dgp_name = get("diagnostic.dgp")
+    input_path = get("input")
     if (dgp_name is None) == (input_path is None):
         raise UsageError("exactly one data source is required: --dgp or --input")
-    output_dir = pick("output_dir")
+    output_dir = get("output_dir")
     if output_dir is None:
         raise UsageError(
             "an output directory is required (--output-dir or config field 'output_dir')"
         )
-    k = int(cfg.get("n_treatment_levels", DEFAULT_K))
-    alpha = _check_alpha("alpha", pick("alpha", 0.05))
-    alpha_trunc = _check_alpha("alpha_trunc", cfg.get("alpha_trunc", 0.05))
-    families = tuple(pick("families", list(FAMILIES)))
-    _check_subset("families", families, FAMILIES)
-    estimator = pick("estimator", "iptw")
-    _check_choice("estimator", estimator, ESTIMATORS)
-    replicates = int(pick("replicates", 500))
-    if replicates < 1:
-        raise UsageError("replicates must be a positive integer")
-    n_sim = pick("n_sim")
-    if n_sim is not None:
-        n_sim = int(n_sim)
-        if n_sim < 1:
-            raise UsageError("n_sim must be a positive integer")
-    seed = int(pick("seed", 0))
-    policy = cfg.get("empty_set_policy", "error")
-    _check_choice("empty_set_policy", policy, EMPTY_SET_POLICIES)
-    truncate_weights = cfg.get("truncate_weights", True)
+    k = get("n_treatment_levels")
+    alpha = get("alpha")
+    alpha_trunc = get("alpha_trunc")
+    families = get("families")
+    estimator = get("diagnostic.estimator")
+    replicates = get("diagnostic.replicates")
+    n_sim = get("diagnostic.n_sim")
+    seed = get("seed")
+    policy = get("empty_set_policy")
+    truncate_weights = get("truncate_weights")
     if not isinstance(truncate_weights, bool):
         raise UsageError("truncate_weights must be a single boolean for diagnose")
-    refit_g = diag.get("refit_g", True)
-    if args.no_refit_g:
-        refit_g = False
-    sweep_alphas = args.alpha_sweep if args.alpha_sweep is not None else diag.get("alpha_sweep")
+    refit_g = get("diagnostic.refit_g")
+    sweep_alphas = get("diagnostic.alpha_sweep")
     if sweep_alphas is not None:
-        sweep_alphas = [float(a) for a in sweep_alphas]
         if sorted(sweep_alphas) != sweep_alphas:
             raise UsageError("alpha_sweep values must be sorted ascending")
         for a in sweep_alphas:
-            _check_alpha("alpha_sweep value", a)
-    threshold_pct = float(diag.get("threshold_pct", 2.0))
+            _UNIT("alpha_sweep value", a)
+    threshold_pct = get("diagnostic.threshold_pct")
 
     if dgp_name is not None:
         gen = _make_dgp(dgp_name)
@@ -455,19 +443,18 @@ def cmd_diagnose(args) -> int:
     else:
         dataset = load_csv(
             input_path,
-            covariate_names=cfg.get("covariates"),
-            treatment_column=cfg.get("treatment_column"),
+            covariate_names=get("covariates"),
+            treatment_column=get("treatment_column"),
             n_treatment_levels=k,
         )
-        interactions = tuple((str(c), int(l)) for c, l in cfg.get("q_interactions", []))
-        spec = NuisanceSpec(q_interactions=interactions, alpha_trunc=alpha_trunc)
+        spec = NuisanceSpec(q_interactions=get("q_interactions"), alpha_trunc=alpha_trunc)
         g_model = spec.fit_g(dataset)
         q_model = spec.fit_q(dataset)
         gen = GeneratingDistribution.from_dataset(dataset, g_model, q_model)
         pos = positivity_report(dataset, g_model, alpha=alpha)
         source = {"kind": "data", "input": str(input_path), "n": dataset.n}
 
-    targets = _check_targets(pick("targets"), gen.n_treatment_levels)
+    targets = _check_targets(get("targets"), gen.n_treatment_levels)
     common = dict(
         estimator=estimator, families=families, targets=targets,
         replicates=replicates, n_sim=n_sim, seed=seed, spec=spec,
@@ -506,6 +493,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("exactly one source is required: --dgp or --models")
     if args.n < 1:
         raise UsageError("--n must be a positive integer")
+    if args.seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
     if args.dgp is not None:
         gen = _make_dgp(args.dgp)
     else:
@@ -521,7 +510,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    alpha_trunc = _check_alpha("alpha-trunc", args.alpha_trunc)
+    _UNIT("alpha-trunc", args.alpha_trunc)
     interactions = ()
     if args.q_interactions:
         pairs = []
@@ -542,7 +531,7 @@ def cmd_fit(args) -> int:
         treatment_column=args.treatment_column,
         n_treatment_levels=args.n_treatment_levels,
     )
-    spec = NuisanceSpec(q_interactions=interactions, alpha_trunc=alpha_trunc)
+    spec = NuisanceSpec(q_interactions=interactions, alpha_trunc=args.alpha_trunc)
     g_model = spec.fit_g(dataset)
     q_model = spec.fit_q(dataset)
     save_models(args.output, g_model, q_model, meta={
@@ -551,7 +540,7 @@ def cmd_fit(args) -> int:
         "dropped_rows": dataset.dropped_rows,
         "n_treatment_levels": dataset.n_treatment_levels,
         "covariates": list(dataset.covariate_names),
-        "alpha_trunc": alpha_trunc,
+        "alpha_trunc": args.alpha_trunc,
     })
     zeros = ", ".join(f"(level {l}, {c})" for l, c in g_model.structural_zeros) or "none"
     print(f"fit treatment and outcome models on {dataset.n} rows"
@@ -633,7 +622,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--targets", type=_csv_ints, help="comma-separated target levels")
     p.add_argument("--alpha-sweep", dest="alpha_sweep", type=_csv_floats,
                    help="also sweep these ascending alpha values")
-    p.add_argument("--no-refit-g", dest="no_refit_g", action="store_true",
+    p.add_argument("--no-refit-g", dest="refit_g", action="store_false", default=None,
                    help="reuse the generating treatment mechanism instead of refitting")
     p.set_defaults(func=cmd_diagnose)
 

@@ -501,6 +501,8 @@ def alpha_sweep(
         raise ValidationError("alpha_sweep needs at least one alpha")
     if sorted(alphas) != list(alphas):
         raise ValidationError("alphas must be sorted ascending")
+    if not 0.0 < threshold_pct < float("inf"):
+        raise ValidationError("threshold_pct must be a finite positive number")
     reports = []
     max_abs = []
     for a in alphas:

@@ -51,6 +51,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValidationError("bootstrap replicates must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("bootstrap seed must be >= 0")
         if self.interval not in INTERVAL_METHODS:
             raise ValidationError(
                 f"interval must be one of {INTERVAL_METHODS}, got {self.interval!r}"

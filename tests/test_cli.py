@@ -138,6 +138,55 @@ def test_config_rejects_booleans_as_numbers(tmp_path, sim_csv, capsys, field, cf
     assert f"config field '{field}' must be a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["estimate", "--bootstrap-replicates", "2", "--seed", "-1"], None,
+     "seed must be a non-negative integer"),
+    (["estimate"], {"seed": -1, "bootstrap": {"replicates": 2}},
+     "seed must be a non-negative integer"),
+    (["estimate"], {"bootstrap": {"replicates": 2, "seed": -3}},
+     "bootstrap.seed must be a non-negative integer"),
+    (["diagnose", "--dgp", "no_violation", "--n-sim", "200", "--replicates", "2",
+      "--seed", "-1"], None, "seed must be a non-negative integer"),
+    (["diagnose", "--dgp", "no_violation", "--n-sim", "200"], {"seed": -1},
+     "seed must be a non-negative integer"),
+    (["simulate", "--dgp", "no_violation", "--n", "20", "--seed", "-1"], None,
+     "--seed must be a non-negative integer"),
+    (["estimate"], {"n_treatment_levels": 1}, "n_treatment_levels must be at least 2"),
+])
+def test_bad_seeds_and_level_counts_are_usage_errors(tmp_path, sim_csv, capsys,
+                                                     argv, cfg, message):
+    """A negative seed used to end in numpy's traceback, and a single
+    treatment level in a data error about a row of the CSV."""
+    out = tmp_path / "out"
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(out)]
+    else:
+        argv = argv + ["--output-dir", str(out)]
+    if argv[0] == "estimate":
+        argv += ["--input", str(sim_csv)]
+    if cfg is not None:
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"causal-rules: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "0", "-2.5"])
+def test_threshold_pct_must_be_finite_and_positive(tmp_path, capsys, literal):
+    """Python's json loads NaN and Infinity; a NaN threshold used to print
+    'no alpha reaches max |bias| < nan%' and exit 0."""
+    config = tmp_path / "run.json"
+    config.write_text(f'{{"diagnostic": {{"threshold_pct": {literal}}}}}')
+    rc = main(["diagnose", "--config", str(config), "--dgp", "no_violation",
+               "--n-sim", "100", "--replicates", "2", "--alpha-sweep", "0.05",
+               "--output-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "causal-rules: error: diagnostic.threshold_pct must be a finite positive number\n"
+    )
+
+
 def test_estimate_missing_csv_is_a_data_error(tmp_path):
     rc = main(["estimate", "--input", str(tmp_path / "none.csv"),
                "--output-dir", str(tmp_path / "o")])

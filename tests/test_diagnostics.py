@@ -308,6 +308,9 @@ def test_alpha_sweep_threshold_logic(gen_nv):
         alpha_sweep(gen_nv, [0.1, 0.05], replicates=2, n_sim=50)
     with pytest.raises(ValidationError):
         alpha_sweep(gen_nv, [])
+    for threshold in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValidationError, match="threshold_pct must be a finite positive"):
+            alpha_sweep(gen_nv, [0.05], replicates=2, n_sim=50, threshold_pct=threshold)
     sweep = alpha_sweep(
         gen_nv, [0.0, 0.05], estimator="iptw", refit_g=False,
         replicates=60, n_sim=400, seed=2, threshold_pct=50.0,

@@ -31,6 +31,7 @@ from causalrules import (
     tmle_mean,
     tmle_relative_risk,
 )
+from causalrules import errors
 from causalrules.errors import CausalRulesError
 from causalrules.estimators import (
     ESTIMATORS,
@@ -366,11 +367,11 @@ def test_infeasible_rule_errors_name_input_rows():
 
 
 @st.composite
-def _small_systems(draw):
+def _small_systems(draw, levels=(2, 4)):
     """A random system on 1-3 binary covariates, uniform over their
-    patterns, with 2-4 treatment levels."""
+    patterns, with 2-4 treatment levels (or as many as ``levels`` spans)."""
     p = draw(st.integers(1, 3))
-    k = draw(st.integers(2, 4))
+    k = draw(st.integers(*levels))
     names = tuple(f"w{j}" for j in range(p))
     coef = st.floats(-1.5, 1.5, allow_nan=False, allow_subnormal=False)
     g = make_treatment_model(names, draw(arrays(float, (k - 1, p + 1), elements=coef)))
@@ -589,3 +590,39 @@ def test_alpha_zero_rules_equal_the_static_rule(data):
             static = outcome(report.cell("static", target, est))
             for family in ("realistic", "itt"):
                 assert outcome(report.cell(family, target, est)) == static, (family, target, est)
+
+
+_TYPED_ERRORS = {
+    name for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, CausalRulesError)
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    gen=_small_systems(levels=(3, 6)),
+    n=st.integers(200, 2000),
+    seed=st.integers(0, 2 ** 31),
+    alpha=st.sampled_from([0.0, 0.05, 0.1]),
+    itt_covariate=st.sampled_from(["delta", "appendix"]),
+)
+def test_tmle_cells_solve_their_score_equations(gen, n, seed, alpha, itt_covariate):
+    """Every TMLE psi and RR-TMLE cell of the grid either records a typed
+    error or leaves its score residual within 1e-8."""
+    ds = generate(gen, n, seed=seed)
+    try:
+        g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    except FitError:
+        return  # e.g. a level the sample never drew
+    report = estimate_suite(
+        ds, g_model, q_model, estimators=("tmle",), alpha=alpha, itt_covariate=itt_covariate,
+    )
+    for c in report.cells:
+        if c.psi is None:
+            assert c.psi_error.split(":")[0] in _TYPED_ERRORS, c.psi_error
+        else:
+            assert abs(c.psi.diagnostics.score_residual) <= 1e-8, c
+        if c.rr is None:
+            assert c.rr_error.split(":")[0] in _TYPED_ERRORS, c.rr_error
+        else:
+            assert abs(c.rr.score_residual) <= 1e-8, c

@@ -173,6 +173,10 @@ def test_bootstrap_config_validation():
         BootstrapConfig(interval="studentized")
     with pytest.raises(ValidationError):
         BootstrapConfig(level=1.0)
+    # numpy's generators take no negative seed, and used to raise their own
+    # ValueError at the first resample.
+    with pytest.raises(ValidationError, match="bootstrap seed must be >= 0"):
+        BootstrapConfig(seed=-1)
 
 
 def test_bootstrap_ci_psi_and_rr(data_nv):

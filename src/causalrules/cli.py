@@ -511,6 +511,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     _UNIT("alpha-trunc", args.alpha_trunc)
+    _BY_PATH["n_treatment_levels"].check("n_treatment_levels", args.n_treatment_levels)
     interactions = ()
     if args.q_interactions:
         pairs = []

@@ -33,9 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CausalRulesError, EstimationError, ValidationError
-from .estimators import NuisanceSpec, _evaluate, _weight_scale, psi_from_arrays
+from .estimators import NuisanceSpec, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel
-from .inference import _check_failures
+from .inference import _check_failures, replicate_streams
 from .ingest import Dataset, _distinct_codes, _distinct_rows
 from .rules import Rule, assign, membership_matrix
 
@@ -262,18 +262,7 @@ class BiasEntry:
     drift_pct: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "target": self.target,
-            "truth": self.truth,
-            "mean_estimate": self.mean_estimate,
-            "sd_estimate": self.sd_estimate,
-            "bias": self.bias,
-            "bias_pct": self.bias_pct,
-            "n_effective": self.n_effective,
-            "drift": self.drift,
-            "drift_pct": self.drift_pct,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -365,11 +354,7 @@ def eta_bias_diagnostic(
         n_sim = gen.source_n
     if spec is None:
         spec = NuisanceSpec(alpha_trunc=gen.g_model.alpha_trunc)
-    need_q = estimator != "iptw"
-    if estimator == "gcomp":
-        need_g = alpha > 0.0 and any(f != "static" for f in families)
-    else:
-        need_g = True
+    need_g, need_q = _needs((estimator,), families, alpha)
 
     cells = [(f, t) for f in families for t in targets]
     rules = {
@@ -382,9 +367,7 @@ def eta_bias_diagnostic(
     drifts: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     n_failed = 0
 
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(replicates):
-        rng = np.random.default_rng(child)
+    for rng in replicate_streams(seed, replicates):
         ds = generate(gen, n_sim, rng)
         try:
             g_model = (spec.fit_g(ds) if refit_g else gen.g_model) if need_g else None
@@ -398,24 +381,25 @@ def eta_bias_diagnostic(
         except CausalRulesError:
             n_failed += 1
             continue
-        table = _evaluate(ds, g_model, q_model)
-        G_weights = _weight_scale(table.G, g_model, truncate_weights)
+        results = _grid(
+            _evaluate(ds, g_model, q_model), [(f, t, estimator, "psi") for f, t in cells],
+            g_model, alpha=alpha, empty_set_policy=empty_set_policy,
+            truncate_weights=truncate_weights,
+        )
         for c in cells:
-            rule = rules[c]
-            try:
-                est = psi_from_arrays(estimator, rule, table, G_weights)
-                estimates[c].append(est.psi)
-            except CausalRulesError:
+            est = results[(*c, estimator, "psi")]
+            if isinstance(est, CausalRulesError):
                 continue
-            if member_fit is not None and rule.family in ("realistic", "itt") and alpha > 0.0:
+            estimates[c].append(est.psi)
+            if member_fit is not None and est.rule.family in ("realistic", "itt") and alpha > 0.0:
                 try:
                     drifts[c].append(
-                        _true_psi(gen.w_probs, g_support, q_support, rule, member_fit)
+                        _true_psi(gen.w_probs, g_support, q_support, est.rule, member_fit)
                     )
                 except CausalRulesError:
                     pass
         # Free this replicate's arrays before the next one draws and fits.
-        del ds, table, G_weights
+        del ds
 
     _check_failures(n_failed, replicates, "diagnostic")
 

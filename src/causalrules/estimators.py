@@ -248,15 +248,7 @@ class EstimateDiagnostics:
     weight_mean: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "score_residual": self.score_residual,
-            "n_weighted": self.n_weighted,
-            "weight_min": self.weight_min,
-            "weight_max": self.weight_max,
-            "weight_mean": self.weight_mean,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -296,19 +288,7 @@ class RelativeRiskEstimate:
     epsilons: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "family": self.family,
-            "target": self.target,
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "psi_numerator": self.psi_numerator,
-            "psi_denominator": self.psi_denominator,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "score_residual": self.score_residual,
-            "epsilons": list(self.epsilons),
-        }
+        return {**vars(self), "epsilons": list(self.epsilons)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +296,12 @@ class RelativeRiskEstimate:
 
 
 def _check_models(estimator: str, rule: Rule, G, M) -> None:
-    if estimator != "iptw" and M is None:
+    need_g, need_q = _needs((estimator,), (rule.family,), rule.alpha)
+    if need_q and M is None:
         raise ValidationError(f"{estimator} needs a fitted outcome model")
-    if estimator != "gcomp" and G is None:
-        raise ValidationError(f"{estimator} needs a fitted treatment model")
-    if G is None and rule.family != "static" and rule.alpha > 0.0:
+    if need_g and G is None:
+        if estimator != "gcomp":
+            raise ValidationError(f"{estimator} needs a fitted treatment model")
         raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
 
 
@@ -409,10 +390,8 @@ def estimate_psi(
     Only the models the estimator needs are evaluated: G-computation
     under a static rule (or at ``alpha == 0``) never touches ``g_model``.
     """
-    needs_g = estimator != "gcomp" or (rule.family != "static" and rule.alpha > 0.0)
-    table = _evaluate(
-        dataset, g_model if needs_g else None, None if estimator == "iptw" else q_model
-    )
+    need_g, need_q = _needs((estimator,), (rule.family,), rule.alpha)
+    table = _evaluate(dataset, g_model if need_g else None, q_model if need_q else None)
     return psi_from_arrays(
         estimator, rule, table, _weight_scale(table.G, g_model, truncate_weights)
     )
@@ -684,6 +663,85 @@ def tmle_relative_risk(
 # The full estimation grid
 
 
+def _needs(estimators, families, alpha: float) -> tuple[bool, bool]:
+    """The nuisance models ``(g, Q)`` that cells of these estimators and
+    rule families need.  Every estimator but G-computation weights by
+    ``g`` and every one but IPTW reads ``Q``; realistic and ITT rules
+    with ``alpha > 0`` need ``g`` for their feasibility sets."""
+    need_g = any(e != "gcomp" for e in estimators) or (
+        alpha > 0.0 and any(f != "static" for f in families)
+    )
+    return need_g, any(e != "iptw" for e in estimators)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _grid(
+    table: _Patterns,
+    labels,
+    g_model: TreatmentModel | None,
+    *,
+    alpha: float,
+    empty_set_policy: str = "error",
+    truncate_weights: bool | dict = True,
+    itt_covariate: str = "delta",
+    rr_max_iter: int = 50,
+) -> dict:
+    """Each requested ``(family, target, estimator, "psi" | "rr")`` label's
+    estimate on a pattern table, or the package error it raised.
+
+    Each psi is computed at most once, also when a plug-in relative risk
+    reads it.  TMLE targets its relative risk directly; the other
+    estimators take the plug-in ratio.  ``truncate_weights`` may be a
+    bool or a mapping from estimator name to bool.
+    """
+    if not isinstance(truncate_weights, dict):
+        truncate_weights = dict.fromkeys(ESTIMATORS, truncate_weights)
+    G_trunc = _weight_scale(table.G, g_model, True)
+    weights = {e: G_trunc if truncate_weights.get(e, True) else table.G for e in ESTIMATORS}
+    out: dict = {}
+    # A kept error drops its traceback: the traceback's frames hold the
+    # table, which would then live on in a reference cycle.
+
+    def psi(family: str, target: int, est: str):
+        label = (family, target, est, "psi")
+        if label not in out:
+            try:
+                rule = Rule(
+                    family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy
+                )
+                out[label] = psi_from_arrays(est, rule, table, weights.get(est))
+            except CausalRulesError as exc:
+                out[label] = exc.with_traceback(None)
+        return out[label]
+
+    for family, target, est, kind in labels:
+        if kind == "psi":
+            psi(family, target, est)
+            continue
+        try:
+            if target == 0:
+                raise ValidationError("relative-risk target must differ from the reference level 0")
+            if est == "tmle":
+                rr = rr_tmle_from_arrays(
+                    family, target, table, weights[est], alpha=alpha,
+                    empty_set_policy=empty_set_policy, itt_covariate=itt_covariate,
+                    max_iter=rr_max_iter,
+                )
+            else:
+                num, den = psi(family, target, est), psi(family, 0, est)
+                for part, value in (("numerator", num), ("denominator", den)):
+                    if isinstance(value, CausalRulesError):
+                        raise EstimationError(f"{part} failed: {_describe(value)}")
+                rr = relative_risk_plugin(num, den)
+        except CausalRulesError as exc:
+            rr = exc.with_traceback(None)
+        out[(family, target, est, kind)] = rr
+    return {label: out[label] for label in labels}
+
+
 @dataclass
 class SuiteCell:
     """One (family, target, estimator) cell of the estimation grid."""
@@ -696,20 +754,16 @@ class SuiteCell:
     rr: RelativeRiskEstimate | None = None
     rr_error: str | None = None
     psi_interval: "IntervalEstimate | None" = None
+    psi_interval_error: str | None = None
     rr_interval: "IntervalEstimate | None" = None
+    rr_interval_error: str | None = None
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "family": self.family,
-            "target": self.target,
-            "estimator": self.estimator,
-            "psi": self.psi.to_dict() if self.psi else None,
-            "psi_error": self.psi_error,
-            "rr": self.rr.to_dict() if self.rr else None,
-            "rr_error": self.rr_error,
-        }
-        d["psi_interval"] = self.psi_interval.to_dict() if self.psi_interval else None
-        d["rr_interval"] = self.rr_interval.to_dict() if self.rr_interval else None
+        d: dict = {"family": self.family, "target": self.target, "estimator": self.estimator}
+        for name in ("psi", "rr", "psi_interval", "rr_interval"):
+            value = getattr(self, name)
+            d[name] = value.to_dict() if value else None
+            d[f"{name}_error"] = getattr(self, f"{name}_error")
         return d
 
 
@@ -805,60 +859,23 @@ def estimate_suite(
     for est in estimators:
         if est not in ESTIMATORS:
             raise ValidationError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
-    if isinstance(truncate_weights, dict):
-        trunc_for = {e: bool(truncate_weights.get(e, True)) for e in ESTIMATORS}
-    else:
-        trunc_for = {e: bool(truncate_weights) for e in ESTIMATORS}
-
     table = _evaluate(dataset, g_model, q_model)
-    G = table.G
-    G_trunc = _weight_scale(G, g_model, True)
-    cells: list[SuiteCell] = []
-    for family in families:
-        for est in estimators:
-            G_weights = G_trunc if trunc_for[est] else G
-            psi_by_target: dict[int, CounterfactualEstimate | None] = {}
-            err_by_target: dict[int, str | None] = {}
-            grid_targets = sorted(set(targets) | {0})
-            for target in grid_targets:
-                rule = Rule(
-                    family=family, target=target, alpha=alpha,
-                    empty_set_policy=empty_set_policy,
-                )
-                try:
-                    psi_by_target[target] = psi_from_arrays(est, rule, table, G_weights)
-                    err_by_target[target] = None
-                except CausalRulesError as exc:
-                    psi_by_target[target] = None
-                    err_by_target[target] = f"{type(exc).__name__}: {exc}"
-            for target in targets:
-                cell = SuiteCell(
-                    family=family, target=target, estimator=est,
-                    psi=psi_by_target[target], psi_error=err_by_target[target],
-                )
-                if target != 0:
-                    try:
-                        if est == "tmle":
-                            cell.rr = rr_tmle_from_arrays(
-                                family, target, table, G_weights,
-                                alpha=alpha, empty_set_policy=empty_set_policy,
-                                itt_covariate=itt_covariate, max_iter=rr_max_iter,
-                            )
-                        else:
-                            num = psi_by_target[target]
-                            den = psi_by_target[0]
-                            if num is None:
-                                raise EstimationError(
-                                    f"numerator failed: {err_by_target[target]}"
-                                )
-                            if den is None:
-                                raise EstimationError(
-                                    f"denominator failed: {err_by_target[0]}"
-                                )
-                            cell.rr = relative_risk_plugin(num, den)
-                    except CausalRulesError as exc:
-                        cell.rr_error = f"{type(exc).__name__}: {exc}"
-                cells.append(cell)
+    cells = [SuiteCell(f, t, e) for f in families for e in estimators for t in targets]
+    results = _grid(
+        table,
+        [(c.family, c.target, c.estimator, kind) for c in cells for kind in ("psi", "rr")
+         if kind == "psi" or c.target != 0],
+        g_model, alpha=alpha, empty_set_policy=empty_set_policy,
+        truncate_weights=truncate_weights, itt_covariate=itt_covariate,
+        rr_max_iter=rr_max_iter,
+    )
+    for cell in cells:
+        for kind in ("psi", "rr"):
+            value = results.get((cell.family, cell.target, cell.estimator, kind))
+            if isinstance(value, CausalRulesError):
+                setattr(cell, f"{kind}_error", _describe(value))
+            elif value is not None:
+                setattr(cell, kind, value)
     metadata = {"n": dataset.n, "alpha": alpha}
     if g_model is not None:
         metadata.update(
@@ -867,7 +884,7 @@ def estimate_suite(
                 "g_converged": g_model.info.converged,
                 "g_structural_zeros": [[l, f] for l, f in g_model.structural_zeros],
                 "g_truncated_cells": int(
-                    table.trials @ np.count_nonzero(G < g_model.alpha_trunc, axis=1)
+                    table.trials @ np.count_nonzero(table.G < g_model.alpha_trunc, axis=1)
                 ),
             }
         )

@@ -1,10 +1,10 @@
 """Nonparametric bootstrap confidence intervals.
 
 The resampling unit is the subject: each replicate draws n rows with
-replacement, refits both nuisance models on the replicate, and
-recomputes the requested statistics.  Replicates are seeded from
-independent spawned streams of one root seed, so results are
-reproducible and independent of evaluation order.  Replicates that fail
+replacement, refits the models the requested cells need on the
+replicate, and recomputes the requested statistics.  Replicates are
+seeded from independent spawned streams of one root seed, so results
+are reproducible and independent of evaluation order.  Replicates that fail
 (separation on a resample, infeasible rule, ...) are dropped and
 counted; more than 1% dropped warns, more than 10% raises.
 
@@ -17,7 +17,7 @@ standard deviation.  The quantile comes from the standard library's
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -26,13 +26,12 @@ from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import (
     EstimateReport,
     NuisanceSpec,
+    RelativeRiskEstimate,
     Rule,
+    _describe,
     _evaluate,
-    _weight_scale,
-    estimate_suite,
-    psi_from_arrays,
-    relative_risk_plugin,
-    rr_tmle_from_arrays,
+    _grid,
+    _needs,
 )
 from .ingest import Dataset
 
@@ -75,16 +74,7 @@ class IntervalEstimate:
     point_within: bool
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "lower": self.lower,
-            "upper": self.upper,
-            "level": self.level,
-            "method": self.method,
-            "b_effective": self.b_effective,
-            "n_failed": self.n_failed,
-            "point_within": self.point_within,
-        }
+        return dict(vars(self))
 
 
 def seeded_resample(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,6 +175,40 @@ def bootstrap_statistics(
     return out
 
 
+def _number(result):
+    """A grid result's psi or theta, or the error it raised."""
+    if isinstance(result, CausalRulesError):
+        return result
+    return result.theta if isinstance(result, RelativeRiskEstimate) else result.psi
+
+
+def _refit_grid(dataset: Dataset, spec: NuisanceSpec, labels: list, settings: dict) -> list:
+    """Each grid label's psi or theta on ``dataset`` (``estimators._grid``
+    under ``settings``), or the error it raised, after refitting from
+    ``spec`` only the models the labels need (``estimators._needs``)."""
+    estimators, families = {lab[2] for lab in labels}, {lab[0] for lab in labels}
+    need_g, need_q = _needs(estimators, families, settings["alpha"])
+    g_model = spec.fit_g(dataset) if need_g else None
+    q_model = spec.fit_q(dataset) if need_q else None
+    results = _grid(_evaluate(dataset, g_model, q_model), labels, g_model, **settings)
+    return [_number(results[lab]) for lab in labels]
+
+
+def _grid_replicates(
+    dataset: Dataset, spec: NuisanceSpec, labels: list, config: BootstrapConfig, settings: dict
+) -> np.ndarray:
+    """(replicates, labels) matrix of the labels' bootstrap values; a label
+    that failed on a replicate reads NaN there."""
+
+    def values(ds: Dataset) -> list:
+        return [
+            np.nan if isinstance(v, CausalRulesError) else v
+            for v in _refit_grid(ds, spec, labels, settings)
+        ]
+
+    return bootstrap_statistics(dataset, values, config, n_stats=len(labels))
+
+
 def bootstrap_ci(
     dataset: Dataset,
     spec: NuisanceSpec,
@@ -209,29 +233,13 @@ def bootstrap_ci(
     if parameter not in ("psi", "rr"):
         raise ValidationError("parameter must be 'psi' or 'rr'")
 
-    need_g = estimator != "gcomp" or (rule.family != "static" and rule.alpha > 0.0)
-    need_q = estimator != "iptw"
-
-    def compute(ds: Dataset) -> np.ndarray:
-        g_model = spec.fit_g(ds) if need_g else None
-        q_model = spec.fit_q(ds) if need_q else None
-        table = _evaluate(ds, g_model, q_model)
-        arrays = (table, _weight_scale(table.G, g_model, truncate_weights))
-        if parameter == "psi":
-            return np.array([psi_from_arrays(estimator, rule, *arrays).psi])
-        if estimator == "tmle":
-            rr = rr_tmle_from_arrays(
-                rule.family, rule.target, *arrays,
-                alpha=rule.alpha, empty_set_policy=rule.empty_set_policy,
-                itt_covariate=itt_covariate,
-            )
-            return np.array([rr.theta])
-        num = psi_from_arrays(estimator, rule, *arrays)
-        den = psi_from_arrays(estimator, replace(rule, target=0), *arrays)
-        return np.array([relative_risk_plugin(num, den).theta])
-
-    point = float(compute(dataset)[0])
-    reps = bootstrap_statistics(dataset, compute, config, n_stats=1)
+    labels = [(rule.family, rule.target, estimator, parameter)]
+    settings = dict(alpha=rule.alpha, empty_set_policy=rule.empty_set_policy,
+                    truncate_weights=truncate_weights, itt_covariate=itt_covariate)
+    (point,) = _refit_grid(dataset, spec, labels, settings)
+    if isinstance(point, CausalRulesError):
+        raise point
+    reps = _grid_replicates(dataset, spec, labels, config, settings)
     return interval_from_replicates(reps[:, 0], point, config.level, config.interval)
 
 
@@ -250,51 +258,28 @@ def attach_bootstrap_intervals(
     One resample and one nuisance refit serve the whole grid per
     replicate, so the intervals across cells are computed from the same
     replicate datasets (and cells that coincide, such as static versus
-    realistic at alpha 0, get identical intervals).
+    realistic at alpha 0, get identical intervals).  A cell with no
+    finite replicate gets no interval; its ``psi_interval_error`` or
+    ``rr_interval_error`` records why, and the other cells keep theirs.
     """
-    labels: list[tuple[str, int, str, str]] = []
-    for cell in report.cells:
-        if cell.psi is not None:
-            labels.append((cell.family, cell.target, cell.estimator, "psi"))
-        if cell.rr is not None:
-            labels.append((cell.family, cell.target, cell.estimator, "rr"))
-    if not labels:
+    found = [(cell, kind) for cell in report.cells for kind in ("psi", "rr")
+             if getattr(cell, kind) is not None]
+    if not found:
         return report
-    index = {lab: j for j, lab in enumerate(labels)}
-
-    def compute(ds: Dataset) -> np.ndarray:
-        g_model = spec.fit_g(ds)
-        q_model = spec.fit_q(ds)
-        rep = estimate_suite(
-            ds, g_model, q_model,
-            families=report.families, targets=report.targets,
-            estimators=report.estimators, alpha=report.alpha,
-            empty_set_policy=empty_set_policy,
-            truncate_weights=truncate_weights,
-            itt_covariate=itt_covariate,
-        )
-        values = np.full(len(labels), np.nan)
-        for cell in rep.cells:
-            j = index.get((cell.family, cell.target, cell.estimator, "psi"))
-            if j is not None and cell.psi is not None:
-                values[j] = cell.psi.psi
-            j = index.get((cell.family, cell.target, cell.estimator, "rr"))
-            if j is not None and cell.rr is not None:
-                values[j] = cell.rr.theta
-        return values
-
-    reps = bootstrap_statistics(dataset, compute, config, n_stats=len(labels))
-    for cell in report.cells:
-        if cell.psi is not None:
-            j = index[(cell.family, cell.target, cell.estimator, "psi")]
-            cell.psi_interval = interval_from_replicates(
-                reps[:, j], cell.psi.psi, config.level, config.interval
+    reps = _grid_replicates(
+        dataset, spec, [(c.family, c.target, c.estimator, kind) for c, kind in found], config,
+        dict(alpha=report.alpha, empty_set_policy=empty_set_policy,
+             truncate_weights=truncate_weights, itt_covariate=itt_covariate),
+    )
+    for j, (cell, kind) in enumerate(found):
+        try:
+            interval = interval_from_replicates(
+                reps[:, j], _number(getattr(cell, kind)), config.level, config.interval
             )
-        if cell.rr is not None:
-            j = index[(cell.family, cell.target, cell.estimator, "rr")]
-            cell.rr_interval = interval_from_replicates(
-                reps[:, j], cell.rr.theta, config.level, config.interval
-            )
+        except EstimationError as exc:
+            setattr(cell, f"{kind}_interval_error", _describe(exc))
+        else:
+            setattr(cell, f"{kind}_interval", interval)
     report.metadata["bootstrap"] = {
         "replicates": config.replicates,
         "seed": config.seed,

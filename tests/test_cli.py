@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -152,17 +153,20 @@ def test_config_rejects_booleans_as_numbers(tmp_path, sim_csv, capsys, field, cf
     (["simulate", "--dgp", "no_violation", "--n", "20", "--seed", "-1"], None,
      "--seed must be a non-negative integer"),
     (["estimate"], {"n_treatment_levels": 1}, "n_treatment_levels must be at least 2"),
+    (["fit", "--n-treatment-levels", "1"], None, "n_treatment_levels must be at least 2"),
+    (["fit", "--n-treatment-levels", "0"], None, "n_treatment_levels must be at least 2"),
 ])
 def test_bad_seeds_and_level_counts_are_usage_errors(tmp_path, sim_csv, capsys,
                                                      argv, cfg, message):
     """A negative seed used to end in numpy's traceback, and a single
-    treatment level in a data error about a row of the CSV."""
+    treatment level (also in ``fit``) in a data error about a row of the
+    CSV."""
     out = tmp_path / "out"
-    if argv[0] == "simulate":
+    if argv[0] in ("simulate", "fit"):
         argv = argv + ["--output", str(out)]
     else:
         argv = argv + ["--output-dir", str(out)]
-    if argv[0] == "estimate":
+    if argv[0] in ("estimate", "fit"):
         argv += ["--input", str(sim_csv)]
     if cfg is not None:
         (tmp_path / "run.json").write_text(json.dumps(cfg))
@@ -351,3 +355,62 @@ def test_the_cli_runs_without_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     report = json.loads((tmp_path / "est" / "estimates.json").read_text())
     assert report["cells"][0]["psi_interval"]["method"] == "normal"
+
+
+def _install_step_lines() -> list[str]:
+    """The shell lines of the workflow step that installs the package alone."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "Install the package alone" in line)
+    run = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run + 1]) - len(lines[run + 1].lstrip())
+    step = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        step.append(line.strip())
+    return step
+
+
+def test_the_workflow_install_step_commands_succeed(tmp_path, monkeypatch, capsys):
+    """Replays every ``causal-rules`` line of the workflow's install step, in
+    order, with the files its ``echo ... > FILE`` lines write."""
+    monkeypatch.chdir(tmp_path)
+    replayed = 0
+    for line in _install_step_lines():
+        words = shlex.split(line)
+        if words[:1] == ["echo"] and words[-2:-1] == [">"]:
+            Path(words[-1]).write_text(" ".join(words[1:-2]) + "\n")
+        elif words[:1] == ["causal-rules"]:
+            assert main(words[1:]) == 0, (line, capsys.readouterr().err)
+            replayed += 1
+    assert replayed >= 8
+
+
+def test_a_cell_without_finite_replicates_records_its_interval_error(tmp_path):
+    """On this sample realistic target 0 is infeasible for a few rows of both
+    resamples, so no realistic relative risk has a finite replicate; the
+    run still writes every other interval, unchanged."""
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--dgp", "cohort", "--n", "2000", "--seed", "1",
+                 "--output", str(data)]) == 0
+    cells = {}
+    for families in ("static,realistic,itt", "static,itt"):
+        out = tmp_path / families
+        assert main(["estimate", "--input", str(data), "--output-dir", str(out),
+                     "--bootstrap-replicates", "2", "--families", families]) == 0
+        cells[families] = {
+            (c["family"], c["target"], c["estimator"]): c
+            for c in json.loads((out / "estimates.json").read_text())["cells"]
+        }
+    full, without_realistic = cells.values()
+    for key, cell in full.items():
+        for kind in ("psi", "rr"):
+            interval, error = cell[f"{kind}_interval"], cell[f"{kind}_interval_error"]
+            if key[0] == "realistic" and kind == "rr":
+                assert interval is None
+                assert error == "EstimationError: no successful bootstrap replicates"
+                continue
+            assert error is None and interval["b_effective"] + interval["n_failed"] == 2
+            if key[0] != "realistic":
+                assert interval == without_realistic[key][f"{kind}_interval"]

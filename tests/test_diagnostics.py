@@ -379,3 +379,18 @@ def test_model_covariates_must_live_on_support():
     )
     with pytest.raises(ValidationError, match="MISSING"):
         gen.support_g_raw()
+
+
+def test_eta_bias_computes_only_the_psi_of_its_cells(monkeypatch, gen_nv):
+    """The diagnostic asks the grid engine for psi cells only: TMLE cells
+    never run the relative-risk targeting."""
+    import causalrules.estimators as est_module
+
+    calls = []
+    original = est_module.rr_tmle_from_arrays
+    monkeypatch.setattr(est_module, "rr_tmle_from_arrays",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    report = eta_bias_diagnostic(gen_nv, estimator="tmle", targets=(0, 2), replicates=2,
+                                 n_sim=400)
+    assert calls == []
+    assert all(e.n_effective == 2 for e in report.entries)

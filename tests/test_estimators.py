@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from causalrules.estimators import (
     ESTIMATORS,
     EstimateDiagnostics,
     _evaluate,
+    _grid,
     _Patterns,
     _weight_scale,
     psi_from_arrays,
@@ -626,3 +629,25 @@ def test_tmle_cells_solve_their_score_equations(gen, n, seed, alpha, itt_covaria
             assert c.rr_error.split(":")[0] in _TYPED_ERRORS, c.rr_error
         else:
             assert abs(c.rr.score_residual) <= 1e-8, c
+
+
+def test_grid_errors_keep_no_pattern_table_alive(data_nv, models_nv):
+    """A failed cell keeps its error, but not the error's traceback, whose
+    frames hold the pattern table: in a replicate loop every replicate's
+    table would otherwise outlive it, until the cyclic collector ran."""
+    g_model, q_model = models_nv
+    gc.disable()
+    try:
+        table = _evaluate(data_nv, g_model, q_model)
+        alive = weakref.ref(table)
+        results = _grid(
+            table,
+            [("realistic", 2, "gcomp", "psi"), ("realistic", 2, "gcomp", "rr"),
+             ("realistic", 2, "tmle", "rr"), ("static", 0, "iptw", "rr")],
+            g_model, alpha=0.9,
+        )
+        del table
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert all(isinstance(r, CausalRulesError) for r in results.values()), results

@@ -214,3 +214,57 @@ def test_attach_bootstrap_intervals_shares_replicates(data_nv, models_nv):
     assert s.psi_interval.lower == r.psi_interval.lower
     assert s.psi_interval.upper == r.psi_interval.upper
     assert report.metadata["bootstrap"]["replicates"] == 25
+
+
+def test_bootstrap_ci_equals_the_grid_interval_of_every_cell(data_nv):
+    """``bootstrap_ci`` and ``attach_bootstrap_intervals`` share one replicate
+    engine, so on the same draws every psi and RR interval is identical."""
+    spec = NuisanceSpec()
+    cfg = BootstrapConfig(replicates=4, seed=3, level=0.9)
+    report = estimate_suite(data_nv, spec.fit_g(data_nv), spec.fit_q(data_nv),
+                            targets=(1, 2), alpha=0.1)
+    attach_bootstrap_intervals(report, data_nv, spec, cfg)
+    assert len(report.cells) == 3 * 2 * 4
+    for cell in report.cells:
+        rule = Rule(family=cell.family, target=cell.target, alpha=0.1)
+        for parameter in ("psi", "rr"):
+            ci = bootstrap_ci(data_nv, spec, rule, cell.estimator, cfg, parameter=parameter)
+            assert ci == getattr(cell, f"{parameter}_interval"), (cell, parameter)
+
+
+@pytest.mark.parametrize("estimators, families, unused", [
+    (("gcomp",), ("static",), "fit_treatment_model"),
+    (("iptw",), ("static", "realistic", "itt"), "fit_outcome_model"),
+])
+def test_grid_replicates_fit_only_the_models_their_cells_need(
+    monkeypatch, data_nv, models_nv, estimators, families, unused
+):
+    """G-computation under static rules never fits g and IPTW never fits Q,
+    also when a replicate serves a whole report."""
+    import causalrules.estimators as est_module
+
+    g_model, q_model = models_nv
+    report = estimate_suite(data_nv, g_model, q_model, families=families,
+                            targets=(2,), estimators=estimators)
+    calls = []
+    original = getattr(est_module, unused)
+    monkeypatch.setattr(est_module, unused, lambda *a, **k: calls.append(1) or original(*a, **k))
+    attach_bootstrap_intervals(report, data_nv, NuisanceSpec(), BootstrapConfig(replicates=3))
+    assert calls == []
+    assert all(c.psi_interval.b_effective == 3 for c in report.cells)
+
+
+@pytest.mark.parametrize("estimator", ["gcomp", "iptw", "driptw", "tmle"])
+def test_rr_interval_at_target_zero_is_rejected_before_any_replicate(
+    monkeypatch, data_nv, estimator
+):
+    """G-computation used to refit B times and return [1, 1]; TMLE raised."""
+    import causalrules.inference as inference
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(inference, "bootstrap_statistics", no_replicates)
+    with pytest.raises(ValidationError, match="must differ from the reference level 0"):
+        bootstrap_ci(data_nv, NuisanceSpec(), Rule(family="static", target=0), estimator,
+                     BootstrapConfig(replicates=3), parameter="rr")

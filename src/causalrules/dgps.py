@@ -22,7 +22,7 @@ from .diagnostics import (
     bernoulli_support,
 )
 from .errors import ValidationError
-from .glm import INTERCEPT_NAME, FitInfo, OutcomeDesign, OutcomeModel, TreatmentModel
+from .glm import INTERCEPT_NAME, FitInfo, OutcomeDesign, OutcomeModel, TreatmentModel, _columns_for
 from .ingest import DEFAULT_COVARIATES
 
 _EXACT = FitInfo(converged=True, iterations=0, grad_norm=0.0, loglik=0.0)
@@ -297,8 +297,7 @@ def cohort_dgp(alpha_trunc: float = 0.05) -> GeneratingDistribution:
     """
     support, probs, names = bernoulli_block_support(_COHORT_BLOCKS)
     # Reorder into the canonical schema order.
-    order = [names.index(c) for c in DEFAULT_COVARIATES]
-    support = support[:, order]
+    support = _columns_for(support, names, DEFAULT_COVARIATES)
     names = DEFAULT_COVARIATES
 
     with np.errstate(divide="ignore"):

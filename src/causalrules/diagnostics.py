@@ -13,15 +13,17 @@ than confounding.
 
 Generation always uses the raw (untruncated) treatment probabilities.
 Every draw lands on one of the support cells, so generation reads ``g``
-and ``Q`` off the support, where they are evaluated once per system,
-instead of predicting them on the drawn rows.  It also hands each
-generated dataset its grouping into distinct covariate rows, read off
-the support's own grouping: a replicate's fits and estimators share
-that grouping, and its rows are never grouped.
+and ``Q`` off the support, where they are evaluated once per system by
+the package's one evaluation entry (``glm._evaluate_models``), instead
+of predicting them on the drawn rows.  It also hands each generated
+dataset its grouping into distinct covariate rows, read off the
+support's own grouping: a replicate's fits and estimators share that
+grouping, and its rows are never grouped.
 
 By default each replicate refits g — the feasibility sets are part of
 the estimator — and the drift of the replicate-specific estimand (the
-truth under the refit feasibility sets) is recorded alongside.
+truth under the refit feasibility sets, with the refit g evaluated on
+the support through the same entry) is recorded alongside.
 """
 
 from __future__ import annotations
@@ -33,26 +35,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CausalRulesError, EstimationError, ValidationError
-from .estimators import NuisanceSpec, _evaluate, _grid, _needs
-from .glm import OutcomeModel, TreatmentModel
+from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
+from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_failures, replicate_streams
 from .ingest import Dataset, _distinct_codes, _distinct_rows
 from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
-
-
-def _columns_for(
-    w: np.ndarray, have: tuple[str, ...], want: tuple[str, ...]
-) -> np.ndarray:
-    """Reorder/subset covariate columns from ``have`` order to ``want`` order."""
-    if tuple(have) == tuple(want):
-        return w
-    missing = [c for c in want if c not in have]
-    if missing:
-        raise ValidationError(f"model covariates not in generating support: {missing}")
-    idx = [have.index(c) for c in want]
-    return w[:, idx] if idx else np.zeros((w.shape[0], 0), dtype=w.dtype)
 
 
 @dataclass(frozen=True)
@@ -104,27 +93,19 @@ class GeneratingDistribution:
 
         Evaluated once per system; the returned array is read-only.
         """
-        return self._support_g_raw
+        return self._support_models[0]
 
     def support_q(self) -> np.ndarray:
         """(m, K) outcome probabilities on the support rows.
 
         Evaluated once per system; the returned array is read-only.
         """
-        return self._support_q
+        return self._support_models[1]
 
     @cached_property
-    def _support_g_raw(self) -> np.ndarray:
-        w_g = _columns_for(self.w_support, self.covariate_names, self.g_model.covariate_names)
-        return _read_only(self.g_model.predict_raw(w_g))
-
-    @cached_property
-    def _support_q(self) -> np.ndarray:
-        w_q = _columns_for(
-            self.w_support, self.covariate_names, self.q_model.design.covariate_names
-        )
-        k = self.n_treatment_levels
-        return _read_only(np.column_stack([self.q_model.predict(a, w_q) for a in range(k)]))
+    def _support_models(self) -> tuple[np.ndarray, np.ndarray]:
+        G, M = _evaluate_models(self.w_support, self.covariate_names, self.g_model, self.q_model)
+        return _read_only(G), _read_only(_expit(M))
 
     @cached_property
     def _support_groups(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,25 +170,6 @@ def generate(
     )
 
 
-def _true_psi(
-    w_probs: np.ndarray,
-    g_raw: np.ndarray,
-    q_all: np.ndarray,
-    rule: Rule,
-    member: np.ndarray | None = None,
-) -> float:
-    """:func:`true_psi` from the support's evaluated ``g`` and ``Q``."""
-    m, k = q_all.shape
-    # Observed levels are not defined on the support; ITT rows off the
-    # target take the g-weighted average of Q below instead.
-    member, assigned = assign(rule, g_raw, np.zeros(m, dtype=np.int64), k, member)
-    values = q_all[np.arange(m), assigned]
-    if rule.family == "itt":
-        q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
-        values = np.where(member[:, rule.target], values, q_bar)
-    return float(np.dot(w_probs, values))
-
-
 def true_psi(
     gen: GeneratingDistribution,
     rule: Rule,
@@ -220,7 +182,16 @@ def true_psi(
     over levels.  ``member`` overrides the feasibility matrix on the
     support rows (used to evaluate estimand drift under refit g).
     """
-    return _true_psi(gen.w_probs, gen.support_g_raw(), gen.support_q(), rule, member)
+    g_raw, q_all = gen.support_g_raw(), gen.support_q()
+    m, k = q_all.shape
+    # Observed levels are not defined on the support; ITT rows off the
+    # target take the g-weighted average of Q below instead.
+    member, assigned = assign(rule, g_raw, np.zeros(m, dtype=np.int64), k, member)
+    values = q_all[np.arange(m), assigned]
+    if rule.family == "itt":
+        q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
+        values = np.where(member[:, rule.target], values, q_bar)
+    return float(np.dot(gen.w_probs, values))
 
 
 def true_relative_risk(
@@ -231,10 +202,9 @@ def true_relative_risk(
     empty_set_policy: str = "error",
 ) -> float:
     """Exact theta = psi_target / psi_0 under the generating system."""
-    g_raw, q_all = gen.support_g_raw(), gen.support_q()
     num, den = (
-        _true_psi(gen.w_probs, g_raw, q_all, Rule(family=family, target=t, alpha=alpha,
-                                                  empty_set_policy=empty_set_policy))
+        true_psi(gen, Rule(family=family, target=t, alpha=alpha,
+                           empty_set_policy=empty_set_policy))
         for t in (target, 0)
     )
     if abs(den) < 1e-12:
@@ -344,6 +314,7 @@ def eta_bias_diagnostic(
     dropped and counted; more than 10% failing raises, more than 1%
     warns.
     """
+    _check_estimators((estimator,))
     if targets is None:
         targets = tuple(range(gen.n_treatment_levels))
     if n_sim is None:
@@ -357,12 +328,9 @@ def eta_bias_diagnostic(
     need_g, need_q = _needs((estimator,), families, alpha)
 
     cells = [(f, t) for f in families for t in targets]
-    rules = {
-        (f, t): Rule(family=f, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
-        for f, t in cells
+    truth = {
+        c: true_psi(gen, Rule(*c, alpha=alpha, empty_set_policy=empty_set_policy)) for c in cells
     }
-    g_support, q_support = gen.support_g_raw(), gen.support_q()
-    truth = {c: _true_psi(gen.w_probs, g_support, q_support, rules[c]) for c in cells}
     estimates: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     drifts: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     n_failed = 0
@@ -374,10 +342,8 @@ def eta_bias_diagnostic(
             q_model = spec.fit_q(ds) if need_q else None
             member_fit = None
             if record_drift and g_model is not None:
-                w_g = _columns_for(
-                    gen.w_support, gen.covariate_names, g_model.covariate_names
-                )
-                member_fit = membership_matrix(g_model.predict_raw(w_g), alpha)
+                g_fit = _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
+                member_fit = membership_matrix(g_fit, alpha)
         except CausalRulesError:
             n_failed += 1
             continue
@@ -393,9 +359,7 @@ def eta_bias_diagnostic(
             estimates[c].append(est.psi)
             if member_fit is not None and est.rule.family in ("realistic", "itt") and alpha > 0.0:
                 try:
-                    drifts[c].append(
-                        _true_psi(gen.w_probs, g_support, q_support, est.rule, member_fit)
-                    )
+                    drifts[c].append(true_psi(gen, est.rule, member_fit))
                 except CausalRulesError:
                     pass
         # Free this replicate's arrays before the next one draws and fits.

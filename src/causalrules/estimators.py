@@ -43,6 +43,7 @@ weight denominators use the truncated ones unless
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -58,11 +59,11 @@ from .glm import (
     OutcomeDesign,
     OutcomeModel,
     TreatmentModel,
+    _evaluate_models,
     _expit,
     fit_fluctuation,
     fit_outcome_model,
     fit_treatment_model,
-    select_covariates,
 )
 from .ingest import Dataset, _distinct_codes
 from .rules import Rule, assign
@@ -144,18 +145,19 @@ class _Patterns:
     def assign(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility and assigned level of every pattern under ``rule``.
 
-        Computed once per rule; a rule that cannot be assigned raises
-        the same error on every call.
+        Computed once per rule; a rule that cannot be assigned raises a
+        copy of its kept error, which has no traceback: a raised error's
+        frames hold the table, which would then live on in a cycle.
         """
         hit = self._assignments.get(rule)
         if hit is None:
             try:
                 hit = assign(rule, self.G, self.a, self.k, inverse=self.inverse)
             except CausalRulesError as exc:
-                hit = exc
+                hit = exc.with_traceback(None)
             self._assignments[rule] = hit
         if isinstance(hit, CausalRulesError):
-            raise hit
+            raise copy.copy(hit)
         return hit
 
 
@@ -165,21 +167,17 @@ def _evaluate(
     """Group a dataset into (W, A) patterns and evaluate the models once.
 
     The W patterns are the dataset's own grouping, which the ``g`` and
-    ``Q`` fits read too.  ``G`` and ``M`` are predicted on the distinct W
-    rows only, then read off per pattern.  Every estimator runs on the
-    returned table.
+    ``Q`` fits read too.  ``G`` and ``M`` are evaluated on the distinct W
+    rows only (:func:`~causalrules.glm._evaluate_models`), then read off
+    per pattern.  Every estimator runs on the returned table.
     """
     k = dataset.n_treatment_levels
     w_first, w_index = dataset._w_groups()
     keys, inverse = _distinct_codes(w_index * k + dataset.a, w_first.size * k)
-    w_of = keys // k
-    G = M = None
-    if g_model is not None:
-        w_g = select_covariates(dataset, g_model.covariate_names)[w_first]
-        G = g_model.predict_raw(w_g)[w_of]
-    if q_model is not None:
-        w_q = select_covariates(dataset, q_model.design.covariate_names)[w_first]
-        M = np.column_stack([q_model.linear_predictor(l, w_q) for l in range(k)])[w_of]
+    G, M = (
+        None if x is None else x[keys // k]
+        for x in _evaluate_models(dataset.w[w_first], dataset.covariate_names, g_model, q_model)
+    )
     return _Patterns(
         a=keys % k,
         successes=np.bincount(inverse, weights=dataset.y),
@@ -207,6 +205,8 @@ def _clever_covariate(
     static and realistic rules, patterns with a feasible target for ITT
     rules (the others keep their observed level and outcome, with weight
     one).  ``level`` is one level or the per-pattern assigned levels.
+    ``eval_a`` and ``g_eval`` may stack several evaluation points, one
+    row each, over the patterns.
     """
     match = ruled & (eval_a == level)
     if np.any(g_eval[match] <= 0.0):
@@ -214,7 +214,7 @@ def _clever_covariate(
             "zero treatment probability on a matched row; cannot weight by 1/g "
             "(only possible with truncation disabled)"
         )
-    out = np.where(ruled, 0.0, 1.0)
+    out = np.where(np.broadcast_to(ruled, match.shape), 0.0, 1.0)
     out[match] = 1.0 / g_eval[match]
     return out
 
@@ -295,6 +295,12 @@ class RelativeRiskEstimate:
 # The four counterfactual-mean estimators
 
 
+def _check_estimators(estimators) -> None:
+    for est in estimators:
+        if est not in ESTIMATORS:
+            raise ValidationError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
+
+
 def _check_models(estimator: str, rule: Rule, G, M) -> None:
     need_g, need_q = _needs((estimator,), (rule.family,), rule.alpha)
     if need_q and M is None:
@@ -327,8 +333,7 @@ def psi_from_arrays(
     sum over patterns weighted by their trials, divided by
     ``n = sum(trials)``.
     """
-    if estimator not in ESTIMATORS:
-        raise ValidationError(f"unknown estimator {estimator!r}; expected one of {ESTIMATORS}")
+    _check_estimators((estimator,))
     M = table.M
     _check_models(estimator, rule, table.G, M)
     a, s, t, n = table.a, table.successes, table.trials, table.n
@@ -528,10 +533,11 @@ def rr_tmle_from_arrays(
     rows = np.arange(a.size)
     member, d_num = table.assign(rule_num)
     _, d_den = table.assign(rule_den)
-    g_obs = G_weights[rows, a]
-    m_obs, m_num, m_den = M[rows, a], M[rows, d_num], M[rows, d_den]
-    g_num, g_den = G_weights[rows, d_num], G_weights[rows, d_den]
-    if np.any(g_num <= 0.0) or np.any(g_den <= 0.0):
+    # The three points where the fluctuation is evaluated, one row each:
+    # the observed level, the numerator's and the denominator's assignment.
+    at = np.stack((a, d_num, d_den))
+    g_at, m_at = G_weights[rows, at], M[rows, at]
+    if np.any(g_at[1:] <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
 
     # Static and realistic rules move every row; ITT rules only the rows
@@ -539,69 +545,48 @@ def rr_tmle_from_arrays(
     itt = family == "itt"
     ruled_num = member[:, target] if itt else np.ones(a.size, dtype=bool)
     ruled_den = member[:, 0] if itt else ruled_num
-    ha_obs = _clever_covariate(ruled_num, a, d_num, g_obs)
-    h0_obs = _clever_covariate(ruled_den, a, d_den, g_obs)
-    ha_num = _clever_covariate(ruled_num, d_num, d_num, g_num)
-    h0_num = _clever_covariate(ruled_den, d_num, d_den, g_num)
-    ha_den = _clever_covariate(ruled_num, d_den, d_num, g_den)
-    h0_den = _clever_covariate(ruled_den, d_den, d_den, g_den)
+    h_num = _clever_covariate(ruled_num, at, d_num, g_at)
+    h_den = _clever_covariate(ruled_den, at, d_den, g_at)
     if itt and itt_covariate == "appendix":
         d_real_num, d_real_den = (
             table.assign(replace(rule, family="realistic"))[1] for rule in (rule_num, rule_den)
         )
 
-        def _appendix(eval_a, g_eval, theta, psi_num, psi_den):
+        def covariates(theta: float, psi_num: float, psi_den: float) -> np.ndarray:
             realistic_part = (
-                (eval_a == d_real_num).astype(float)
-                - theta * (eval_a == d_real_den).astype(float)
-            ) / (g_eval * psi_den)
+                (at == d_real_num).astype(float) - theta * (at == d_real_den).astype(float)
+            ) / (g_at * psi_den)
             const_part = 1.0 / psi_den - psi_num / psi_den**2
             return np.where(ruled_num, const_part, realistic_part)
 
-        def covariates(theta: float, psi_num: float, psi_den: float):
-            return tuple(
-                _appendix(eval_a, g_eval, theta, psi_num, psi_den)
-                for eval_a, g_eval in ((a, g_obs), (d_num, g_num), (d_den, g_den))
-            )
-
     else:
 
-        def covariates(theta: float, psi_num: float, psi_den: float):
-            h_obs = (ha_obs - theta * h0_obs) / psi_den
-            h_num = (ha_num - theta * h0_num) / psi_den
-            h_den = (ha_den - theta * h0_den) / psi_den
-            return h_obs, h_num, h_den
+        def covariates(theta: float, psi_num: float, psi_den: float) -> np.ndarray:
+            return (h_num - theta * h_den) / psi_den
 
     def plugins():
-        psi_num = table.mean(_expit(m_num))
-        psi_den = table.mean(_expit(m_den))
+        psi_num, psi_den = (table.mean(_expit(m)) for m in m_at[1:])
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
             )
-        return psi_num, psi_den
+        return psi_num / psi_den, psi_num, psi_den
 
     epsilons: list[float] = []
-    converged = False
     residual = np.inf
-    psi_num, psi_den = plugins()
-    theta = psi_num / psi_den
+    theta, psi_num, psi_den = plugins()
+    h = covariates(theta, psi_num, psi_den)
     for _ in range(max_iter):
-        h_obs, h_num, h_den = covariates(theta, psi_num, psi_den)
-        fluct = fit_fluctuation(s, h_obs, m_obs, trials=t)
-        eps = fluct.epsilon
+        eps = fit_fluctuation(s, h[0], m_at[0], trials=t).epsilon
         epsilons.append(eps)
-        m_obs = m_obs + eps * h_obs
-        m_num = m_num + eps * h_num
-        m_den = m_den + eps * h_den
-        psi_num, psi_den = plugins()
-        theta = psi_num / psi_den
-        h_obs, _, _ = covariates(theta, psi_num, psi_den)
-        residual = float(h_obs @ (s - t * _expit(m_obs))) / table.n
+        m_at = m_at + eps * h
+        theta, psi_num, psi_den = plugins()
+        # The covariate at the new estimates serves the residual and the next step.
+        h = covariates(theta, psi_num, psi_den)
+        residual = float(h[0] @ (s - t * _expit(m_at[0]))) / table.n
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"relative-risk targeting did not converge in {max_iter} iterations "
             f"(last epsilon {epsilons[-1]:.3e}, residual {residual:.3e})",
@@ -796,7 +781,8 @@ class EstimateReport:
 
     def rr_table(self) -> tuple[list[str], list[list[str]]]:
         """Relative-risk table: one row per (family, target >= 1), one
-        column per estimator, cells formatted ``est (lo, hi)``."""
+        column per estimator, cells formatted ``est (lo, hi)``, or
+        ``est (no interval)`` where the bootstrap gave that cell none."""
         header = ["family", "target"] + [ESTIMATOR_LABELS.get(e, e) for e in self.estimators]
         rows = []
         for family in self.families:
@@ -825,6 +811,8 @@ def _format_rr_cell(cell: SuiteCell) -> str:
     text = f"{cell.rr.theta:.2f}"
     if cell.rr_interval is not None:
         text += f" ({cell.rr_interval.lower:.2f}, {cell.rr_interval.upper:.2f})"
+    elif cell.rr_interval_error is not None:
+        text += " (no interval)"
     return text
 
 
@@ -856,9 +844,7 @@ def estimate_suite(
     """
     if targets is None:
         targets = tuple(range(1, dataset.n_treatment_levels))
-    for est in estimators:
-        if est not in ESTIMATORS:
-            raise ValidationError(f"unknown estimator {est!r}; expected one of {ESTIMATORS}")
+    _check_estimators(estimators)
     table = _evaluate(dataset, g_model, q_model)
     cells = [SuiteCell(f, t, e) for f in families for e in estimators for t in targets]
     results = _grid(

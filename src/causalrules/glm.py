@@ -34,6 +34,10 @@ coefficient diverges to minus infinity, so the fit pins the cell to
 probability zero exactly, restricts each row's choice set accordingly,
 and flags the pin on the fitted model.
 
+Fitted models are evaluated in one place, :func:`_evaluate_models`, on
+covariate rows whose columns have names; :func:`_columns_for` maps such
+rows onto a model's covariates.
+
 The logistic function is this module's own ``_expit``, which the
 estimators import too, so the package needs numpy alone at run time.
 """
@@ -69,6 +73,17 @@ class FitInfo:
     iterations: int
     grad_norm: float
     loglik: float
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "FitInfo":
+        """The record a fitted model's ``to_dict`` holds; absent keys take
+        the values of an exact model."""
+        return cls(
+            bool(d.get("converged", True)),
+            int(d.get("iterations", 0)),
+            float(d.get("grad_norm", 0.0)),
+            float(d.get("loglik", 0.0)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +464,7 @@ class OutcomeModel:
             "n_treatment_levels": self.design.n_treatment_levels,
             "interactions": [list(t) for t in self.design.interactions],
             "coef": [float(c) for c in self.coef],
-            "converged": self.info.converged,
-            "iterations": self.info.iterations,
-            "grad_norm": self.info.grad_norm,
-            "loglik": self.info.loglik,
+            **vars(self.info),
         }
 
     @classmethod
@@ -465,31 +477,42 @@ class OutcomeModel:
         return cls(
             design=design,
             coef=np.asarray(d["coef"], dtype=float),
-            info=FitInfo(
-                bool(d.get("converged", True)),
-                int(d.get("iterations", 0)),
-                float(d.get("grad_norm", 0.0)),
-                float(d.get("loglik", 0.0)),
-            ),
+            info=FitInfo.from_dict(d),
         )
 
 
-def select_covariates(dataset: Dataset, names: tuple[str, ...]) -> np.ndarray:
-    """Columns of ``dataset.w`` matching ``names``, in model order.
-
-    Models may be fit on a subset of the dataset's covariates; this maps
-    a full dataset onto the columns a given model expects.
-    """
-    names = tuple(names)
-    if names == dataset.covariate_names:
-        return dataset.w
-    missing = [c for c in names if c not in dataset.covariate_names]
+def _columns_for(w: np.ndarray, have: tuple[str, ...], want: tuple[str, ...]) -> np.ndarray:
+    """The columns ``want`` of covariate rows ``w`` whose columns are
+    ``have``, in ``want`` order; ``w`` itself when the names agree."""
+    have, want = tuple(have), tuple(want)
+    if have == want:
+        return w
+    missing = [c for c in want if c not in have]
     if missing:
-        raise ValidationError(f"model covariates not in dataset: {missing}")
-    if not names:
-        return np.zeros((dataset.n, 0), dtype=np.int8)
-    idx = [dataset.covariate_names.index(c) for c in names]
-    return dataset.w[:, idx]
+        raise ValidationError(f"model covariates not in the data: {missing}")
+    return w[:, [have.index(c) for c in want]]
+
+
+def select_covariates(dataset: Dataset, names: tuple[str, ...]) -> np.ndarray:
+    """Columns of ``dataset.w`` matching ``names``, in model order."""
+    return _columns_for(dataset.w, dataset.covariate_names, names)
+
+
+def _evaluate_models(
+    w: np.ndarray, names: tuple[str, ...], g_model: TreatmentModel | None,
+    q_model: OutcomeModel | None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Raw ``g(a | W)`` and logit ``Q(a, W)`` on covariate rows ``w`` whose
+    columns are ``names``: ``(m, K)`` arrays, one column per level, or
+    None for an absent model."""
+    G = M = None
+    if g_model is not None:
+        G = g_model.predict_raw(_columns_for(w, names, g_model.covariate_names))
+    if q_model is not None:
+        w_q = _columns_for(w, names, q_model.design.covariate_names)
+        levels = range(q_model.design.n_treatment_levels)
+        M = np.column_stack([q_model.linear_predictor(l, w_q) for l in levels])
+    return G, M
 
 
 def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -650,10 +673,7 @@ class TreatmentModel:
             "coef": coef,
             "structural_zeros": [[int(l), f] for l, f in self.structural_zeros],
             "alpha_trunc": self.alpha_trunc,
-            "converged": self.info.converged,
-            "iterations": self.info.iterations,
-            "grad_norm": self.info.grad_norm,
-            "loglik": self.info.loglik,
+            **vars(self.info),
         }
 
     @classmethod
@@ -668,12 +688,7 @@ class TreatmentModel:
             coef=coef,
             structural_zeros=tuple((int(l), f) for l, f in d.get("structural_zeros", [])),
             alpha_trunc=float(d["alpha_trunc"]),
-            info=FitInfo(
-                bool(d.get("converged", True)),
-                int(d.get("iterations", 0)),
-                float(d.get("grad_norm", 0.0)),
-                float(d.get("loglik", 0.0)),
-            ),
+            info=FitInfo.from_dict(d),
         )
 
 

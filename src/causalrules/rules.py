@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RuleInfeasibleError, ValidationError
-from .glm import TreatmentModel, select_covariates
+from .glm import TreatmentModel, _evaluate_models
 from .ingest import Dataset
 
 FAMILIES = ("static", "realistic", "itt")
@@ -172,10 +172,9 @@ def rule_assignments(
 
 
 def _g_raw_rows(dataset: Dataset, g_model: TreatmentModel) -> np.ndarray:
-    """Raw ``g`` on every row, predicted once per distinct covariate row."""
+    """Raw ``g`` on every row, evaluated once per distinct covariate row."""
     first, inverse = dataset._w_groups()
-    w = select_covariates(dataset, g_model.covariate_names)[first]
-    return g_model.predict_raw(w)[inverse]
+    return _evaluate_models(dataset.w[first], dataset.covariate_names, g_model, None)[0][inverse]
 
 
 def rule_assignment_table(

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shlex
@@ -414,3 +415,24 @@ def test_a_cell_without_finite_replicates_records_its_interval_error(tmp_path):
             assert error is None and interval["b_effective"] + interval["n_failed"] == 2
             if key[0] != "realistic":
                 assert interval == without_realistic[key][f"{kind}_interval"]
+
+
+def test_a_relative_risk_without_an_interval_is_marked_in_the_tables(tmp_path, capsys):
+    """A bare theta means no bootstrap ran; a bootstrap that gave a cell no
+    interval marks it, in the CSV table and on stdout alike."""
+    data, out = tmp_path / "cohort.csv", tmp_path / "out"
+    assert main(["simulate", "--dgp", "cohort", "--n", "2000", "--seed", "1",
+                 "--output", str(data)]) == 0
+    assert main(["estimate", "--input", str(data), "--output-dir", str(out),
+                 "--bootstrap-replicates", "2"]) == 0
+    stdout = capsys.readouterr().out
+    rows = list(csv.reader((out / "estimates_table.csv").read_text().splitlines()))[1:]
+    assert len(rows) == 15
+    for row in rows:
+        family, target, *cells = row
+        for cell in cells:
+            if family == "realistic":
+                assert cell.endswith(" (no interval)") and "(" not in cell[:-14], row
+            else:
+                assert cell.count("(") == 1 and cell.endswith(")") and "no" not in cell, row
+    assert stdout.count("(no interval)") == 20

@@ -21,11 +21,11 @@ from causalrules import (
 )
 from causalrules import diagnostics, glm, ingest
 from causalrules.diagnostics import (
-    _columns_for,
     _draw_levels,
     bernoulli_block_support,
     bernoulli_support,
 )
+from causalrules.glm import _columns_for
 from causalrules.ingest import _distinct_rows
 
 
@@ -394,3 +394,14 @@ def test_eta_bias_computes_only_the_psi_of_its_cells(monkeypatch, gen_nv):
                                  n_sim=400)
     assert calls == []
     assert all(e.n_effective == 2 for e in report.entries)
+
+
+def test_an_unknown_estimator_is_rejected_before_any_draw(monkeypatch, gen_nv):
+    draws = []
+    monkeypatch.setattr(diagnostics, "generate", lambda *a, **k: draws.append(1))
+    message = "unknown estimator 'bogus'; expected one of \\('gcomp', 'iptw', 'driptw', 'tmle'\\)"
+    with pytest.raises(ValidationError, match=message):
+        eta_bias_diagnostic(gen_nv, estimator="bogus", replicates=20, n_sim=400)
+    with pytest.raises(ValidationError, match=message):
+        alpha_sweep(gen_nv, (0.0, 0.1), estimator="bogus", replicates=20, n_sim=400)
+    assert draws == []

@@ -651,3 +651,32 @@ def test_grid_errors_keep_no_pattern_table_alive(data_nv, models_nv):
     finally:
         gc.enable()
     assert all(isinstance(r, CausalRulesError) for r in results.values()), results
+
+
+def test_a_failed_one_cell_call_keeps_no_pattern_table_alive(monkeypatch):
+    """The table keeps a rule's assignment error without its traceback and
+    raises a copy, so the error a caller catches does not tie the table
+    into a reference cycle."""
+    import causalrules.estimators as est_module
+
+    sample = generate(DGP_REGISTRY["structural_zero"](), 2000, seed=0)
+    g_model, q_model = fit_treatment_model(sample), fit_outcome_model(sample)
+    original, alive = est_module._evaluate, []
+
+    def evaluate(*args):
+        table = original(*args)
+        alive.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(est_module, "_evaluate", evaluate)
+    gc.disable()
+    try:
+        try:
+            estimate_psi("gcomp", sample, g_model, q_model, Rule("realistic", 2, alpha=0.9))
+        except RuleInfeasibleError:
+            pass
+        else:
+            pytest.fail("the rule should have no feasible level")
+        assert len(alive) == 1 and alive[0]() is None
+    finally:
+        gc.enable()

@@ -525,6 +525,8 @@ def rr_tmle_from_arrays(
         raise ValidationError("relative-risk target must differ from the reference level 0")
     if itt_covariate not in ("delta", "appendix"):
         raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
     M = table.M

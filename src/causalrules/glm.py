@@ -328,6 +328,8 @@ def fit_fluctuation(
     epsilons about 1e-5 apart; in the test example (an interval over
     2e-4 wide) the TMLE estimates made from them agree to 1e-12.
     """
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
     offset = np.asarray(offset, dtype=float)

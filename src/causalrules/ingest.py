@@ -73,6 +73,9 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float copy.  A matrix with no columns is one group.  This is the one
     grouping of rows into patterns: a :class:`Dataset` groups its
     covariates with it once, and the fits group their own arrays with it.
+    :func:`load_csv` runs it on the distinct lines of a file, not on every
+    row, and hands the dataset the result mapped back to the rows; it
+    equals this function's result on the dataset's ``w``.
     """
     n, p = x.shape
     if p == 0:
@@ -128,7 +131,8 @@ class Dataset:
     the positivity report all read that one grouping.  The arrays are
     taken as they are, so they must not be changed in place afterwards.
     A caller that already knows that grouping may hand it in as
-    ``_groups``, as the simulator does for the support cells it draws.
+    ``_groups``, as the simulator does for the support cells it draws and
+    :func:`load_csv` does for the distinct lines it reads.
     """
 
     w: np.ndarray
@@ -261,10 +265,10 @@ def _check_row(row: int, cells: list[str], names: tuple[str, ...], treatment_col
         )
 
 
-# Rows read per chunk.  Besides bounding the raw rows held at once, small
-# chunks let the row lists die young: with 4,096-row chunks, garbage
-# collections over the live rows added about 0.03 s to a 0.15 s load of
-# 50k rows.
+# Data lines (or rows of quoted text) read per chunk.  Besides bounding
+# the text and the split fields held at once, small chunks let them die
+# young: with 4,096-row chunks, garbage collections over the live rows
+# added about 0.03 s to a 0.15 s load of 50k rows.
 _CHUNK_ROWS = 512
 
 # Flags of a distinct token, from the checks of one column kind.
@@ -279,15 +283,14 @@ class _TokenCodes(dict):
         return code
 
 
-def _code_rows(reader, width: int):
-    """Code the cells of each row as indices into a list of distinct texts.
+def _code_rows(reader, width: int, lut: _TokenCodes):
+    """Code the cells of each row of ``reader`` as indices into ``lut``.
 
-    Returns ``(codes, tokens, short)``: an ``(rows, width)`` int32 array,
-    the distinct raw cells in code order, and ``(row, fields)`` for the
-    first row whose field count is not ``width`` (None if there is none).
-    Reading stops at that row, so ``codes`` holds only the rows before it.
+    Returns ``(codes, short)``: an ``(rows, width)`` int32 array, and
+    ``(row, fields)`` for the first row whose field count is not
+    ``width`` (None if there is none).  Reading stops at that row's
+    chunk, and ``codes`` holds only the rows before it.
     """
-    lut = _TokenCodes()
     chunks = []
     short = None
     read = 0
@@ -301,7 +304,66 @@ def _code_rows(reader, width: int):
         flat = chain.from_iterable(rows)
         chunks.append(np.fromiter(map(lut.__getitem__, flat), np.int32, len(rows) * width))
     codes = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
-    return codes.reshape(-1, width), list(lut), short
+    return codes.reshape(-1, width), short
+
+
+def _code_lines(fh, width: int, lut: _TokenCodes):
+    """Code the data lines left on ``fh``, each distinct line once.
+
+    Opened with ``newline=""``, a file yields lines that end at ``\\n``,
+    ``\\r`` or ``\\r\\n``, which is where ``csv.reader`` ends a record
+    that holds no quote character.  Each distinct line's text gets a
+    number in first-seen order; only a line seen for the first time is
+    split on commas (an empty line has no fields) and its cells coded
+    into ``lut``.  A line that ``csv.reader`` must parse itself stops
+    the line path: one with a quote character, a NUL (which the reader
+    of Python 3.10 rejects) or more characters than the reader's field
+    size limit (it may hold a field the reader rejects).
+
+    Returns ``(codes, rows, short, rest)``: an ``(lines, width)`` int32
+    array of cell codes, one row per distinct line; each data row's
+    line; ``(row, fields)`` for the first row whose field count is not
+    ``width`` (None if there is none); and the lines from the first one
+    the reader must parse, which the caller hands to the reader with
+    the rest of ``fh`` (None if there is none, or if a short row comes
+    first).  Reading stops at the short row or at that line, so
+    ``rows`` holds only the rows before it.
+    """
+    limit = csv.field_size_limit()
+    lines: dict[str, int] = {}
+    chunks, rows = [], []
+    short = rest = None
+    read = 0
+    while short is None and rest is None and (block := list(islice(fh, _CHUNK_ROWS))):
+        seen = len(lines)
+        new = [line for line in dict.fromkeys(block) if line not in lines]
+        lines.update(zip(new, range(seen, seen + len(new))))
+        line_of = np.fromiter(map(lines.__getitem__, block), np.int64, len(block))
+        stop = next(
+            (j for j, line in enumerate(new) if '"' in line or "\0" in line or len(line) > limit),
+            len(new),
+        )
+        fields = [s.split(",") if (s := line.rstrip("\r\n")) else [] for line in new[:stop]]
+        lengths = list(map(len, fields))
+        got = None
+        if lengths.count(width) != stop:
+            stop = next(j for j, m in enumerate(lengths) if m != width)
+            fields, got = fields[:stop], lengths[stop]
+        if stop < len(new):
+            # The first row of the line that ends the line path.
+            end = int(np.argmax(line_of == seen + stop))
+            if got is None:
+                rest = block[end:]
+            else:
+                short = (read + end + 1, got)
+            line_of = line_of[:end]
+        read += len(line_of)
+        flat = chain.from_iterable(fields)
+        chunks.append(np.fromiter(map(lut.__getitem__, flat), np.int32, stop * width))
+        rows.append(line_of)
+    codes = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
+    rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
+    return codes.reshape(-1, width), rows, short, rest
 
 
 def _token_table(tokens: list[str], codes: np.ndarray, kind: str, n_treatment_levels: int):
@@ -332,50 +394,9 @@ def _token_table(tokens: list[str], codes: np.ndarray, kind: str, n_treatment_le
     return value, flags
 
 
-def load_csv(
-    path,
-    covariate_names: tuple[str, ...] | list[str] | None = None,
-    treatment_column: str | None = None,
-    n_treatment_levels: int = DEFAULT_K,
-) -> Dataset:
-    """Load and validate a CSV of (W, A, Y) rows.
-
-    The header must contain the outcome column ``Y`` and exactly one of
-    the treatment columns ``A`` (already categorized) or ``LTPA_MET``
-    (raw MET-hours, converted with :func:`categorize_met`).  If
-    ``covariate_names`` is omitted, every other column is treated as a
-    binary covariate, in header order.  Rows with any missing field are
-    dropped and counted in ``Dataset.dropped_rows``; unparseable cells
-    raise :class:`ValidationError` naming the row and column.  A UTF-8
-    byte-order mark before the header is ignored.
-
-    The rows are parsed in bulk.  They are read in chunks, and each cell
-    becomes an integer code for its raw text; only the code array is
-    kept.  Each distinct text in a used column is then parsed once per
-    column kind (binary, level or MET score), and the codes index those
-    results to give W, A, Y and the missing and bad cells.  The first
-    bad row is the first that has the wrong number of fields, an
-    unparseable cell, or, if no field is missing, a level or MET score
-    out of range.  Only that row is checked cell by cell again, so the
-    error names the same row and column as a row-by-row parse would.
-    A file that is not UTF-8 text, or that the CSV reader rejects (a
-    field over the reader's size limit), raises :class:`ValidationError`
-    naming the file.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-            codes, tokens, short = _code_rows(reader, len(header))
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(
-                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-            ) from None
-        except csv.Error as exc:
-            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
-
+def _columns(path, header: list[str], covariate_names, treatment_column: str | None):
+    """The covariate names and the treatment column that ``load_csv``
+    reads from ``header``; each must name exactly one header column."""
     if treatment_column is None:
         present = [c for c in TREATMENT_COLUMNS if c in header]
         if len(present) != 1:
@@ -402,13 +423,90 @@ def load_csv(
             raise ValidationError(f"{path}: covariate columns not in header: {missing}")
     if not names:
         raise ValidationError(f"{path}: no covariate columns")
+    for name in (*names, treatment_column, OUTCOME_COLUMN):
+        if not name:
+            raise ValidationError(
+                f"{path}: column {header.index(name) + 1} of the header has an empty name"
+            )
+        if header.count(name) > 1:
+            raise ValidationError(
+                f"{path}: column {name!r} appears {header.count(name)} times in the header"
+            )
+    return names, treatment_column
 
-    col_index = {c: header.index(c) for c in header}
-    w_idx = [col_index[c] for c in names]
-    a_idx = col_index[treatment_column]
-    y_idx = col_index[OUTCOME_COLUMN]
+
+def load_csv(
+    path,
+    covariate_names: tuple[str, ...] | list[str] | None = None,
+    treatment_column: str | None = None,
+    n_treatment_levels: int = DEFAULT_K,
+) -> Dataset:
+    """Load and validate a CSV of (W, A, Y) rows.
+
+    The header must contain the outcome column ``Y`` and exactly one of
+    the treatment columns ``A`` (already categorized) or ``LTPA_MET``
+    (raw MET-hours, converted with :func:`categorize_met`).  If
+    ``covariate_names`` is omitted, every other column is treated as a
+    binary covariate, in header order.  A column that is read must have
+    a name, and one that no other header column has.  Rows with any
+    missing field are dropped and counted in ``Dataset.dropped_rows``;
+    unparseable cells raise :class:`ValidationError` naming the row and
+    column.  A UTF-8 byte-order mark before the header is ignored.
+
+    The rows are parsed in bulk, once per distinct data line: the lines
+    are read in chunks, and a line seen for the first time is split on
+    commas and each of its cells becomes an integer code for its raw
+    text (see :func:`_code_lines`).  From the first line that holds a
+    quote character on, ``csv.reader`` parses the rest of the file, and
+    each of its rows is coded as a line of its own.  Each distinct text
+    in a used column is then parsed once per column kind (binary, level
+    or MET score), and the codes index those results to give W, A, Y
+    and the missing and bad cells of each distinct line.  The first bad
+    row is the first that has the wrong number of fields, an unparseable
+    cell, or, if no field is missing, a level or MET score out of range.
+    Only that row is checked cell by cell again, so the error names the
+    same row and column as a row-by-row parse would.  A file that is not
+    UTF-8 text, or that the CSV reader rejects (a field over the
+    reader's size limit), raises :class:`ValidationError` naming the
+    file.
+
+    The dataset is handed the grouping of its covariate rows
+    (:func:`_distinct_rows`), computed on the distinct lines rather than
+    on every row.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        before = 0  # lines read before the reader's first
+        try:
+            header = [h.strip() for h in next(reader)]
+            names, treatment_column = _columns(path, header, covariate_names, treatment_column)
+            lut = _TokenCodes()
+            codes, rows, short, rest = _code_lines(fh, len(header), lut)
+            if rest is not None:
+                before = reader.line_num + rows.size
+                reader = csv.reader(chain(rest, fh))
+                quoted, short = _code_rows(reader, len(header), lut)
+                if short is not None:
+                    short = (rows.size + short[0], short[1])
+                rows = np.concatenate([rows, len(codes) + np.arange(len(quoted))])
+                codes = np.concatenate([codes, quoted])
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {before + reader.line_num}: {exc}") from None
+    tokens = list(lut)
+
+    w_idx = [header.index(c) for c in names]
+    a_idx = header.index(treatment_column)
+    y_idx = header.index(OUTCOME_COLUMN)
     p = len(names)
     kind = "met" if treatment_column == "LTPA_MET" else "level"
+    # Codes, flags and values below are per distinct line; ``rows`` maps
+    # each data row to its line.
     binary_codes = codes[:, w_idx + [y_idx]]
     a_codes = codes[:, a_idx]
     b_value, b_flags = _token_table(tokens, binary_codes, "binary", n_treatment_levels)
@@ -418,25 +516,34 @@ def load_csv(
     bad = ((flags & _UNPARSEABLE) > 0) | (((flags & _OUT_OF_RANGE) > 0) & ~missing)
 
     if bad.any():
-        i = int(np.argmax(bad))
-        cells = [tokens[c] for c in codes[i, w_idx + [a_idx, y_idx]]]
+        i = int(np.argmax(bad[rows]))
+        cells = [tokens[c] for c in codes[rows[i], w_idx + [a_idx, y_idx]]]
         _check_row(i + 1, cells, names, treatment_column, n_treatment_levels)
         raise AssertionError(f"row {i + 1} failed the bulk checks but passed the scalar ones")
     if short is not None:
         raise ValidationError(f"row {short[0]}: expected {len(header)} fields, got {short[1]}")
-    if not codes.shape[0]:
+    if not rows.size:
         raise ValidationError(f"{path}: no data rows")
-    dropped = int(missing.sum())
-    if dropped == codes.shape[0]:
-        raise ValidationError(f"{path}: all {dropped} data rows were dropped as incomplete")
-    keep = ~missing
+    dropped = missing[rows]
+    if dropped.all():
+        raise ValidationError(f"{path}: all {rows.size} data rows were dropped as incomplete")
+
+    kept = np.flatnonzero(~missing)
+    # Each kept row's position among the kept lines, which stay in
+    # first-seen order: a line first occurs where the running maximum of
+    # these positions first reaches it.
+    line_of = (np.cumsum(~missing) - 1)[rows[~dropped]]
+    first_row = np.searchsorted(np.maximum.accumulate(line_of), np.arange(kept.size))
+    w = b_value.astype(np.int8)[binary_codes[kept, :p]]
+    first, inverse = _distinct_rows(w)
     return Dataset(
-        w=b_value.astype(np.int8)[binary_codes[keep, :p]],
-        a=a_value[a_codes[keep]],
-        y=b_value[binary_codes[keep, p]],
+        w=w[line_of],
+        a=a_value[a_codes[kept]][line_of],
+        y=b_value[binary_codes[kept, p]][line_of],
         covariate_names=names,
         n_treatment_levels=n_treatment_levels,
-        dropped_rows=dropped,
+        dropped_rows=int(dropped.sum()),
+        _groups=(first_row[first], inverse[line_of]),
     )
 
 

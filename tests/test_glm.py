@@ -155,6 +155,13 @@ def test_fluctuation_zero_covariate_gives_zero_epsilon():
     assert fit.info.converged
 
 
+def test_fluctuation_rejects_max_iter_below_one():
+    y = np.array([0.0, 1.0, 1.0, 0.0])
+    for h in (np.array([1.0, 2.0, 0.5, 1.0]), np.zeros(4)):
+        with pytest.raises(ValidationError, match="max_iter must be at least 1, got 0"):
+            fit_fluctuation(y, h, np.full(4, 0.3), max_iter=0)
+
+
 def test_fluctuation_solves_score_to_tolerance():
     for seed in (11, 12, 13):
         y, h, offset = _fluct_case(seed, n=700)

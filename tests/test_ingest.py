@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from causalrules import Dataset, ValidationError, categorize_met, load_csv, write_csv
 from causalrules import ingest
-from causalrules.ingest import DEFAULT_COVARIATES, MET_BREAKS, _parse_cell
+from causalrules.ingest import DEFAULT_COVARIATES, MET_BREAKS, _distinct_rows, _parse_cell
 
 
 def test_categorize_met_band_edges():
@@ -227,6 +227,80 @@ def test_load_csv_first_bad_row_across_chunks(tmp_path):
     assert ds.a.tolist() == [2, 1, 3, 1, 4]
 
 
+def test_load_csv_rejects_a_read_column_named_twice_or_unnamed(tmp_path):
+    """Checked before any data row is read: the bad rows below are never reached."""
+    path = tmp_path / "dup.csv"
+    for header, names, message in [
+        ("W1,A,Y,Y", None, "column 'Y' appears 2 times in the header"),
+        ("W1,A,A,Y", None, "column 'A' appears 2 times in the header"),
+        ("W1,W2,W1,A,Y", None, "column 'W1' appears 2 times in the header"),
+        ("W1,A,Y,W1", ("W1",), "column 'W1' appears 2 times in the header"),
+        ("W1,A,Y,", None, "column 4 of the header has an empty name"),
+        ("W1, ,A,Y", None, "column 2 of the header has an empty name"),
+    ]:
+        path.write_text(f"{header}\n1,2,1\n0,1\n")
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, covariate_names=names)
+        assert str(info.value) == f"{path}: {message}"
+    # Columns that are not read may repeat or have no name.
+    path.write_text("W1,Z,Z,,A,Y\n1,a,b,,2,1\n0,,,,1,0\n")
+    ds = load_csv(path, covariate_names=("W1",))
+    assert ds.w.ravel().tolist() == [1, 0] and ds.a.tolist() == [2, 1]
+
+
+def test_load_csv_parses_each_distinct_line_once(tmp_path, monkeypatch):
+    path = tmp_path / "repeats.csv"
+    path.write_text("W1,A,Y\n" + "1,2,1\n" * 3 + "0,1,0\n1,2,1\n" * 50)
+    splits = []
+    real = ingest._code_lines
+
+    def counting(fh, width, lut):
+        out = real(fh, width, lut)
+        splits.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(ingest, "_code_lines", counting)
+    ds = load_csv(path)
+    assert splits == [2]
+    assert ds.n == 103 and ds.a.tolist() == [2, 2, 2] + [1, 2] * 50
+    assert [g.tolist() for g in ds._groups] == [[3, 0], [1, 1, 1] + [0, 1] * 50]
+
+
+def test_load_csv_oversized_unquoted_field_and_short_rows_in_file_order(tmp_path):
+    """An unquoted field over the reader's size limit raises the reader's
+    error unless a short row comes first, whatever the chunk size."""
+    limit = csv.field_size_limit()
+    big = "x" * (limit + 1)
+    path = tmp_path / "huge.csv"
+    for chunk in (1, 2, 512):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+            path.write_text(f"W1,A,Y\n1,2,1\n1,2,1\n0,{big},0\n1,1\n")
+            with pytest.raises(ValidationError) as info:
+                load_csv(path)
+            assert str(info.value) == f"{path}: line 4: field larger than field limit ({limit})"
+            path.write_text(f"W1,A,Y\n1,2,1\n1,1\n0,{big},0\n")
+            with pytest.raises(ValidationError) as info:
+                load_csv(path)
+            assert str(info.value) == "row 2: expected 3 fields, got 2"
+            # A line longer than the limit whose fields all fit still loads.
+            path.write_text(f"W1,Z,A,Y\n1,{big[1:]},2,1\n0,{big[1:]},1,0\n")
+            ds = load_csv(path, covariate_names=("W1",))
+            assert ds.a.tolist() == [2, 1]
+
+
+def test_load_csv_hands_a_nul_to_the_csv_reader(tmp_path):
+    path = tmp_path / "nul.csv"
+    path.write_text("W1,Z,A,Y\n1,a\0b,2,1\n")
+    try:
+        list(csv.reader(["a\0b\n"]))
+    except csv.Error as exc:  # the reader of Python 3.10 rejects a NUL
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, covariate_names=("W1",))
+        assert str(info.value) == f"{path}: line 2: {exc}"
+    else:
+        assert load_csv(path, covariate_names=("W1",)).a.tolist() == [2]
+
+
 def _oracle_load(path, covariate_names=None, n_treatment_levels=6):
     """The row-by-row parse that ``load_csv`` replaced: ``(w, a, y, dropped)``."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -281,32 +355,58 @@ _POOLS = {
 }
 
 
+def _quoted(draw, cell):
+    """``cell`` in quotes, alone or with a comma or a line break after it."""
+    return '"' + cell + draw(st.sampled_from(["", "", "", ",", "\n", "\r\n"])) + '"'
+
+
 @st.composite
 def _csv_files(draw):
+    """A CSV text and the covariate names to load it with.  Besides short
+    rows and bad cells, the lines mix quoted cells (some with a comma or
+    a line break inside), ``\n``, ``\r\n`` and lone ``\r`` terminators,
+    blank lines, repeated lines and a last line with no terminator."""
     p = draw(st.integers(1, 3))
     treatment = draw(st.sampled_from(["A", "LTPA_MET"]))
     unused = draw(st.booleans())
     header = draw(st.permutations(
         [f"W{j}" for j in range(p)] + ["Z"] * unused + [treatment, "Y"]
     ))
-    rows = []
-    for _ in range(draw(st.integers(0, 10))):
-        row = [draw(st.sampled_from(_POOLS[c[0] if c[0] == "W" else c])) for c in header]
-        if draw(st.integers(0, 24)) == 0:
-            row = row[:-1]
-        rows.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quoting = draw(st.sampled_from([0, 0, 8, 30]))  # one cell in this many is quoted
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 40))
+        if kind == 0:
+            lines.append("")
+        elif kind <= 10 and len(lines) > 1:
+            lines.append(draw(st.sampled_from(lines[1:])))
+        else:
+            row = [draw(st.sampled_from(_POOLS[c[0] if c[0] == "W" else c])) for c in header]
+            if quoting:
+                row = [_quoted(draw, c) if draw(st.integers(1, quoting)) == 1 else c for c in row]
+            if kind == 11:
+                row = row[:-1]
+            lines.append(",".join(row))
+    ends = [draw(st.sampled_from([eol] * 6 + ["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.integers(0, 5)) == 0:
+        ends[-1] = ""
     names = tuple(c for c in header if c[0] == "W") if unused else None
-    return "\n".join([",".join(header), *rows]) + "\n", names
+    return "".join(line + end for line, end in zip(lines, ends)), names
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=_csv_files(), chunk=st.sampled_from([1, 3, 4096]))
 @example(case=("W1,A,Y\n,9,1\n1,NA,yes\n2,1,0\n", None), chunk=4096)  # bad after dropped
 @example(case=("W1,junk,A,Y\n1,x,2,1\n0,,1,0\n", ("W1",)), chunk=4096)  # unused bad column
+@example(case=("W1,A,Y\r\n1,2,1\r\n0,1,0\r\n1,2,1\r\n\"0\",\"3\r\n\",1\r\n1,2,1\r\n", None),
+         chunk=3)  # the first quote after some rows, then a repeated line
+@example(case=("W1,A,Y\r1,2,1\r\r1,2,1\r", None), chunk=4096)  # a blank line
+@example(case=("W1,A,Y\n,1,1\n1,2,1\n1,2,1\n0,1,0\n", None), chunk=4096)  # a repeat, then new W
 def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
     text, names = case
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     try:
         want = _oracle_load(path, names)
     except ValidationError as exc:
@@ -322,6 +422,10 @@ def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
     assert ds.a.tolist() == a
     assert ds.y.tolist() == y
     assert ds.dropped_rows == dropped
+    assert ds._groups is not None  # handed in by the loader
+    for got, want in zip(ds._w_groups(), _distinct_rows(ds.w)):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
-from .inference import _check_failures, replicate_streams
+from .inference import _check_count, _check_failures, replicate_streams
 from .ingest import Dataset, _distinct_codes, _distinct_rows
 from .rules import Rule, assign, membership_matrix
 
@@ -152,6 +152,8 @@ def generate(
     """
     if n < 1:
         raise ValidationError("n must be positive")
+    if not isinstance(seed, np.random.Generator):
+        _check_count(seed, "seed", 0)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
     a = _draw_levels(gen.support_g_raw()[cells], rng.random(n))
@@ -315,6 +317,8 @@ def eta_bias_diagnostic(
     warns.
     """
     _check_estimators((estimator,))
+    _check_count(replicates, "diagnostic replicates", 1)
+    _check_count(seed, "diagnostic seed", 0)
     if targets is None:
         targets = tuple(range(gen.n_treatment_levels))
     if n_sim is None:

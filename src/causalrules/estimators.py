@@ -36,6 +36,9 @@ column per level.  The distinct W rows are the dataset's one grouping,
 shared with the ``g`` and ``Q`` fits, so a dataset's rows are grouped
 once however many models and estimators read them.  Each rule's
 assignment is computed once per table and shared by every estimator.
+Estimators read ``G`` and ``M`` at one stack of evaluation points, the
+observed level and each rule's assigned level (``_evaluation_stack``),
+and every inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
 Feasibility sets always use the raw probabilities (see ``rules``);
 weight denominators use the truncated ones unless
 ``truncate_weights=False``.
@@ -142,6 +145,11 @@ class _Patterns:
         """Mean over rows of a value that is constant within each pattern."""
         return float(self.trials @ values) / self.n
 
+    def score(self, h: np.ndarray, m: np.ndarray) -> float:
+        """Mean over rows of ``h (Y - Q)``, with ``m`` the logit of ``Q``
+        at the observed level: the weighted outcome-residual term."""
+        return float(h @ (self.successes - self.trials * _expit(m))) / self.n
+
     def assign(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
         """Feasibility and assigned level of every pattern under ``rule``.
 
@@ -196,27 +204,46 @@ def _weight_scale(G: np.ndarray | None, g_model: TreatmentModel | None, truncate
     return np.maximum(G, g_model.alpha_trunc)
 
 
+def _evaluation_stack(table: _Patterns, rules: tuple[Rule, ...], G_weights, M):
+    """Each rule's assigned levels and ruled mask (see :func:`_clever_covariate`),
+    the stack ``at`` of evaluation points (the observed level, then each
+    rule's assigned level, one row each), and ``G_weights`` and ``M`` at
+    the stack, or None where None was passed."""
+    size = table.a.size
+    assigned, ruled = [], []
+    for rule in rules:
+        member, d = table.assign(rule)
+        assigned.append(d)
+        ruled.append(
+            member[:, rule.target] if rule.family == "itt" else np.ones(size, dtype=bool)
+        )
+    at = np.stack((table.a, *assigned))
+    # Positions of the points in the flattened (patterns, levels) arrays.
+    flat = at + table.k * np.arange(size)
+    g_at, m_at = (None if x is None else x.take(flat) for x in (G_weights, M))
+    return assigned, ruled, at, g_at, m_at
+
+
 def _clever_covariate(
     ruled: np.ndarray, eval_a: np.ndarray, level, g_eval: np.ndarray
 ) -> np.ndarray:
     """``I(eval_a = level) / g_eval`` on ruled rows, 1 elsewhere.
 
-    ``ruled`` marks the patterns the rule moves: every pattern for
-    static and realistic rules, patterns with a feasible target for ITT
-    rules (the others keep their observed level and outcome, with weight
-    one).  ``level`` is one level or the per-pattern assigned levels.
-    ``eval_a`` and ``g_eval`` may stack several evaluation points, one
-    row each, over the patterns.
+    ``ruled`` marks the patterns to weight, for a rule the ones it moves:
+    every pattern for static and realistic rules, patterns with a
+    feasible target for ITT rules (the others keep their observed level
+    and outcome, with weight one).  ``level`` is one level or the
+    per-pattern assigned levels.  ``eval_a`` and ``g_eval`` may stack
+    several evaluation points, one row each, over the patterns.
     """
     match = ruled & (eval_a == level)
-    if np.any(g_eval[match] <= 0.0):
+    g = np.where(match, g_eval, 1.0)
+    if np.any(g <= 0.0):
         raise EstimationError(
             "zero treatment probability on a matched row; cannot weight by 1/g "
             "(only possible with truncation disabled)"
         )
-    out = np.where(np.broadcast_to(ruled, match.shape), 0.0, 1.0)
-    out[match] = 1.0 / g_eval[match]
-    return out
+    return np.where(match, 1.0 / g, np.where(ruled, 0.0, 1.0))
 
 
 def _weight_summary(
@@ -237,7 +264,12 @@ def _weight_summary(
 
 @dataclass(frozen=True)
 class EstimateDiagnostics:
-    """Bookkeeping attached to a point estimate."""
+    """Bookkeeping attached to a point estimate.
+
+    ``n_weighted`` and ``weight_*`` summarise the nonzero weights over
+    rows.  DR-IPTW leaves out the ITT rows the rule leaves alone, which
+    IPTW and TMLE count with weight one.
+    """
 
     n: int
     epsilon: float | None = None
@@ -311,12 +343,6 @@ def _check_models(estimator: str, rule: Rule, G, M) -> None:
         raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
 
 
-def _augmented(ruled, h_obs, successes, trials, q_obs, q_assigned) -> np.ndarray:
-    """Augmented-IPTW terms summed over each pattern's rows; rows the
-    rule leaves alone keep their outcome."""
-    return np.where(ruled, h_obs * (successes - trials * q_obs) + trials * q_assigned, successes)
-
-
 def psi_from_arrays(
     estimator: str,
     rule: Rule,
@@ -329,46 +355,41 @@ def psi_from_arrays(
     successes out of trials, the raw treatment probabilities ``G`` that
     define feasibility and the logit ``M`` of the outcome regression
     (see :func:`_evaluate`); ``G_weights`` are the probabilities used as
-    weight denominators, one row per pattern.  Every mean over rows is a
-    sum over patterns weighted by their trials, divided by
-    ``n = sum(trials)``.
+    weight denominators, one row per pattern.
     """
     _check_estimators((estimator,))
-    M = table.M
-    _check_models(estimator, rule, table.G, M)
-    a, s, t, n = table.a, table.successes, table.trials, table.n
-    rows = np.arange(a.size)
-    member, assigned = table.assign(rule)
-    itt = rule.family == "itt"
-    ruled = member[:, rule.target] if itt else np.ones(a.size, dtype=bool)
+    _check_models(estimator, rule, table.G, table.M)
+    s, t, n = table.successes, table.trials, table.n
+    (assigned,), (ruled,), at, g_at, m_at = _evaluation_stack(
+        table, (rule,),
+        None if estimator == "gcomp" else G_weights,
+        None if estimator == "iptw" else table.M,
+    )
     if estimator == "gcomp":
-        psi = float(np.sum(np.where(ruled, t * _expit(M[rows, assigned]), s))) / n
+        psi = float(np.sum(np.where(ruled, t * _expit(m_at[1]), s))) / n
         return CounterfactualEstimate(
             estimator="gcomp", rule=rule, psi=psi, diagnostics=EstimateDiagnostics(n=n),
         )
-    h_obs = _clever_covariate(ruled, a, assigned, G_weights[rows, a])
+    h = _clever_covariate(ruled, at[0], assigned, g_at[0])
     epsilon = residual = None
-    weights = h_obs
+    weights = h
     if estimator == "iptw":
-        psi = float(h_obs @ s) / n
+        psi = float(h @ s) / n
     elif estimator == "driptw":
-        # Rows with an infeasible ITT target carry no weight here.
-        weights = np.where(ruled, h_obs, 0.0)
-        q_obs, q_assigned = _expit(M[rows, a]), _expit(M[rows, assigned])
-        psi = float(np.sum(_augmented(ruled, h_obs, s, t, q_obs, q_assigned))) / n
+        # Rows with an infeasible ITT target carry no weight here; their
+        # h = 1 and observed level at both points give back their outcome.
+        weights = np.where(ruled, h, 0.0)
+        psi = table.score(h, m_at[0]) + table.mean(_expit(m_at[1]))
     else:
-        m_obs = M[rows, a]
-        epsilon = fit_fluctuation(s, h_obs, m_obs, trials=t).epsilon
-        q1_obs = _expit(m_obs + epsilon * h_obs)
-        g_assigned = G_weights[rows, assigned]
-        if np.any(g_assigned[ruled] <= 0.0):
-            at = "the target level" if itt else "an assigned level"
-            raise EstimationError(f"zero treatment probability at {at}")
-        # Rows the rule leaves alone keep q1_obs; dividing them by one
-        # keeps an infeasible ITT target's zero g out of the update.
-        q1_assigned = _expit(M[rows, assigned] + epsilon / np.where(ruled, g_assigned, 1.0))
-        psi = table.mean(np.where(ruled, q1_assigned, q1_obs))
-        residual = float(np.sum(_augmented(ruled, h_obs, s, t, q1_obs, q1_assigned))) / n - psi
+        epsilon = fit_fluctuation(s, h, m_at[0], trials=t).epsilon
+        if np.any(g_at[1, ruled] <= 0.0):
+            level = "the target level" if rule.family == "itt" else "an assigned level"
+            raise EstimationError(f"zero treatment probability at {level}")
+        # Rows the rule leaves alone hold the observed level and h = 1 at
+        # both points, so they stay equal.
+        m_at = m_at + epsilon * np.stack((h, _clever_covariate(ruled, at[1], assigned, g_at[1])))
+        psi = table.mean(_expit(m_at[1]))
+        residual = table.score(h, m_at[0])
     n_w, w_min, w_max, w_mean = _weight_summary(weights, t)
     return CounterfactualEstimate(
         estimator=estimator,
@@ -518,9 +539,7 @@ def rr_tmle_from_arrays(
 ) -> RelativeRiskEstimate:
     """Targeted estimate of theta = psi_target / psi_0 from a dataset's
     pattern table (see :func:`psi_from_arrays` and
-    :func:`tmle_relative_risk`).  The plug-ins, the fluctuation and the
-    residual are sums over patterns weighted by their trials, divided by
-    ``n = sum(trials)``; the two rules' assignments are the table's."""
+    :func:`tmle_relative_risk`); the two rules' assignments are the table's."""
     if target == 0:
         raise ValidationError("relative-risk target must differ from the reference level 0")
     if itt_covariate not in ("delta", "appendix"):
@@ -529,63 +548,42 @@ def rr_tmle_from_arrays(
         raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
-    M = table.M
-    _check_models("tmle", rule_num, table.G, M)
-    a, s, t = table.a, table.successes, table.trials
-    rows = np.arange(a.size)
-    member, d_num = table.assign(rule_num)
-    _, d_den = table.assign(rule_den)
-    # The three points where the fluctuation is evaluated, one row each:
-    # the observed level, the numerator's and the denominator's assignment.
-    at = np.stack((a, d_num, d_den))
-    g_at, m_at = G_weights[rows, at], M[rows, at]
+    _check_models("tmle", rule_num, table.G, table.M)
+    (d_num, d_den), (ruled_num, ruled_den), at, g_at, m_at = _evaluation_stack(
+        table, (rule_num, rule_den), G_weights, table.M
+    )
     if np.any(g_at[1:] <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
 
-    # Static and realistic rules move every row; ITT rules only the rows
-    # whose target is feasible.
-    itt = family == "itt"
-    ruled_num = member[:, target] if itt else np.ones(a.size, dtype=bool)
-    ruled_den = member[:, 0] if itt else ruled_num
-    h_num = _clever_covariate(ruled_num, at, d_num, g_at)
-    h_den = _clever_covariate(ruled_den, at, d_den, g_at)
-    if itt and itt_covariate == "appendix":
-        d_real_num, d_real_den = (
-            table.assign(replace(rule, family="realistic"))[1] for rule in (rule_num, rule_den)
-        )
-
-        def covariates(theta: float, psi_num: float, psi_den: float) -> np.ndarray:
-            realistic_part = (
-                (at == d_real_num).astype(float) - theta * (at == d_real_den).astype(float)
-            ) / (g_at * psi_den)
-            const_part = 1.0 / psi_den - psi_num / psi_den**2
-            return np.where(ruled_num, const_part, realistic_part)
-
+    if family == "itt" and itt_covariate == "appendix":
+        # Rows with a feasible target get (1 - theta) / psi_0; the others
+        # contrast the two realistic rules' covariates.
+        real_num, real_den = (replace(rule, family="realistic") for rule in (rule_num, rule_den))
+        h_num = _clever_covariate(~ruled_num, at, table.assign(real_num)[1], g_at)
+        h_den = _clever_covariate(~ruled_num, at, table.assign(real_den)[1], g_at)
     else:
-
-        def covariates(theta: float, psi_num: float, psi_den: float) -> np.ndarray:
-            return (h_num - theta * h_den) / psi_den
+        h_num = _clever_covariate(ruled_num, at, d_num, g_at)
+        h_den = _clever_covariate(ruled_den, at, d_den, g_at)
 
     def plugins():
+        """Plug-ins at the current fit; the covariate at them serves the next step."""
         psi_num, psi_den = (table.mean(_expit(m)) for m in m_at[1:])
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
             )
-        return psi_num / psi_den, psi_num, psi_den
+        theta = psi_num / psi_den
+        return theta, psi_num, psi_den, (h_num - theta * h_den) / psi_den
 
     epsilons: list[float] = []
     residual = np.inf
-    theta, psi_num, psi_den = plugins()
-    h = covariates(theta, psi_num, psi_den)
+    theta, psi_num, psi_den, h = plugins()
     for _ in range(max_iter):
-        eps = fit_fluctuation(s, h[0], m_at[0], trials=t).epsilon
+        eps = fit_fluctuation(table.successes, h[0], m_at[0], trials=table.trials).epsilon
         epsilons.append(eps)
         m_at = m_at + eps * h
-        theta, psi_num, psi_den = plugins()
-        # The covariate at the new estimates serves the residual and the next step.
-        h = covariates(theta, psi_num, psi_den)
-        residual = float(h[0] @ (s - t * _expit(m_at[0]))) / table.n
+        theta, psi_num, psi_den, h = plugins()
+        residual = table.score(h[0], m_at[0])
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
             break
     else:

@@ -38,6 +38,15 @@ from .ingest import Dataset
 INTERVAL_METHODS = ("percentile", "normal")
 
 
+def _check_count(value, what: str, least: int) -> None:
+    """Raise a ValidationError unless ``value``, a replicate count or a
+    seed, is an integer (a numpy one included) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Bootstrap settings: replicate count, seed, interval type, level."""
@@ -48,10 +57,8 @@ class BootstrapConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValidationError("bootstrap replicates must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("bootstrap seed must be >= 0")
+        _check_count(self.replicates, "bootstrap replicates", 1)
+        _check_count(self.seed, "bootstrap seed", 0)
         if self.interval not in INTERVAL_METHODS:
             raise ValidationError(
                 f"interval must be one of {INTERVAL_METHODS}, got {self.interval!r}"

@@ -48,6 +48,10 @@ class Rule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown rule family {self.family!r}; expected one of {FAMILIES}")
+        if isinstance(self.target, bool) or not isinstance(self.target, (int, np.integer)):
+            raise ValidationError(
+                f"rule target must be an integer treatment level, got {self.target!r}"
+            )
         if self.target < 0:
             raise ValidationError("rule target must be a nonnegative treatment level")
         if not 0.0 <= self.alpha < 1.0:

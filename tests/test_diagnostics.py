@@ -405,3 +405,25 @@ def test_an_unknown_estimator_is_rejected_before_any_draw(monkeypatch, gen_nv):
     with pytest.raises(ValidationError, match=message):
         alpha_sweep(gen_nv, (0.0, 0.1), estimator="bogus", replicates=20, n_sim=400)
     assert draws == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"replicates": 0}, "diagnostic replicates must be >= 1"),
+    ({"replicates": -3}, "diagnostic replicates must be >= 1"),
+    ({"replicates": 2.5}, "diagnostic replicates must be an integer, got 2.5"),
+    ({"seed": -1}, "diagnostic seed must be >= 0"),
+])
+def test_bad_replicate_counts_and_seeds_are_rejected_before_any_draw(
+    monkeypatch, gen_nv, kwargs, message
+):
+    draws = []
+    monkeypatch.setattr(diagnostics, "generate", lambda *a, **k: draws.append(1))
+    with pytest.raises(ValidationError, match=message):
+        eta_bias_diagnostic(gen_nv, n_sim=400, **{"replicates": 2, **kwargs})
+    assert draws == []
+
+
+def test_generate_rejects_a_negative_seed(gen_nv):
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        generate(gen_nv, 10, seed=-1)
+    assert generate(gen_nv, 10, seed=np.int64(1)).n == 10

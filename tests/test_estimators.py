@@ -359,6 +359,28 @@ def test_estimate_suite_records_cell_failures(data_nv, models_nv):
     assert d["cells"][0]["family"] == "static"
 
 
+def test_untruncated_weights_at_a_structural_zero_fail_only_the_tmle_cells():
+    """Level 5 has structural zeros, so with untruncated weights every
+    TMLE cell would divide by a zero ``g`` at the level it assigns; its
+    error names that level, and the other estimators keep their psi."""
+    ds = generate(DGP_REGISTRY["structural_zero"](), 800, 4)
+    report = estimate_suite(
+        ds, fit_treatment_model(ds), fit_outcome_model(ds), alpha=0.0,
+        truncate_weights=False, targets=(5,),
+    )
+    message = "EstimationError: zero treatment probability at {}"
+    for family in ("static", "realistic", "itt"):
+        tmle = report.cell(family, 5, "tmle")
+        assert tmle.psi is None and tmle.rr is None
+        level = "the target level" if family == "itt" else "an assigned level"
+        assert tmle.psi_error == message.format(level)
+        assert tmle.rr_error == message.format("an assigned level")
+        for est, psi in (("gcomp", 0.044807), ("iptw", 0.012589), ("driptw", 0.046235)):
+            cell = report.cell(family, 5, est)
+            assert cell.psi_error is None
+            assert cell.psi.psi == pytest.approx(psi, abs=1e-6)
+
+
 def test_infeasible_rule_errors_name_input_rows():
     """The grid runs on distinct (W, A) patterns, yet an infeasible
     realistic rule must name the first failing input rows, exactly as a

@@ -177,6 +177,12 @@ def test_bootstrap_config_validation():
     # ValueError at the first resample.
     with pytest.raises(ValidationError, match="bootstrap seed must be >= 0"):
         BootstrapConfig(seed=-1)
+    # A fractional count used to pass here and fail in the resampling.
+    with pytest.raises(ValidationError, match="bootstrap replicates must be an integer, got 2.5"):
+        BootstrapConfig(replicates=2.5)
+    with pytest.raises(ValidationError, match="bootstrap seed must be an integer"):
+        BootstrapConfig(seed=1.0)
+    assert BootstrapConfig(replicates=np.int64(3), seed=np.int64(0)).replicates == 3
 
 
 def test_bootstrap_ci_psi_and_rr(data_nv):

@@ -56,6 +56,15 @@ def test_rule_validation():
     assert Rule(family="itt", target=2).label() == "itt:A=2"
 
 
+def test_rule_target_must_be_an_integer():
+    # A float target used to pass and fail later with a bare TypeError or
+    # IndexError inside the assignments.
+    for target in (1.5, 1.0, "1", True):
+        with pytest.raises(ValidationError, match="rule target must be an integer"):
+            Rule(family="static", target=target)
+    assert Rule(family="realistic", target=np.int64(1)).target == 1
+
+
 def test_realistic_set_includes_ties():
     assert feasible_levels([0.05, 0.6, 0.3, 0.05], alpha=0.05) == {0, 1, 2, 3}
     assert feasible_levels([0.049, 0.6, 0.3, 0.051], alpha=0.05) == {1, 2, 3}

@@ -150,8 +150,7 @@ def generate(
     exactly what grouping the drawn rows would.  The dataset is never
     grouped again.
     """
-    if n < 1:
-        raise ValidationError("n must be positive")
+    _check_count(n, "n", 1)
     if not isinstance(seed, np.random.Generator):
         _check_count(seed, "seed", 0)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -327,6 +326,7 @@ def eta_bias_diagnostic(
                 "n_sim is required for generating systems without a source dataset"
             )
         n_sim = gen.source_n
+    _check_count(n_sim, "n_sim", 1)
     if spec is None:
         spec = NuisanceSpec(alpha_trunc=gen.g_model.alpha_trunc)
     need_g, need_q = _needs((estimator,), families, alpha)

@@ -25,20 +25,36 @@ equation residual are both negligible.
 ``estimate_suite`` runs the full grid of rule families, target levels,
 and estimators and collects the results in a tabular report.
 
-Every estimator runs on one pattern table per dataset (``_evaluate``):
-the distinct (W, A) rows, each with its outcome successes out of trials.
-The estimators, the fluctuation score and the relative-risk residual are
-all linear in the outcomes, so a mean over rows is a sum over patterns
-weighted by their trials, divided by n.  The models are evaluated once
-per dataset, on the distinct W rows only: the raw treatment
-probabilities ``G`` and the logit of the outcome regression ``M``, one
-column per level.  The distinct W rows are the dataset's one grouping,
-shared with the ``g`` and ``Q`` fits, so a dataset's rows are grouped
-once however many models and estimators read them.  Each rule's
-assignment is computed once per table and shared by every estimator.
-Estimators read ``G`` and ``M`` at one stack of evaluation points, the
-observed level and each rule's assigned level (``_evaluation_stack``),
-and every inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
+Every estimator runs on one pattern table per dataset (``_evaluate``).
+The models are evaluated once per dataset, on the distinct W rows only:
+the raw treatment probabilities ``G`` and the logit of the outcome
+regression ``M``, one column per level.  The distinct W rows are the
+dataset's one grouping, shared with the ``g`` and ``Q`` fits, so a
+dataset's rows are grouped once however many models and estimators
+read them.  The estimators, the fluctuation score and the relative-risk
+residual are all linear in the outcomes, so a mean over rows is a sum
+over distinct points weighted by the rows each stands for, divided by n.
+Each term is summed where it lives:
+
+* terms at a rule's assigned level, over the distinct W rows weighted by
+  their row counts: the rule's ``d(W)`` (for an ITT rule, on the rows
+  with a feasible target), ``G`` and ``M`` at ``d(W)``, the clever
+  covariate there, and the G-computation, TMLE and relative-risk
+  plug-ins;
+* terms at the observed level, over the distinct (W, A) patterns where
+  the clever covariate ``I(A = d)/g`` is nonzero, with their outcome
+  successes out of trials: IPTW's ``h Y``, DR-IPTW's ``h (Y - Q)``, each
+  fluctuation's score and information, the residuals and the weight
+  summaries.  These are the patterns at their row's assigned level and
+  the ones an ITT rule leaves alone; for a relative risk, the union over
+  both rules, and every pattern under the ITT ``appendix`` covariate.
+  Patterns left alone keep their observed level, with ``h = 1``, in the
+  plug-ins too.
+
+Each rule's record on the table (``_Patterns.rule``) is built once and
+shared by every cell that reads the rule.  Estimators read ``G`` and
+``M`` at one stack of evaluation points (``_evaluation_stack``), and
+every inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
 Feasibility sets always use the raw probabilities (see ``rules``);
 weight denominators use the truncated ones unless
 ``truncate_weights=False``.
@@ -118,55 +134,97 @@ class NuisanceSpec:
 
 
 @dataclass(frozen=True)
-class _Patterns:
-    """A dataset's distinct (W, A) patterns with its models evaluated on them.
+class _RuleRows:
+    """One rule on a pattern table (see :meth:`_Patterns.rule`).
 
-    Pattern ``i`` has level ``a[i]`` and ``successes[i]`` outcomes out
-    of ``trials[i]`` rows; ``inverse`` gives the pattern of every input
-    row.  ``G`` is the raw ``g(a | W)`` and ``M`` the logit of
-    ``Q(a, W)``, one row per pattern and one column per level (None for
-    a missing model).
+    ``ruled`` marks the distinct covariate rows the rule moves: every row
+    for static and realistic rules, the rows with a feasible target for
+    ITT rules.  ``d`` is the assigned level of every covariate row (the
+    target, for an ITT rule) and ``rows`` lists the ruled ones.  ``left``
+    marks the patterns on rows the rule leaves alone, which keep their
+    observed level with weight one.  ``support`` marks the patterns where
+    the clever covariate is nonzero: those at their row's assigned level
+    and the ``left`` ones.
     """
 
+    ruled: np.ndarray
+    d: np.ndarray
+    rows: np.ndarray
+    left: np.ndarray
+    support: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Patterns:
+    """A dataset's distinct covariate rows and (W, A) patterns, with its
+    models evaluated on the covariate rows.
+
+    Distinct covariate row ``j`` stands for ``n_w[j]`` input rows, and
+    ``w_inverse`` gives the covariate row of every input row.  ``G`` is
+    the raw ``g(a | W)`` and ``M`` the logit of ``Q(a, W)``, one row per
+    distinct covariate row and one column per level (None for a missing
+    model).  Pattern ``i`` lies on covariate row ``w[i]`` at level
+    ``a[i]``, with ``successes[i]`` outcomes out of ``trials[i]`` rows.
+
+    Terms at a rule's assigned level live on the covariate rows, weighted
+    by ``n_w``: the rule's ``d(W)``, ``G`` and ``M`` there, the clever
+    covariate there and every plug-in.  Terms at the observed level live
+    on the patterns where the clever covariate is nonzero (the rule's
+    ``support``): the weighted outcomes, the fluctuation and its score,
+    and the weight summaries.  Patterns on rows an ITT rule leaves alone
+    are read at their observed level for both kinds of term.
+    """
+
+    w: np.ndarray
     a: np.ndarray
     successes: np.ndarray
     trials: np.ndarray
-    inverse: np.ndarray
+    n_w: np.ndarray
+    w_inverse: np.ndarray
     k: int
     G: np.ndarray | None
     M: np.ndarray | None
-    _assignments: dict = field(default_factory=dict, repr=False)
+    _rules: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
-        return self.inverse.size
+        return self.w_inverse.size
 
-    def mean(self, values: np.ndarray) -> float:
-        """Mean over rows of a value that is constant within each pattern."""
-        return float(self.trials @ values) / self.n
+    def rule(self, rule: Rule) -> _RuleRows:
+        """``rule`` on this table, built once per rule and shared by
+        every estimator.
 
-    def score(self, h: np.ndarray, m: np.ndarray) -> float:
-        """Mean over rows of ``h (Y - Q)``, with ``m`` the logit of ``Q``
-        at the observed level: the weighted outcome-residual term."""
-        return float(h @ (self.successes - self.trials * _expit(m))) / self.n
-
-    def assign(self, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
-        """Feasibility and assigned level of every pattern under ``rule``.
-
-        Computed once per rule; a rule that cannot be assigned raises a
-        copy of its kept error, which has no traceback: a raised error's
-        frames hold the table, which would then live on in a cycle.
+        A rule that cannot be assigned raises a copy of its kept error,
+        which has no traceback: a raised error's frames hold the table,
+        which would then live on in a cycle.
         """
-        hit = self._assignments.get(rule)
+        hit = self._rules.get(rule)
         if hit is None:
             try:
-                hit = assign(rule, self.G, self.a, self.k, inverse=self.inverse)
+                hit = self._rule_rows(rule)
             except CausalRulesError as exc:
                 hit = exc.with_traceback(None)
-            self._assignments[rule] = hit
+            self._rules[rule] = hit
         if isinstance(hit, CausalRulesError):
             raise copy.copy(hit)
         return hit
+
+    def _rule_rows(self, rule: Rule) -> _RuleRows:
+        size = self.n_w.size
+        # A covariate row has no observed level: an ITT rule assigns its
+        # target on the rows it moves, and the patterns on the rows it
+        # leaves alone keep theirs.  An infeasible rule names input rows
+        # through ``w_inverse``.
+        member, d = assign(
+            rule, self.G, np.full(size, rule.target), self.k, inverse=self.w_inverse
+        )
+        if rule.family == "itt":
+            ruled = member[:, rule.target]
+            rows = np.flatnonzero(ruled)
+        else:
+            ruled, rows = np.ones(size, dtype=bool), np.arange(size)
+        left = ~ruled[self.w]
+        return _RuleRows(ruled, d, rows, left, left | (self.a == d[self.w]))
 
 
 def _evaluate(
@@ -174,23 +232,23 @@ def _evaluate(
 ) -> _Patterns:
     """Group a dataset into (W, A) patterns and evaluate the models once.
 
-    The W patterns are the dataset's own grouping, which the ``g`` and
-    ``Q`` fits read too.  ``G`` and ``M`` are evaluated on the distinct W
-    rows only (:func:`~causalrules.glm._evaluate_models`), then read off
-    per pattern.  Every estimator runs on the returned table.
+    The W rows are the dataset's own grouping, which the ``g`` and ``Q``
+    fits read too.  ``G`` and ``M`` are evaluated on the distinct W rows
+    only (:func:`~causalrules.glm._evaluate_models`).  Every estimator
+    runs on the returned table.
     """
     k = dataset.n_treatment_levels
     w_first, w_index = dataset._w_groups()
     keys, inverse = _distinct_codes(w_index * k + dataset.a, w_first.size * k)
-    G, M = (
-        None if x is None else x[keys // k]
-        for x in _evaluate_models(dataset.w[w_first], dataset.covariate_names, g_model, q_model)
-    )
+    G, M = _evaluate_models(dataset.w[w_first], dataset.covariate_names, g_model, q_model)
+    w, trials = keys // k, np.bincount(inverse).astype(float)
     return _Patterns(
+        w=w,
         a=keys % k,
         successes=np.bincount(inverse, weights=dataset.y),
-        trials=np.bincount(inverse).astype(float),
-        inverse=inverse,
+        trials=trials,
+        n_w=np.bincount(w, weights=trials, minlength=w_first.size),
+        w_inverse=w_index,
         k=k,
         G=G,
         M=M,
@@ -204,37 +262,45 @@ def _weight_scale(G: np.ndarray | None, g_model: TreatmentModel | None, truncate
     return np.maximum(G, g_model.alpha_trunc)
 
 
-def _evaluation_stack(table: _Patterns, rules: tuple[Rule, ...], G_weights, M):
-    """Each rule's assigned levels and ruled mask (see :func:`_clever_covariate`),
-    the stack ``at`` of evaluation points (the observed level, then each
-    rule's assigned level, one row each), and ``G_weights`` and ``M`` at
-    the stack, or None where None was passed."""
-    size = table.a.size
-    assigned, ruled = [], []
-    for rule in rules:
-        member, d = table.assign(rule)
-        assigned.append(d)
-        ruled.append(
-            member[:, rule.target] if rule.family == "itt" else np.ones(size, dtype=bool)
-        )
-    at = np.stack((table.a, *assigned))
-    # Positions of the points in the flattened (patterns, levels) arrays.
-    flat = at + table.k * np.arange(size)
-    g_at, m_at = (None if x is None else x.take(flat) for x in (G_weights, M))
-    return assigned, ruled, at, g_at, m_at
+def _evaluation_stack(
+    table: _Patterns, records: tuple[_RuleRows, ...], observed: np.ndarray, G_weights, M
+):
+    """The points at which estimators read ``g`` and ``Q``: first the
+    patterns marked ``observed``, at their observed level, then each
+    record's ruled covariate rows at its assigned level.
+
+    Returns the indices of the observed patterns; the covariate row and
+    the level of every point; each record's plug-in weight at every point
+    (the rows a covariate row stands for, and the trials of the patterns
+    the rule leaves alone); and ``G_weights`` and ``M`` at the points, or
+    None where None was passed.
+    """
+    obs = np.flatnonzero(observed)
+    rows = np.concatenate((table.w[obs], *(r.rows for r in records)))
+    at = np.concatenate((table.a[obs], *(r.d[r.rows] for r in records)))
+    # Positions of the points in the flattened (covariate rows, levels) arrays.
+    flat = rows * table.k + at
+    g, m = (None if x is None else x.take(flat) for x in (G_weights, M))
+    plug = np.zeros((len(records), rows.size))
+    start = obs.size
+    for i, r in enumerate(records):
+        plug[i, : obs.size] = np.where(r.left[obs], table.trials[obs], 0.0)
+        plug[i, start : start + r.rows.size] = table.n_w[r.rows]
+        start += r.rows.size
+    return obs, rows, at, plug, g, m
 
 
 def _clever_covariate(
     ruled: np.ndarray, eval_a: np.ndarray, level, g_eval: np.ndarray
 ) -> np.ndarray:
-    """``I(eval_a = level) / g_eval`` on ruled rows, 1 elsewhere.
+    """``I(eval_a = level) / g_eval`` on ruled points, 1 elsewhere.
 
-    ``ruled`` marks the patterns to weight, for a rule the ones it moves:
-    every pattern for static and realistic rules, patterns with a
-    feasible target for ITT rules (the others keep their observed level
-    and outcome, with weight one).  ``level`` is one level or the
-    per-pattern assigned levels.  ``eval_a`` and ``g_eval`` may stack
-    several evaluation points, one row each, over the patterns.
+    ``ruled`` marks the points to weight, for a rule the ones it moves:
+    every point for static and realistic rules, points on covariate rows
+    with a feasible target for ITT rules (the others keep their observed
+    level and outcome, with weight one).  ``eval_a``, ``level`` and
+    ``g_eval`` hold the evaluated level, the rule's level and ``g`` at
+    every point of a stack (see :func:`_evaluation_stack`).
     """
     match = ruled & (eval_a == level)
     g = np.where(match, g_eval, 1.0)
@@ -244,6 +310,13 @@ def _clever_covariate(
             "(only possible with truncation disabled)"
         )
     return np.where(match, 1.0 / g, np.where(ruled, 0.0, 1.0))
+
+
+def _score(table: _Patterns, obs: np.ndarray, h: np.ndarray, m: np.ndarray) -> float:
+    """Mean over rows of ``h (Y - Q)`` on the patterns ``obs``, with ``m``
+    the logit of ``Q`` at their observed level: the weighted
+    outcome-residual term (``h`` is zero on the other patterns)."""
+    return float(h @ (table.successes[obs] - table.trials[obs] * _expit(m))) / table.n
 
 
 def _weight_summary(
@@ -351,46 +424,57 @@ def psi_from_arrays(
 ) -> CounterfactualEstimate:
     """One estimate of psi = E[Y_d] from a dataset's pattern table.
 
-    ``table`` holds the distinct (W, A) patterns with their outcome
-    successes out of trials, the raw treatment probabilities ``G`` that
-    define feasibility and the logit ``M`` of the outcome regression
-    (see :func:`_evaluate`); ``G_weights`` are the probabilities used as
-    weight denominators, one row per pattern.
+    ``table`` holds the distinct covariate rows and (W, A) patterns, the
+    raw treatment probabilities ``G`` that define feasibility and the
+    logit ``M`` of the outcome regression (see :func:`_evaluate`);
+    ``G_weights`` are the probabilities used as weight denominators, one
+    row per distinct covariate row.
     """
     _check_estimators((estimator,))
     _check_models(estimator, rule, table.G, table.M)
-    s, t, n = table.successes, table.trials, table.n
-    (assigned,), (ruled,), at, g_at, m_at = _evaluation_stack(
-        table, (rule,),
+    rec, n = table.rule(rule), table.n
+    # G-computation reads its observed-level points only for the outcomes
+    # of the patterns the rule leaves alone; IPTW reads no assigned level.
+    obs, rows, at, plug, g, m = _evaluation_stack(
+        table,
+        () if estimator == "iptw" else (rec,),
+        rec.left if estimator == "gcomp" else rec.support,
         None if estimator == "gcomp" else G_weights,
         None if estimator == "iptw" else table.M,
     )
+    n0 = obs.size
     if estimator == "gcomp":
-        psi = float(np.sum(np.where(ruled, t * _expit(m_at[1]), s))) / n
+        psi = (float(plug[0, n0:] @ _expit(m[n0:])) + float(table.successes[obs].sum())) / n
         return CounterfactualEstimate(
             estimator="gcomp", rule=rule, psi=psi, diagnostics=EstimateDiagnostics(n=n),
         )
-    h = _clever_covariate(ruled, at[0], assigned, g_at[0])
+
+    def covariate(points: slice) -> np.ndarray:
+        return _clever_covariate(
+            rec.ruled[rows[points]], at[points], rec.d[rows[points]], g[points]
+        )
+
+    h = covariate(slice(None, n0))
     epsilon = residual = None
     weights = h
     if estimator == "iptw":
-        psi = float(h @ s) / n
+        psi = float(h @ table.successes[obs]) / n
     elif estimator == "driptw":
-        # Rows with an infeasible ITT target carry no weight here; their
-        # h = 1 and observed level at both points give back their outcome.
-        weights = np.where(ruled, h, 0.0)
-        psi = table.score(h, m_at[0]) + table.mean(_expit(m_at[1]))
+        # Patterns the rule leaves alone carry no weight here; their h = 1
+        # and observed level in the plug-in give back their outcome.
+        weights = np.where(rec.left[obs], 0.0, h)
+        psi = _score(table, obs, h, m[:n0]) + float(plug[0] @ _expit(m)) / n
     else:
-        epsilon = fit_fluctuation(s, h, m_at[0], trials=t).epsilon
-        if np.any(g_at[1, ruled] <= 0.0):
+        epsilon = fit_fluctuation(
+            table.successes[obs], h, m[:n0], trials=table.trials[obs], n_obs=n
+        ).epsilon
+        if np.any(g[n0:] <= 0.0):
             level = "the target level" if rule.family == "itt" else "an assigned level"
             raise EstimationError(f"zero treatment probability at {level}")
-        # Rows the rule leaves alone hold the observed level and h = 1 at
-        # both points, so they stay equal.
-        m_at = m_at + epsilon * np.stack((h, _clever_covariate(ruled, at[1], assigned, g_at[1])))
-        psi = table.mean(_expit(m_at[1]))
-        residual = table.score(h, m_at[0])
-    n_w, w_min, w_max, w_mean = _weight_summary(weights, t)
+        m = m + epsilon * np.concatenate((h, covariate(slice(n0, None))))
+        psi = float(plug[0] @ _expit(m)) / n
+        residual = _score(table, obs, h, m[:n0])
+    n_w, w_min, w_max, w_mean = _weight_summary(weights, table.trials[obs])
     return CounterfactualEstimate(
         estimator=estimator,
         rule=rule,
@@ -549,25 +633,40 @@ def rr_tmle_from_arrays(
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
     _check_models("tmle", rule_num, table.G, table.M)
-    (d_num, d_den), (ruled_num, ruled_den), at, g_at, m_at = _evaluation_stack(
-        table, (rule_num, rule_den), G_weights, table.M
+    rec_num, rec_den = table.rule(rule_num), table.rule(rule_den)
+    appendix = family == "itt" and itt_covariate == "appendix"
+    # The appendix covariate is nonzero on every pattern with a feasible
+    # target, and the plug-ins read every pattern left alone.
+    obs, rows, at, plug, g, m = _evaluation_stack(
+        table, (rec_num, rec_den),
+        np.ones(table.a.size, dtype=bool) if appendix else rec_num.support | rec_den.support,
+        G_weights, table.M,
     )
-    if np.any(g_at[1:] <= 0.0):
+    n0, n = obs.size, table.n
+    # The assigned-level points: the ruled rows, and the patterns either
+    # rule leaves alone, at their observed level.
+    left = rec_num.left[obs] | rec_den.left[obs]
+    if np.any(g[n0:] <= 0.0) or np.any(g[:n0][left] <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
 
-    if family == "itt" and itt_covariate == "appendix":
+    if appendix:
         # Rows with a feasible target get (1 - theta) / psi_0; the others
         # contrast the two realistic rules' covariates.
-        real_num, real_den = (replace(rule, family="realistic") for rule in (rule_num, rule_den))
-        h_num = _clever_covariate(~ruled_num, at, table.assign(real_num)[1], g_at)
-        h_den = _clever_covariate(~ruled_num, at, table.assign(real_den)[1], g_at)
+        real_num, real_den = (
+            table.rule(replace(rule, family="realistic")) for rule in (rule_num, rule_den)
+        )
+        infeasible = ~rec_num.ruled[rows]
+        h_num = _clever_covariate(infeasible, at, real_num.d[rows], g)
+        h_den = _clever_covariate(infeasible, at, real_den.d[rows], g)
     else:
-        h_num = _clever_covariate(ruled_num, at, d_num, g_at)
-        h_den = _clever_covariate(ruled_den, at, d_den, g_at)
+        h_num = _clever_covariate(rec_num.ruled[rows], at, rec_num.d[rows], g)
+        h_den = _clever_covariate(rec_den.ruled[rows], at, rec_den.d[rows], g)
+    s0, t0 = table.successes[obs], table.trials[obs]
 
-    def plugins():
-        """Plug-ins at the current fit; the covariate at them serves the next step."""
-        psi_num, psi_den = (table.mean(_expit(m)) for m in m_at[1:])
+    def plugins(q):
+        """Plug-ins from ``q = Q`` at every point; the covariate at them
+        serves the next step."""
+        psi_num, psi_den = (float(v) / n for v in plug @ q)
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
@@ -577,13 +676,14 @@ def rr_tmle_from_arrays(
 
     epsilons: list[float] = []
     residual = np.inf
-    theta, psi_num, psi_den, h = plugins()
+    theta, psi_num, psi_den, h = plugins(_expit(m))
     for _ in range(max_iter):
-        eps = fit_fluctuation(table.successes, h[0], m_at[0], trials=table.trials).epsilon
+        eps = fit_fluctuation(s0, h[:n0], m[:n0], trials=t0, n_obs=n).epsilon
         epsilons.append(eps)
-        m_at = m_at + eps * h
-        theta, psi_num, psi_den, h = plugins()
-        residual = table.score(h[0], m_at[0])
+        m = m + eps * h
+        q = _expit(m)
+        theta, psi_num, psi_den, h = plugins(q)
+        residual = float(h[:n0] @ (s0 - t0 * q[:n0])) / n
         if abs(eps) < eps_tol and abs(residual) <= residual_tol:
             break
     else:
@@ -870,7 +970,7 @@ def estimate_suite(
                 "g_converged": g_model.info.converged,
                 "g_structural_zeros": [[l, f] for l, f in g_model.structural_zeros],
                 "g_truncated_cells": int(
-                    table.trials @ np.count_nonzero(table.G < g_model.alpha_trunc, axis=1)
+                    table.n_w @ np.count_nonzero(table.G < g_model.alpha_trunc, axis=1)
                 ),
             }
         )

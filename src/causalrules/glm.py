@@ -46,7 +46,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -283,6 +284,24 @@ def fit_logistic(
 
 
 @dataclass(frozen=True)
+class _FluctuationInfo:
+    """A fluctuation fit's convergence record, read like :class:`FitInfo`.
+
+    No estimate reads the log-likelihood, so it is evaluated, at the
+    fitted epsilon, only when ``loglik`` is read.
+    """
+
+    converged: bool
+    iterations: int
+    grad_norm: float
+    _loglik: Callable[[], float] = field(repr=False, compare=False)
+
+    @property
+    def loglik(self) -> float:
+        return self._loglik()
+
+
+@dataclass(frozen=True)
 class FluctuationFit:
     """One-parameter logistic fluctuation fitted with a fixed offset.
 
@@ -291,7 +310,7 @@ class FluctuationFit:
     """
 
     epsilon: float
-    info: FitInfo
+    info: _FluctuationInfo
 
 
 def fit_fluctuation(
@@ -301,6 +320,7 @@ def fit_fluctuation(
     gtol: float = 1e-10,
     max_iter: int = DEFAULT_MAX_ITER,
     trials: np.ndarray | None = None,
+    n_obs: float | None = None,
 ) -> FluctuationFit:
     """Fit the targeting fluctuation: logistic in ``h`` with no intercept.
 
@@ -317,7 +337,10 @@ def fit_fluctuation(
     estimating equation to near machine precision).  When the bracket
     collapses to float resolution first, the fit is accepted only if the
     mean score per observation is already below 1e-8, where the number of
-    observations is ``n = sum(trials)``.  A root beyond ``+-40`` raises
+    observations is ``n_obs``, by default ``sum(trials)``.  Entries with
+    ``h = 0`` change neither the score nor its slope, so a caller may
+    leave them out and pass the number of observations they all stand
+    for as ``n_obs``.  A root beyond ``+-40`` raises
     :class:`SeparationError`.
 
     Known limit: where ``h`` weights only entries whose outcomes are all
@@ -342,9 +365,12 @@ def fit_fluctuation(
         if t.shape != y.shape:
             raise ValidationError("trials must match the shape of y")
         n = float(t.sum())
+    if n_obs is not None:
+        n = n_obs
     if np.all(h == 0.0):
-        ll = _bernoulli_loglik(offset, y, t)
-        return FluctuationFit(0.0, FitInfo(True, 0, 0.0, ll))
+        return FluctuationFit(
+            0.0, _FluctuationInfo(True, 0, 0.0, lambda: _bernoulli_loglik(offset, y, t))
+        )
     accept_tol = max(gtol, 1e-8 * n)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
@@ -387,8 +413,10 @@ def fit_fluctuation(
             f"(score {trace[-1]:.3e})",
             trace,
         )
-    ll = _bernoulli_loglik(offset + eps * h, y, t)
-    return FluctuationFit(eps, FitInfo(True, it, trace[-1], ll))
+    return FluctuationFit(
+        eps,
+        _FluctuationInfo(True, it, trace[-1], lambda: _bernoulli_loglik(offset + eps * h, y, t)),
+    )
 
 
 # ---------------------------------------------------------------------------

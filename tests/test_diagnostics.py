@@ -427,3 +427,25 @@ def test_generate_rejects_a_negative_seed(gen_nv):
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         generate(gen_nv, 10, seed=-1)
     assert generate(gen_nv, 10, seed=np.int64(1)).n == 10
+
+
+@pytest.mark.parametrize("n_sim, message", [
+    (100.5, "n_sim must be an integer, got 100.5"),
+    (0, "n_sim must be >= 1"),
+])
+def test_a_bad_simulation_size_is_rejected_before_any_draw(monkeypatch, gen_nv, n_sim, message):
+    draws = []
+    monkeypatch.setattr(diagnostics, "generate", lambda *a, **k: draws.append(1))
+    with pytest.raises(ValidationError, match=message):
+        eta_bias_diagnostic(gen_nv, replicates=2, n_sim=n_sim)
+    assert draws == []
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer, got 2.5"),
+    (-1, "n must be >= 1"),
+])
+def test_generate_rejects_a_size_that_is_not_a_positive_integer(gen_nv, n, message):
+    with pytest.raises(ValidationError, match=message):
+        generate(gen_nv, n, seed=0)
+    assert generate(gen_nv, np.int64(3), seed=0).n == 3

@@ -1,6 +1,8 @@
 import gc
+import itertools
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy.special import expit
 
 from causalrules import (
     DGP_REGISTRY,
+    ConvergenceError,
     CounterfactualEstimate,
     Dataset,
     EstimationError,
@@ -37,7 +40,10 @@ from causalrules import errors
 from causalrules.errors import CausalRulesError
 from causalrules.estimators import (
     ESTIMATORS,
+    MIN_PSI_DENOMINATOR,
     EstimateDiagnostics,
+    RelativeRiskEstimate,
+    _describe,
     _evaluate,
     _grid,
     _Patterns,
@@ -45,7 +51,7 @@ from causalrules.estimators import (
     psi_from_arrays,
     rr_tmle_from_arrays,
 )
-from causalrules.glm import DEFAULT_GTOL
+from causalrules.glm import DEFAULT_GTOL, fit_fluctuation
 from causalrules.rules import (
     EMPTY_SET_POLICIES,
     FAMILIES,
@@ -474,11 +480,13 @@ def test_grid_is_invariant_to_row_order_and_duplication(copies, data):
 
 
 def _expanded(ds, table):
-    """``table``'s data with one pattern per input row, each one trial."""
+    """``table``'s data with one covariate row and one pattern per input
+    row, each one trial."""
+    rows = np.arange(ds.n)
     return _Patterns(
-        a=ds.a, successes=ds.y.astype(float), trials=np.ones(ds.n),
-        inverse=np.arange(ds.n), k=table.k,
-        G=table.G[table.inverse], M=table.M[table.inverse],
+        w=rows, a=ds.a, successes=ds.y.astype(float), trials=np.ones(ds.n),
+        n_w=np.ones(ds.n), w_inverse=rows, k=table.k,
+        G=table.G[table.w_inverse], M=table.M[table.w_inverse],
     )
 
 
@@ -562,9 +570,8 @@ def test_a_flat_fluctuation_score_fixes_psi_but_not_epsilon():
     for table in (grouped, _expanded(ds, grouped)):
         G_weights = _weight_scale(table.G, g_model, True)
         est = psi_from_arrays("tmle", rule, table, G_weights)
-        rows = np.arange(table.a.size)
-        h = np.where(table.a == 3, 1.0 / G_weights[rows, 3], 0.0)
-        m = table.M[rows, table.a]
+        h = np.where(table.a == 3, 1.0 / G_weights[table.w, 3], 0.0)
+        m = table.M[table.w, table.a]
 
         def score(e):
             return float(h @ (table.successes - table.trials * expit(m + e * h)))
@@ -575,6 +582,257 @@ def test_a_flat_fluctuation_score_fixes_psi_but_not_epsilon():
             assert abs(score(e)) <= 1e-10
         psis.append(est.psi)
     assert abs(psis[0] - psis[1]) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The grid against a per-pattern reference
+#
+# The package reads every term at a rule's assigned level on the distinct
+# covariate rows, and every observed-level term, the fluctuation among
+# them, on the patterns where the clever covariate is nonzero.  The
+# reference below reads every term on every (W, A) pattern, grouped here
+# from the rows, with the formulas written out in full.
+
+# The golden samples (tests/test_golden.py): system -> (rows, seed).
+_GOLDEN_SAMPLES = {
+    "cohort": (1500, 1),
+    "no_violation": (600, 2),
+    "interaction": (600, 3),
+    "structural_zero": (800, 4),
+    "null_effect": (600, 5),
+}
+
+
+def _per_pattern(ds, table):
+    """The rows of ``ds`` grouped into (W, A) patterns, with ``table``'s
+    g and Q read off on every pattern."""
+    k = table.k
+    keys, inverse = np.unique(table.w_inverse * k + ds.a, return_inverse=True)
+    w = keys // k
+    return dict(
+        a=keys % k, k=k, inverse=inverse, n=ds.n, w=w,
+        s=np.bincount(inverse, weights=ds.y), t=np.bincount(inverse).astype(float),
+        G=None if table.G is None else table.G[w], M=None if table.M is None else table.M[w],
+    )
+
+
+def _ref_covariate(ruled, eval_a, level, g_eval):
+    match = ruled & (eval_a == level)
+    g = np.where(match, g_eval, 1.0)
+    if np.any(g <= 0.0):
+        raise EstimationError(
+            "zero treatment probability on a matched row; cannot weight by 1/g "
+            "(only possible with truncation disabled)"
+        )
+    return np.where(match, 1.0 / g, np.where(ruled, 0.0, 1.0))
+
+
+def _ref_assign(p, rule):
+    """Assigned level and ruled mask of every pattern."""
+    member, d = assign(rule, p["G"], p["a"], p["k"], inverse=p["inverse"])
+    return d, member[:, rule.target] if rule.family == "itt" else np.ones(d.size, dtype=bool)
+
+
+def _ref_weights(p, G_weights):
+    return None if G_weights is None else G_weights[p["w"]]
+
+
+def _ref_psi(est, rule, p, G_weights, problems):
+    """One psi cell on every pattern; records the fluctuation it fits."""
+    s, t, n = p["s"], p["t"], p["n"]
+    d, ruled = _ref_assign(p, rule)
+    at = np.stack((p["a"], d))
+    flat = at + p["k"] * np.arange(d.size)
+    g_at = None if est == "gcomp" else _ref_weights(p, G_weights).take(flat)
+    m_at = None if est == "iptw" else p["M"].take(flat)
+    if est == "gcomp":
+        psi = float(np.sum(np.where(ruled, t * expit(m_at[1]), s))) / n
+        return CounterfactualEstimate(est, rule, psi, EstimateDiagnostics(n=n))
+    h = _ref_covariate(ruled, at[0], d, g_at[0])
+    epsilon = residual = None
+    weights = h
+    if est == "iptw":
+        psi = float(h @ s) / n
+    elif est == "driptw":
+        weights = np.where(ruled, h, 0.0)
+        psi = float(h @ (s - t * expit(m_at[0]))) / n + float(t @ expit(m_at[1])) / n
+    else:
+        problems.append((h, m_at[0]))
+        epsilon = fit_fluctuation(s, h, m_at[0], trials=t).epsilon
+        if np.any(g_at[1, ruled] <= 0.0):
+            level = "the target level" if rule.family == "itt" else "an assigned level"
+            raise EstimationError(f"zero treatment probability at {level}")
+        m_at = m_at + epsilon * np.stack((h, _ref_covariate(ruled, at[1], d, g_at[1])))
+        psi = float(t @ expit(m_at[1])) / n
+        residual = float(h @ (s - t * expit(m_at[0]))) / n
+    nz = weights > 0
+    n_w = int(t[nz].sum()) if nz.any() else 0
+    summary = (
+        (n_w, float(weights[nz].min()), float(weights[nz].max()),
+         float(t[nz] @ weights[nz]) / n_w) if nz.any() else (0, None, None, None)
+    )
+    return CounterfactualEstimate(est, rule, psi, EstimateDiagnostics(
+        n=n, epsilon=epsilon, score_residual=residual, n_weighted=summary[0],
+        weight_min=summary[1], weight_max=summary[2], weight_mean=summary[3],
+    ))
+
+
+def _ref_rr(family, target, p, G_weights, alpha, policy, covariate, problems):
+    """One RR-TMLE cell on every pattern; records every fluctuation it fits."""
+    s, t, n = p["s"], p["t"], p["n"]
+    rules = [Rule(family, level, alpha, policy) for level in (target, 0)]
+    (d_num, ruled_num), (d_den, ruled_den) = (_ref_assign(p, r) for r in rules)
+    at = np.stack((p["a"], d_num, d_den))
+    flat = at + p["k"] * np.arange(d_num.size)
+    g_at, m_at = _ref_weights(p, G_weights).take(flat), p["M"].take(flat)
+    if np.any(g_at[1:] <= 0.0):
+        raise EstimationError("zero treatment probability at an assigned level")
+    if family == "itt" and covariate == "appendix":
+        h_num, h_den = (
+            _ref_covariate(~ruled_num, at, _ref_assign(p, replace(r, family="realistic"))[0], g_at)
+            for r in rules
+        )
+    else:
+        h_num = _ref_covariate(ruled_num, at, d_num, g_at)
+        h_den = _ref_covariate(ruled_den, at, d_den, g_at)
+
+    def plugins():
+        psi_num, psi_den = (float(t @ expit(m)) / n for m in m_at[1:])
+        if psi_den < MIN_PSI_DENOMINATOR:
+            raise EstimationError(f"denominator psi_0 = {psi_den:.3e} is numerically zero")
+        theta = psi_num / psi_den
+        return theta, psi_num, psi_den, (h_num - theta * h_den) / psi_den
+
+    epsilons = []
+    theta, psi_num, psi_den, h = plugins()
+    for _ in range(50):
+        problems.append((h[0], m_at[0]))
+        eps = fit_fluctuation(s, h[0], m_at[0], trials=t).epsilon
+        epsilons.append(eps)
+        m_at = m_at + eps * h
+        theta, psi_num, psi_den, h = plugins()
+        residual = float(h[0] @ (s - t * expit(m_at[0]))) / n
+        if abs(eps) < 1e-6 and abs(residual) <= 1e-8:
+            break
+    else:
+        raise ConvergenceError(
+            f"relative-risk targeting did not converge in 50 iterations "
+            f"(last epsilon {epsilons[-1]:.3e}, residual {residual:.3e})",
+            trace=epsilons,
+        )
+    return RelativeRiskEstimate(
+        "tmle", family, target, alpha, theta, psi_num, psi_den, len(epsilons), True,
+        residual, tuple(epsilons),
+    )
+
+
+def _flat_or_equal(eps, want, problem, p):
+    """Epsilons match to 1e-12 unless the fluctuation score is flat there:
+    a fit stops anywhere in an interval where ``|s| <= 1e-10`` (see
+    ``fit_fluctuation``), so both must then solve the reference's score
+    equation to that tolerance."""
+    if abs(eps - want) <= 1e-12:
+        return True
+    h, m = problem
+    return abs(float(h @ (p["s"] - p["t"] * expit(m + eps * h)))) <= 1e-10
+
+
+def _assert_matches(got, want, where, problems, p):
+    """``got`` equals ``want``: floats to 1e-12 (relative above 1),
+    every integer, string and None exactly, epsilons by
+    :func:`_flat_or_equal`."""
+    if isinstance(want, CausalRulesError) or isinstance(got, CausalRulesError):
+        assert _describe(got) == _describe(want), where
+        return
+    got, want = got.to_dict(), want.to_dict()
+    assert got.keys() == want.keys(), where
+    eps_got = got.get("epsilons", [got.get("diagnostics", {}).get("epsilon")])
+    eps_want = want.get("epsilons", [want.get("diagnostics", {}).get("epsilon")])
+    assert len(eps_got) == len(eps_want), where
+    for i, (e, f) in enumerate(zip(eps_got, eps_want)):
+        assert (e is None) == (f is None), where
+        assert e is None or _flat_or_equal(e, f, problems[i], p), (where, i, e, f)
+
+    def same(u, v, key):
+        if isinstance(v, dict):
+            assert u.keys() == v.keys(), (where, key)
+            for name in v:
+                if name != "epsilon":
+                    same(u[name], v[name], (key, name))
+        elif isinstance(v, float):
+            assert isinstance(u, float) and abs(u - v) <= 1e-12 * max(1.0, abs(v)), (where, key, u, v)
+        else:
+            assert type(u) is type(v) and u == v, (where, key, u, v)
+
+    for key in want:
+        if key != "epsilons":
+            same(got[key], want[key], key)
+
+
+def _assert_grid_matches_reference(ds, g_model, q_model, settings):
+    """Every psi cell of the grid, and every RR-TMLE cell when there is
+    an outcome model, equals the reference under ``settings``."""
+    table = _evaluate(ds, g_model, q_model)
+    p = _per_pattern(ds, table)
+    k = ds.n_treatment_levels
+    for alpha, truncate, policy, covariate in settings:
+        estimators = ESTIMATORS if q_model is not None else ("iptw",)
+        labels = [(f, tg, e, "psi") for f in FAMILIES for tg in range(k) for e in estimators]
+        if q_model is not None:
+            labels += [(f, tg, "tmle", "rr") for f in FAMILIES for tg in range(1, k)]
+        got = _grid(table, labels, g_model, alpha=alpha, empty_set_policy=policy,
+                    truncate_weights=truncate, itt_covariate=covariate)
+        G_weights = _weight_scale(table.G, g_model, truncate)
+        for family, target, est, kind in labels:
+            problems = []
+            try:
+                if kind == "psi":
+                    rule = Rule(family, target, alpha, policy)
+                    want = _ref_psi(est, rule, p, G_weights, problems)
+                else:
+                    want = _ref_rr(family, target, p, G_weights, alpha, policy, covariate,
+                                   problems)
+            except CausalRulesError as exc:
+                want = exc
+            where = (q_model is None, alpha, truncate, policy, covariate,
+                     family, target, est, kind)
+            _assert_matches(got[(family, target, est, kind)], want, where, problems, p)
+
+
+@pytest.mark.parametrize("system", sorted(_GOLDEN_SAMPLES))
+def test_the_grid_matches_a_per_pattern_reference(system):
+    """Every psi cell and every RR-TMLE cell of the grid, on the golden
+    sample of each system, at three alphas, with and without truncated
+    weights, under both empty-set policies and both ITT covariates,
+    equals the reference; so does an IPTW grid with no outcome model."""
+    ds = generate(DGP_REGISTRY[system](), *_GOLDEN_SAMPLES[system])
+    g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    settings = list(itertools.product(
+        (0.0, 0.05, 0.3), (True, False), EMPTY_SET_POLICIES, ("delta", "appendix")
+    ))
+    _assert_grid_matches_reference(ds, g_model, q_model, settings)
+    _assert_grid_matches_reference(
+        ds, g_model, None, [s for s in settings if s[3] == "delta"]
+    )
+
+
+def test_a_zero_probability_at_an_observed_level_left_alone_matches_the_reference():
+    """Row 1 of DS3 is observed at level 1, which this g rules out where
+    x = 1.  ITT target 1 at alpha 0.3 leaves that row alone, so its
+    pattern keeps its observed level: with untruncated weights RR-TMLE
+    fails there ("zero treatment probability at an assigned level"), as
+    it does when every pattern is read at every point."""
+    g_model = make_treatment_model(
+        ("x",), [[math.log(2.0), 0.0], [0.0, 0.0]], structural_zeros=((1, "x"),)
+    )
+    settings = [(0.3, truncate, "error", covariate)
+                for truncate in (True, False) for covariate in ("delta", "appendix")]
+    _assert_grid_matches_reference(DS3, g_model, Q3, settings)
+    results = _grid(_evaluate(DS3, g_model, Q3), [("itt", 1, "tmle", "rr")], g_model,
+                    alpha=0.3, truncate_weights=False)
+    assert _describe(results[("itt", 1, "tmle", "rr")]) == (
+        "EstimationError: zero treatment probability at an assigned level"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,42 @@ def test_fluctuation_on_successes_out_of_trials_equals_the_expanded_rows():
         assert grouped.info.loglik == pytest.approx(expanded.info.loglik, abs=1e-9)
 
 
+def test_a_fluctuation_on_its_nonzero_entries_equals_the_full_fit():
+    """Entries with h = 0 change neither the score nor its slope.  Left
+    out, with the observations they stand for passed as ``n_obs``, they
+    give the same fit, also where h is so large that no float epsilon
+    brings |s| to gtol and the fit is accepted on the mean score per
+    observation; without ``n_obs`` that mean is taken over 4
+    observations, not 1,000,004, and the fit stalls."""
+    h = np.array([1.0, -0.7, 0.4, 0.0]) * 1e11
+    y = np.array([1.0, 0.0, 1.0, 3e5])
+    trials = np.array([1.0, 1.0, 2.0, 1e6])
+    offset = np.array([0.2, -0.1, 0.3, 0.0])
+    full = fit_fluctuation(y, h, offset, trials=trials)
+    assert full.info.grad_norm > 1e-10
+    part = fit_fluctuation(y[:3], h[:3], offset[:3], trials=trials[:3], n_obs=trials.sum())
+    assert part.epsilon == full.epsilon
+    assert part.info.iterations == full.info.iterations
+    with pytest.raises(ConvergenceError, match="stalled"):
+        fit_fluctuation(y[:3], h[:3], offset[:3], trials=trials[:3])
+
+
+def test_a_fluctuation_evaluates_its_log_likelihood_only_when_read(monkeypatch):
+    calls = []
+    original = glm._bernoulli_loglik
+    monkeypatch.setattr(glm, "_bernoulli_loglik", lambda *a: calls.append(1) or original(*a))
+    y, h, offset = _fluct_case(0)
+    for h_case in (h, np.zeros_like(h)):
+        fit = fit_fluctuation(y, h_case, offset)
+        assert fit.info.converged and calls == []
+        eps = fit.epsilon
+        assert fit.info.loglik == pytest.approx(
+            float(np.sum(y * (offset + eps * h_case) - np.logaddexp(0.0, offset + eps * h_case)))
+        )
+        assert calls == [1]
+        calls.clear()
+
+
 def test_fluctuation_separation_names_h():
     h = np.tile([-0.1, 0.1], 10)
     with pytest.raises(SeparationError) as err:

@@ -15,15 +15,22 @@ Generation always uses the raw (untruncated) treatment probabilities.
 Every draw lands on one of the support cells, so generation reads ``g``
 and ``Q`` off the support, where they are evaluated once per system by
 the package's one evaluation entry (``glm._evaluate_models``), instead
-of predicting them on the drawn rows.  It also hands each generated
-dataset its grouping into distinct covariate rows, read off the
-support's own grouping: a replicate's fits and estimators share that
-grouping, and its rows are never grouped.
+of predicting them on the drawn rows; the levels are drawn off the
+support's cumulative ``g``, also made once per system.  It also hands
+each generated dataset its grouping into distinct covariate rows, read
+off the support's own grouping, and the support row of each distinct
+row: a replicate's fits and estimators share that grouping, and its
+rows are never grouped.
 
 By default each replicate refits g — the feasibility sets are part of
 the estimator — and the drift of the replicate-specific estimand (the
 truth under the refit feasibility sets, with the refit g evaluated on
-the support through the same entry) is recorded alongside.
+the support through the same entry) is recorded alongside.  A
+replicate evaluates ``g`` once: the sample's ``G`` is indexed out of
+the support evaluation made for the drift, or, without a refit, out of
+the system's own.  Only a refit without drift is predicted on the
+sample's distinct rows, so the support is evaluated, and can fail, only
+where the drift needs it.
 """
 
 from __future__ import annotations
@@ -108,6 +115,12 @@ class GeneratingDistribution:
         return _read_only(G), _read_only(_expit(M))
 
     @cached_property
+    def _support_g_cumulative(self) -> np.ndarray:
+        """Raw ``g`` summed over levels ``0..a`` at every support row and
+        level ``a``, made once per system for drawing levels."""
+        return _read_only(np.cumsum(self.support_g_raw(), axis=1))
+
+    @cached_property
     def _support_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """The support's distinct rows, in byte order: ``(first, inverse)``
         as :func:`~causalrules.ingest._distinct_rows` gives them."""
@@ -119,17 +132,27 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _draw_levels(g_probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one treatment level per row from uniforms ``u``.
+def _draw_levels(gen: GeneratingDistribution, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one treatment level at each of the support
+    rows ``cells`` from uniforms ``u``, off the support's cumulative ``g``.
 
     A ``u`` above a row's rounded cumulative sum takes the row's last
     level of positive probability, never a structurally zero one.
     """
-    k = g_probs.shape[1]
-    a = (u[:, None] > np.cumsum(g_probs, axis=1)).sum(axis=1)
+    cumulative = gen._support_g_cumulative
+    k = cumulative.shape[1]
+    a = (u[:, None] > cumulative[cells]).sum(axis=1)
     past = np.flatnonzero(a == k)
-    a[past] = k - 1 - np.argmax(g_probs[past, ::-1] > 0.0, axis=1)
+    a[past] = k - 1 - np.argmax(gen.support_g_raw()[cells[past], ::-1] > 0.0, axis=1)
     return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Draw(Dataset):
+    """A generated dataset that also knows the support row of each of its
+    distinct covariate rows, in the order of its grouping."""
+
+    _support_rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def generate(
@@ -155,19 +178,20 @@ def generate(
         _check_count(seed, "seed", 0)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
-    a = _draw_levels(gen.support_g_raw()[cells], rng.random(n))
+    a = _draw_levels(gen, cells, rng.random(n))
     y = (rng.random(n) < gen.support_q()[cells, a]).astype(np.int64)
     support_first, support_inverse = gen._support_groups
     drawn, inverse = _distinct_codes(support_inverse[cells], support_first.size)
     first = np.full(drawn.size, n)
     np.minimum.at(first, inverse, np.arange(n))
-    return Dataset(
+    return _Draw(
         w=gen.w_support[cells],
         a=a,
         y=y,
         covariate_names=gen.covariate_names,
         n_treatment_levels=gen.n_treatment_levels,
         _groups=(first, inverse),
+        _support_rows=cells[first],
     )
 
 
@@ -310,10 +334,11 @@ def eta_bias_diagnostic(
     error around it.
 
     The generating system is evaluated on its support once, and each
-    replicate's refit models once per replicate.  Replicates
-    whose fits (or refit feasibility sets on the support) fail are
-    dropped and counted; more than 10% failing raises, more than 1%
-    warns.
+    replicate's refit ``g`` once: on the support when the drift is
+    recorded, with the sample's ``G`` indexed out of it, and on the
+    sample otherwise.  Replicates whose fits (or refit feasibility sets
+    on the support) fail are dropped and counted; more than 10% failing
+    raises, more than 1% warns.
     """
     _check_estimators((estimator,))
     _check_count(replicates, "diagnostic replicates", 1)
@@ -344,15 +369,19 @@ def eta_bias_diagnostic(
         try:
             g_model = (spec.fit_g(ds) if refit_g else gen.g_model) if need_g else None
             q_model = spec.fit_q(ds) if need_q else None
-            member_fit = None
-            if record_drift and g_model is not None:
-                g_fit = _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
-                member_fit = membership_matrix(g_fit, alpha)
+            g_support = member_fit = None
+            if g_model is not None and not refit_g:
+                g_support = gen.support_g_raw()
+            elif g_model is not None and record_drift:
+                g_support = _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
+            if record_drift and g_support is not None:
+                member_fit = membership_matrix(g_support, alpha)
         except CausalRulesError:
             n_failed += 1
             continue
+        G = None if g_support is None else g_support[ds._support_rows]
         results = _grid(
-            _evaluate(ds, g_model, q_model), [(f, t, estimator, "psi") for f, t in cells],
+            _evaluate(ds, g_model, q_model, G), [(f, t, estimator, "psi") for f, t in cells],
             g_model, alpha=alpha, empty_set_policy=empty_set_policy,
             truncate_weights=truncate_weights,
         )

@@ -52,7 +52,8 @@ Each term is summed where it lives:
   plug-ins too.
 
 Each rule's record on the table (``_Patterns.rule``) is built once and
-shared by every cell that reads the rule.  Estimators read ``G`` and
+shared by every cell that reads the rule, and the rules at one ``alpha``
+share one feasibility matrix.  Estimators read ``G`` and
 ``M`` at one stack of evaluation points (``_evaluation_stack``), and
 every inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
 Feasibility sets always use the raw probabilities (see ``rules``);
@@ -85,7 +86,7 @@ from .glm import (
     fit_treatment_model,
 )
 from .ingest import Dataset, _distinct_codes
-from .rules import Rule, assign
+from .rules import Rule, assign, membership_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .inference import IntervalEstimate
@@ -185,6 +186,7 @@ class _Patterns:
     G: np.ndarray | None
     M: np.ndarray | None
     _rules: dict = field(default_factory=dict, repr=False)
+    _members: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -209,6 +211,18 @@ class _Patterns:
             raise copy.copy(hit)
         return hit
 
+    def _membership(self, rule: Rule) -> np.ndarray | None:
+        """The feasibility matrix ``rule`` reads off ``G``, made once per
+        ``alpha`` and shared by every rule at it; None where :func:`assign`
+        reads no ``G``."""
+        if rule.family == "static" or rule.alpha == 0.0 or self.G is None:
+            return None
+        member = self._members.get(rule.alpha)
+        if member is None:
+            member = self._members[rule.alpha] = membership_matrix(self.G, rule.alpha)
+            member.flags.writeable = False
+        return member
+
     def _rule_rows(self, rule: Rule) -> _RuleRows:
         size = self.n_w.size
         # A covariate row has no observed level: an ITT rule assigns its
@@ -216,7 +230,8 @@ class _Patterns:
         # leaves alone keep theirs.  An infeasible rule names input rows
         # through ``w_inverse``.
         member, d = assign(
-            rule, self.G, np.full(size, rule.target), self.k, inverse=self.w_inverse
+            rule, self.G, np.full(size, rule.target), self.k, self._membership(rule),
+            inverse=self.w_inverse,
         )
         if rule.family == "itt":
             ruled = member[:, rule.target]
@@ -228,19 +243,27 @@ class _Patterns:
 
 
 def _evaluate(
-    dataset: Dataset, g_model: TreatmentModel | None, q_model: OutcomeModel | None
+    dataset: Dataset,
+    g_model: TreatmentModel | None,
+    q_model: OutcomeModel | None,
+    G: np.ndarray | None = None,
 ) -> _Patterns:
     """Group a dataset into (W, A) patterns and evaluate the models once.
 
     The W rows are the dataset's own grouping, which the ``g`` and ``Q``
     fits read too.  ``G`` and ``M`` are evaluated on the distinct W rows
-    only (:func:`~causalrules.glm._evaluate_models`).  Every estimator
-    runs on the returned table.
+    only (:func:`~causalrules.glm._evaluate_models`).  A caller that
+    already holds ``g_model``'s raw probabilities on those rows, in the
+    grouping's order, hands them in as ``G``.  Every estimator runs on
+    the returned table.
     """
     k = dataset.n_treatment_levels
     w_first, w_index = dataset._w_groups()
     keys, inverse = _distinct_codes(w_index * k + dataset.a, w_first.size * k)
-    G, M = _evaluate_models(dataset.w[w_first], dataset.covariate_names, g_model, q_model)
+    G_fit, M = _evaluate_models(
+        dataset.w[w_first], dataset.covariate_names, g_model if G is None else None, q_model
+    )
+    G = G_fit if G is None else G
     w, trials = keys // k, np.bincount(inverse).astype(float)
     return _Patterns(
         w=w,

@@ -17,6 +17,16 @@ grouping, made once per dataset and shared with the estimators.  Binary
 covariates make the patterns few: a 20,000-row draw of the 15-covariate
 cohort system has about 2,400 distinct covariate rows.
 
+The ``g`` fit's Fisher information is one product per Newton iteration.
+Each of its (level, level) blocks is a weighted sum of the same ``x x^T``
+over the distinct rows, so the fit multiplies the blocks' row weights
+with the products of every pair of design columns, made once per fit
+(136 columns for the cohort's 16).  Binary covariates, which every
+dataset has, keep those pairs in int8, and they are cast to float 256
+rows at a time, so the fit holds no float array of that width.  The
+structural zeros are read off one product too: the indicator of ones of
+every column against the level counts.
+
 The ``g`` and ``Q`` fits share one damped Newton driver.  It converges
 on the sup-norm of the score (default ``1e-8``) and damps each step by
 one line search: halve up to 40 times and take the first candidate
@@ -57,7 +67,7 @@ from .errors import (
     SingularInformationError,
     ValidationError,
 )
-from .ingest import Dataset, _distinct_codes, _distinct_rows
+from .ingest import Dataset, _binary, _distinct_codes, _distinct_rows
 
 DEFAULT_GTOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -605,21 +615,18 @@ def _detect_structural_zeros(X: np.ndarray, counts: np.ndarray) -> list[tuple[in
     ``X`` holds distinct design rows and ``counts[i, l]`` the number of
     observations of level ``l`` at row ``i``.  Column 0 is the
     intercept, so a level observed nowhere pins on column 0 and needs no
-    further pins.
+    further pins.  Every column's seen levels come from one product of
+    its indicator of ones with the counts (the intercept sees every
+    observed level, so it adds no pin); only binary columns with a one
+    somewhere define margin cells.  The pins come column by column,
+    levels ascending within a column.
     """
-    k_levels = counts.shape[1]
     level_absent = counts.sum(axis=0) == 0
-    pins = [(l, 0) for l in range(k_levels) if level_absent[l]]
-    for c in range(1, X.shape[1]):
-        col = X[:, c]
-        if not np.isin(col, (0.0, 1.0)).all():
-            continue  # only binary features define margin cells
-        active = col == 1.0
-        if not active.any():
-            continue
-        seen = counts[active].sum(axis=0) > 0
-        pins += [(l, c) for l in range(k_levels) if not (level_absent[l] or seen[l])]
-    return pins
+    ones = X == 1.0
+    binary = (ones | (X == 0.0)).all(axis=0) & ones.any(axis=0)
+    empty = binary[:, None] & ((ones.T @ counts) == 0) & ~level_absent
+    pins = [(l, 0) for l in np.flatnonzero(level_absent).tolist()]
+    return pins + [(l, c) for c, l in np.argwhere(empty).tolist()]
 
 
 def _support_matrix(X: np.ndarray, pins: list[tuple[int, int]], k_levels: int) -> np.ndarray:
@@ -643,7 +650,6 @@ def _multinomial_probs(
     eta = np.where(support, eta, -np.inf)
     m = eta.max(axis=1, keepdims=True)
     ex = np.exp(eta - m)
-    ex[~support] = 0.0
     return ex / ex.sum(axis=1, keepdims=True)
 
 
@@ -722,6 +728,74 @@ class TreatmentModel:
         )
 
 
+# Rows of the column pairs cast to float at a time by the information.
+_PAIR_CHUNK = 256
+
+
+def _column_pairs(w: np.ndarray) -> np.ndarray:
+    """Products ``X[:, a] * X[:, b]`` of every pair ``a <= b`` of columns of
+    the design ``X = [1, w]``, in :func:`numpy.triu_indices` order.
+
+    Binary covariates, which every :class:`~causalrules.ingest.Dataset`
+    has, keep them in int8; only other covariates need float pairs.
+    """
+    dtype = np.int8 if _binary(w) else float
+    X = np.column_stack([np.ones(w.shape[0], dtype=dtype), w.astype(dtype, copy=False)])
+    q = X.shape[1]
+    pairs = np.empty((X.shape[0], q * (q + 1) // 2), dtype=dtype)
+    start = 0
+    for a in range(q):
+        np.multiply(X[:, a : a + 1], X[:, a:], out=pairs[:, start : start + q - a])
+        start += q - a
+    return pairs
+
+
+def _multinomial_information(
+    w: np.ndarray, totals: np.ndarray, free: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The Fisher information of the multinomial logit on the distinct
+    covariate rows ``w``, restricted to the ``free`` (level 1..K-1,
+    design column) coefficients, as a function of the ``(m, K)``
+    probabilities at the rows; ``totals`` counts the observations of each row.
+
+    The information is ``sum_i totals_i (diag p_i - p_i p_i^T) (x) x_i x_i^T``
+    over the non-reference levels (Boehning 1992, Ann. Inst. Stat. Math.
+    44(1)), so its ``(l, m)`` block is ``sum_i totals_i p_il (d_lm - p_im)
+    x_i x_i^T``: every block is a weighted sum of the same ``x x^T``.  One
+    product of the blocks' row weights with the products of every pair
+    of design columns (:func:`_column_pairs`) gives every block, and each
+    entry is read off its block's row and its column pair.  The pairs
+    are made once per fit; the weights are formed, and the pairs cast to
+    float, ``_PAIR_CHUNK`` rows at a time, so no float array of
+    ``m x q(q+1)/2`` is ever held.
+    """
+    pairs = _column_pairs(w)
+    q = w.shape[1] + 1
+    levels = free.shape[0]
+    col_a, col_b = np.triu_indices(q)
+    pair_of = np.empty((q, q), dtype=np.intp)
+    pair_of[col_a, col_b] = pair_of[col_b, col_a] = np.arange(col_a.size)
+    lev_l, lev_m = np.triu_indices(levels)
+    block_of = np.empty((levels, levels), dtype=np.intp)
+    block_of[lev_l, lev_m] = block_of[lev_m, lev_l] = np.arange(lev_l.size)
+    # The free coefficients in row-major (level, column) order, as the
+    # score lists them.
+    lev, col = np.nonzero(free)
+    entry = block_of[np.ix_(lev, lev)] * col_a.size + pair_of[np.ix_(col, col)]
+    same = lev_l == lev_m
+
+    def information(probs):
+        blocks = np.zeros((lev_l.size, col_a.size))
+        for s in range(0, pairs.shape[0], _PAIR_CHUNK):
+            rows = slice(s, s + _PAIR_CHUNK)
+            p = probs[rows, 1:]
+            weights = totals[rows, None] * p[:, lev_l] * (same - p[:, lev_m])
+            blocks += weights.T @ pairs[rows].astype(float, copy=False)
+        return blocks.ravel()[entry]
+
+    return information
+
+
 def fit_multinomial(
     w: np.ndarray,
     a: np.ndarray,
@@ -794,8 +868,8 @@ def _fit_multinomial(
     counts = np.bincount(inverse * k_levels + a, minlength=m * k_levels)
     counts = counts.reshape(m, k_levels).astype(float)
     totals = counts.sum(axis=1)
-    observed = counts > 0
-    observed_counts = counts[observed]
+    observed = np.flatnonzero(counts)
+    observed_counts = counts.ravel()[observed]
     q = p + 1
     names = (INTERCEPT_NAME,) + covariate_names
     pins = _detect_structural_zeros(X, counts)
@@ -824,21 +898,9 @@ def _fit_multinomial(
     def evaluate(theta):
         probs = _multinomial_probs(X, coefficients(theta), support)
         score = (X.T @ (counts[:, 1:] - totals[:, None] * probs[:, 1:])).T.ravel()[free_flat]
-        return probs, float(np.sum(observed_counts * np.log(probs[observed]))), score
+        return probs, float(np.sum(observed_counts * np.log(probs.ravel()[observed]))), score
 
-    def information(probs):
-        # Fisher information in (k-1, q) blocks, restricted to the free
-        # parameters.
-        dim = (k_levels - 1) * q
-        info = np.empty((dim, dim))
-        for l in range(1, k_levels):
-            for m in range(l, k_levels):
-                wlm = totals * probs[:, l] * ((l == m) - probs[:, m])
-                block = (X * wlm[:, None]).T @ X
-                info[(l - 1) * q : l * q, (m - 1) * q : m * q] = block
-                if m != l:
-                    info[(m - 1) * q : m * q, (l - 1) * q : l * q] = block
-        return info[np.ix_(free_flat, free_flat)]
+    information = _multinomial_information(w, totals, free)
 
     def check_separation(theta):
         mags = np.abs(coefficients(theta))

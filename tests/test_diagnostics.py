@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,17 @@ def test_generate_is_seed_reproducible(gen_nv):
         generate(gen_nv, 0)
 
 
+def _draw_levels_rowwise(g_probs, u):
+    """Inverse-CDF draw of one level per row from each drawn row's own
+    cumulative sum of ``g``; a ``u`` past a row's rounded total takes its
+    last level of positive probability."""
+    k = g_probs.shape[1]
+    a = (u[:, None] > np.cumsum(g_probs, axis=1)).sum(axis=1)
+    past = np.flatnonzero(a == k)
+    a[past] = k - 1 - np.argmax(g_probs[past, ::-1] > 0.0, axis=1)
+    return a
+
+
 def _generate_rowwise(gen, n, seed):
     """W, A and Y as a generator that predicts g and Q on every drawn row
     draws them, from the same stream of random numbers."""
@@ -114,7 +127,7 @@ def _generate_rowwise(gen, n, seed):
     cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
     w = gen.w_support[cells]
     w_g = _columns_for(w, gen.covariate_names, gen.g_model.covariate_names)
-    a = _draw_levels(gen.g_model.predict_raw(w_g), rng.random(n))
+    a = _draw_levels_rowwise(gen.g_model.predict_raw(w_g), rng.random(n))
     w_q = _columns_for(w, gen.covariate_names, gen.q_model.design.covariate_names)
     y = (rng.random(n) < gen.q_model.predict(a, w_q)).astype(np.int64)
     return w, a, y
@@ -144,6 +157,7 @@ def test_generate_reads_the_support_bit_for_bit(name):
         want_first, want_inverse = _distinct_rows(ds.w)
         np.testing.assert_array_equal(first, want_first)
         np.testing.assert_array_equal(inverse, want_inverse)
+        np.testing.assert_array_equal(gen.w_support[ds._support_rows], ds.w[first])
 
 
 def test_support_evaluations_are_computed_once_and_read_only():
@@ -221,16 +235,41 @@ def test_draw_levels_never_draws_a_structural_zero():
     """On cohort rows whose top level is structurally zero, the rounded
     cumulative sum can end just below 1; a uniform above it takes the
     row's last supported level. Uniforms below it draw as before."""
-    g = cohort_dgp().support_g_raw()
+    gen = cohort_dgp()
+    g = gen.support_g_raw()
+    every_row = np.arange(len(g))
     rows = (g[:, -1] == 0.0) & (np.cumsum(g, axis=1)[:, -1] < np.nextafter(1.0, 0.0))
     assert rows.any()
-    a = _draw_levels(g, np.full(len(g), np.nextafter(1.0, 0.0)))
+    a = _draw_levels(gen, every_row, np.full(len(g), np.nextafter(1.0, 0.0)))
     assert np.all(g[np.arange(len(g)), a] > 0.0)
     for row in np.flatnonzero(rows):
         assert a[row] == np.flatnonzero(g[row])[-1]
     u = np.random.default_rng(0).random(len(g))
     naive = np.minimum((u[:, None] > np.cumsum(g, axis=1)).sum(axis=1), g.shape[1] - 1)
-    np.testing.assert_array_equal(_draw_levels(g, u), naive)
+    np.testing.assert_array_equal(_draw_levels(gen, every_row, u), naive)
+
+
+@pytest.mark.parametrize("name", DGP_REGISTRY)
+def test_draw_levels_off_the_cached_cumulative_g_match_the_rowwise_cumsum(name):
+    """Drawing off the support's cumulative g, made once per system, gives
+    the level the drawn row's own cumulative sum gives, draw for draw;
+    every seventh uniform sits at the largest float below 1, where a
+    rounded total short of 1 sends the draw to the fallback."""
+    gen = DGP_REGISTRY[name]()
+    g = gen.support_g_raw()
+    total = np.cumsum(g, axis=1)[:, -1]
+    past = 0
+    for seed in (0, 1, 2, 3):
+        rng = np.random.default_rng(seed)
+        cells = rng.choice(len(g), size=3000, p=gen.w_probs)
+        u = rng.random(cells.size)
+        u[::7] = np.nextafter(1.0, 0.0)
+        a = _draw_levels(gen, cells, u)
+        np.testing.assert_array_equal(a, _draw_levels_rowwise(g[cells], u))
+        assert np.all(g[cells, a] > 0.0)
+        past += int(np.count_nonzero(u > total[cells]))
+    if name == "cohort":
+        assert past > 0
 
 
 def test_from_dataset_uses_empirical_support(data_nv, models_nv):
@@ -283,6 +322,50 @@ def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
     assert report.n_failed_replicates == 2
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
     assert [w.filename for w in record if w.category is UserWarning] == [__file__]
+
+
+@pytest.mark.parametrize(
+    "refit_g, record_drift, failed",
+    [(True, True, 2), (True, False, 1), (False, True, 0), (False, False, 0)],
+)
+def test_a_replicate_reads_its_sample_g_off_the_support(
+    monkeypatch, refit_g, record_drift, failed
+):
+    """Where a replicate has g on the support (the refit, evaluated for the
+    drift, or the system's own), the sample's G is indexed out of it and
+    equals predicting g on the sample's distinct rows; without drift a
+    refit is predicted on the sample alone.  Predicting G instead drops
+    the same replicates and gives the same estimates.  Of this seed's
+    refits, one fails to fit and one misses a support row, which drops
+    its replicate only where the support is evaluated."""
+    kwargs = dict(
+        estimator="iptw", replicates=20, n_sim=100, seed=0, refit_g=refit_g,
+        record_drift=record_drift, empty_set_policy="assign_min_realistic",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        indexed = eta_bias_diagnostic(cohort_dgp(), **kwargs)
+    evaluate, handed = diagnostics._evaluate, []
+
+    def predicted(ds, g_model, q_model, G=None):
+        if G is not None:
+            w = ds.w[ds._w_groups()[0]]
+            want = g_model.predict_raw(_columns_for(w, ds.covariate_names, g_model.covariate_names))
+            np.testing.assert_allclose(G, want, rtol=1e-12, atol=1e-15)
+        handed.append(G is not None)
+        return evaluate(ds, g_model, q_model)
+
+    monkeypatch.setattr(diagnostics, "_evaluate", predicted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        reference = eta_bias_diagnostic(cohort_dgp(), **kwargs)
+    assert set(handed) == {record_drift or not refit_g}
+    assert indexed.n_failed_replicates == reference.n_failed_replicates
+    assert indexed.n_failed_replicates == failed
+    for got, want in zip(indexed.entries, reference.entries, strict=True):
+        assert got.n_effective == want.n_effective
+        assert got.mean_estimate == pytest.approx(want.mean_estimate, abs=1e-12)
+        assert got.drift == (None if want.drift is None else pytest.approx(want.drift, abs=1e-12))
 
 
 def test_bias_report_table_and_dict(gen_nv):

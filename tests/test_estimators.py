@@ -948,6 +948,27 @@ def test_grid_errors_keep_no_pattern_table_alive(data_nv, models_nv):
     assert all(isinstance(r, CausalRulesError) for r in results.values()), results
 
 
+def test_a_pattern_table_makes_one_membership_matrix_per_alpha(monkeypatch, data_nv, models_nv):
+    """Every realistic and ITT rule at one alpha reads the same feasibility
+    matrix off the table's G; static rules and alpha = 0 read none."""
+    import causalrules.estimators as est_module
+
+    g_model, q_model = models_nv
+    made = []
+
+    def counted(g_probs, alpha):
+        made.append(alpha)
+        return membership_matrix(g_probs, alpha)
+
+    monkeypatch.setattr(est_module, "membership_matrix", counted)
+    table = _evaluate(data_nv, g_model, q_model)
+    labels = [(f, t, e, "psi") for f in FAMILIES for t in range(6) for e in ESTIMATORS]
+    labels += [(f, t, "tmle", "rr") for f in FAMILIES for t in range(1, 6)]
+    for alpha in (0.05, 0.0, 0.1, 0.05):
+        _grid(table, labels, g_model, alpha=alpha)
+    assert made == [0.05, 0.1]
+
+
 def test_a_failed_one_cell_call_keeps_no_pattern_table_alive(monkeypatch):
     """The table keeps a rule's assignment error without its traceback and
     raises a copy, so the error a caller catches does not tie the table

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit, logsumexp
 
 from causalrules import (
+    DGP_REGISTRY,
     ConvergenceError,
     OutcomeDesign,
     SeparationError,
@@ -479,6 +481,137 @@ def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
     np.testing.assert_array_equal(model.coef, direct.coef)
     assert model.structural_zeros == direct.structural_zeros
     assert model.info == direct.info
+
+
+def _information_by_blocks(X, totals, probs, free):
+    """The multinomial Fisher information from its definition: block
+    (l, m) is X^T diag(totals p_l (1{l = m} - p_m)) X, over the free
+    coefficients in row-major (level, column) order."""
+    k, q = probs.shape[1], X.shape[1]
+    info = np.empty(((k - 1) * q, (k - 1) * q))
+    for l in range(1, k):
+        for m in range(1, k):
+            weight = totals * probs[:, l] * ((l == m) - probs[:, m])
+            info[(l - 1) * q : l * q, (m - 1) * q : m * q] = X.T @ (X * weight[:, None])
+    flat = free.ravel()
+    return info[np.ix_(flat, flat)]
+
+
+def _free_coefficients(model):
+    """Which (level 1..K-1, design column) coefficients the fit left free."""
+    names = model.feature_names
+    free = np.ones((model.n_treatment_levels - 1, len(names)), dtype=bool)
+    for l, f in model.structural_zeros:
+        if l >= 1:
+            if f == INTERCEPT_NAME:
+                free[l - 1, :] = False
+            else:
+                free[l - 1, names.index(f)] = False
+    return free
+
+
+_COHORT_SUBSET = ("SMK.CURR", "AGE.5", "HLT.POOR", "CARD", "FEMALE")
+
+
+@pytest.mark.parametrize(
+    "name, subset",
+    [(name, None) for name in DGP_REGISTRY] + [("cohort", _COHORT_SUBSET)],
+)
+def test_information_equals_its_blocks_at_the_fitted_probabilities(name, subset):
+    """The one product over column pairs gives every block of the
+    information as the block-by-block definition does, pins included."""
+    ds = generate(DGP_REGISTRY[name](), 3000, seed=5)
+    model = fit_treatment_model(ds, covariate_names=subset)
+    w, inverse = glm._covariate_patterns(ds, model.covariate_names)
+    totals = np.bincount(inverse, minlength=w.shape[0]).astype(float)
+    probs = model.predict_raw(w)
+    free = _free_coefficients(model)
+    if name in ("cohort", "structural_zero"):
+        assert not free.all()
+    got = glm._multinomial_information(w, totals, free)(probs)
+    X = np.column_stack([np.ones(w.shape[0]), w])
+    want = _information_by_blocks(X, totals, probs, free)
+    assert got.shape == want.shape == (free.sum(), free.sum())
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_information_on_real_valued_covariates_equals_its_blocks():
+    """Covariates that are not 0/1 take float column pairs."""
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=(700, 3)) * [1.0, 5.0, 0.1]
+    totals = rng.integers(1, 4, 700).astype(float)
+    free = np.ones((3, 4), dtype=bool)
+    free[1, 2] = False
+    eta = np.column_stack([np.zeros(700), rng.normal(size=(700, 3))])
+    probs = np.exp(eta - logsumexp(eta, axis=1, keepdims=True))
+    assert glm._column_pairs(w).dtype == np.float64
+    got = glm._multinomial_information(w, totals, free)(probs)
+    want = _information_by_blocks(np.column_stack([np.ones(700), w]), totals, probs, free)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_fit_holds_no_float_array_of_the_column_pairs():
+    """A dataset's column pairs stay int8 and are cast to float a chunk of
+    rows at a time, so the fit never allocates an m x q(q+1)/2 float array."""
+    ds = generate(cohort_dgp(), 20_000, seed=0)
+    m = ds._w_groups()[0].size
+    q = ds.w.shape[1] + 1
+    float_pairs = m * q * (q + 1) // 2 * 8
+    assert glm._column_pairs(ds.w[:5]).dtype == np.int8
+    tracemalloc.start()
+    try:
+        fit_treatment_model(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float_pairs
+
+
+def _structural_zeros_by_column(X, counts):
+    """Empty (level, binary column) cells, one column at a time: absent
+    levels on the intercept, then every binary column with a one somewhere
+    and, within it, each level seen elsewhere but not on its ones."""
+    k = counts.shape[1]
+    absent = counts.sum(axis=0) == 0
+    pins = [(l, 0) for l in range(k) if absent[l]]
+    for c in range(1, X.shape[1]):
+        col = X[:, c]
+        if not np.isin(col, (0.0, 1.0)).all() or not (col == 1.0).any():
+            continue
+        seen = counts[col == 1.0].sum(axis=0) > 0
+        pins += [(l, c) for l in range(k) if not (absent[l] or seen[l])]
+    return pins
+
+
+def test_structural_zeros_from_one_product_match_the_per_column_definition():
+    """Columns: intercept, a binary column that pins level 1, a column with
+    a 2 in it, an all-zero column, and a binary column that pins levels 1
+    and 3; level 2 is absent everywhere."""
+    X = np.array([
+        [1, 1, 0, 0, 0],
+        [1, 1, 2, 0, 1],
+        [1, 0, 1, 0, 0],
+        [1, 0, 0, 0, 1],
+    ], dtype=float)
+    counts = np.array([
+        [3, 0, 0, 1],
+        [1, 0, 0, 0],
+        [0, 2, 0, 4],
+        [2, 0, 0, 0],
+    ], dtype=float)
+    want = [(2, 0), (1, 1), (1, 4), (3, 4)]
+    assert _structural_zeros_by_column(X, counts) == want
+    assert glm._detect_structural_zeros(X, counts) == want
+    for name, make in DGP_REGISTRY.items():
+        for n in (100, 2000):
+            ds = generate(make(), n, seed=1)
+            w, inverse = glm._covariate_patterns(ds, ds.covariate_names)
+            X = np.column_stack([np.ones(w.shape[0]), w])
+            k = ds.n_treatment_levels
+            counts = np.bincount(inverse * k + ds.a, minlength=w.shape[0] * k)
+            counts = counts.reshape(-1, k).astype(float)
+            pins = glm._detect_structural_zeros(X, counts)
+            assert pins == _structural_zeros_by_column(X, counts), (name, n)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .errors import CausalRulesError, EstimationError, ValidationError
 from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_count, _check_failures, replicate_streams
-from .ingest import Dataset, _distinct_codes, _distinct_rows
+from .ingest import Dataset, _binary, _distinct_codes, _distinct_rows
 from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
@@ -63,13 +63,17 @@ class GeneratingDistribution:
     source_n: int | None = None
 
     def __post_init__(self):
-        support = np.asarray(self.w_support, dtype=np.int8)
+        support = np.asarray(self.w_support)
         probs = np.asarray(self.w_probs, dtype=float)
         if support.ndim != 2:
             raise ValidationError("w_support must be two-dimensional")
+        # Checked before the cast, which would truncate 0.7 and NaN to 0.
+        if not _binary(support):
+            raise ValidationError("w_support must be 0 or 1 in every cell")
+        support = support.astype(np.int8, copy=False)
         if probs.shape != (support.shape[0],):
             raise ValidationError("w_probs length must match support rows")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValidationError("w_probs must be a probability vector")
         if support.shape[1] != len(self.covariate_names):
             raise ValidationError("covariate_names length must match support columns")
@@ -217,24 +221,6 @@ def true_psi(
         q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
         values = np.where(member[:, rule.target], values, q_bar)
     return float(np.dot(gen.w_probs, values))
-
-
-def true_relative_risk(
-    gen: GeneratingDistribution,
-    family: str,
-    target: int,
-    alpha: float = 0.05,
-    empty_set_policy: str = "error",
-) -> float:
-    """Exact theta = psi_target / psi_0 under the generating system."""
-    num, den = (
-        true_psi(gen, Rule(family=family, target=t, alpha=alpha,
-                           empty_set_policy=empty_set_policy))
-        for t in (target, 0)
-    )
-    if abs(den) < 1e-12:
-        raise EstimationError("true psi_0 is numerically zero")
-    return num / den
 
 
 # ---------------------------------------------------------------------------

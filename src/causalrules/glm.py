@@ -8,24 +8,26 @@ Two nuisance models drive everything downstream:
   regression on covariate main effects, treatment-level indicators, and
   optional covariate-by-level interactions.
 
-Both fits run on sufficient statistics rather than rows.  The rows are
-grouped into distinct covariate patterns with per-level counts (``g``)
-and into distinct (covariate, treatment) patterns with successes out of
-trials (``Q``), so each Newton iteration costs the number of patterns,
-not the number of rows.  The covariate patterns are the dataset's own
-grouping, made once per dataset and shared with the estimators.  Binary
-covariates make the patterns few: a 20,000-row draw of the 15-covariate
-cohort system has about 2,400 distinct covariate rows.
+Both fits take a :class:`~causalrules.ingest.Dataset`, whose covariates
+are binary, and run on sufficient statistics rather than rows.  The
+rows are grouped into distinct covariate patterns with per-level counts
+(``g``) and into distinct (covariate, treatment) patterns with successes
+out of trials (``Q``), so each Newton iteration costs the number of
+patterns, not the number of rows.  The covariate patterns are the
+dataset's own grouping, made once per dataset and shared with the
+estimators.  Binary covariates make the patterns few: a 20,000-row draw
+of the 15-covariate cohort system has about 2,400 distinct covariate
+rows.
 
 The ``g`` fit's Fisher information is one product per Newton iteration.
 Each of its (level, level) blocks is a weighted sum of the same ``x x^T``
 over the distinct rows, so the fit multiplies the blocks' row weights
 with the products of every pair of design columns, made once per fit
-(136 columns for the cohort's 16).  Binary covariates, which every
-dataset has, keep those pairs in int8, and they are cast to float 256
-rows at a time, so the fit holds no float array of that width.  The
-structural zeros are read off one product too: the indicator of ones of
-every column against the level counts.
+(136 columns for the cohort's 16).  The covariates are binary, so those
+pairs are int8, and they are cast to float 256 rows at a time, so the
+fit holds no float array of that width.  The structural zeros are read
+off one product too: the indicator of ones of every column against the
+level counts.
 
 The ``g`` and ``Q`` fits share one damped Newton driver.  It converges
 on the sup-norm of the score (default ``1e-8``) and damps each step by
@@ -57,7 +59,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +69,7 @@ from .errors import (
     SingularInformationError,
     ValidationError,
 )
-from .ingest import Dataset, _binary, _distinct_codes, _distinct_rows
+from .ingest import Dataset, _distinct_codes, _distinct_rows
 
 DEFAULT_GTOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -233,82 +235,13 @@ def _fit_binomial(
 
 
 @dataclass(frozen=True)
-class LogisticFit:
-    """Coefficients of a plain binary logistic regression."""
-
-    coef: np.ndarray
-    feature_names: tuple[str, ...]
-    info: FitInfo
-
-
-def fit_logistic(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_names: tuple[str, ...] | None = None,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> LogisticFit:
-    """Maximum-likelihood binary logistic regression.
-
-    ``X`` is the full design matrix (include your own intercept column)
-    and ``y`` is 0 or 1 in every row.  The fit runs on the distinct rows
-    of ``X``, each with its successes out of trials.  Raises
-    :class:`ValidationError` for empty, non-finite or non-binary input
-    before fitting, :class:`SeparationError` when the MLE diverges,
-    :class:`SingularInformationError` for collinear designs, and
-    :class:`ConvergenceError` when the iteration budget is exhausted.
-
-    Newton steps are damped by one line search that takes the first
-    halving whose log-likelihood rose or whose score sup-norm fell.
-    Convergence requires score sup-norm <= ``gtol``; a search that
-    stalls, or a budget that runs out, is still accepted when the score
-    is below a mean of 1e-8 per row of ``X`` (see :func:`_damped_newton`).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValidationError("design matrix must be two-dimensional")
-    y = np.asarray(y, dtype=float)
-    n, q = X.shape
-    if y.shape != (n,):
-        raise ValidationError("outcome length does not match design rows")
-    if n == 0:
-        raise ValidationError("logistic fit needs at least one row")
-    if not np.isfinite(X).all():
-        raise ValidationError("design matrix has non-finite entries")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValidationError("outcome must be 0 or 1 in every row")
-    if feature_names is None:
-        feature_names = tuple(f"x{j}" for j in range(q))
-    else:
-        feature_names = tuple(feature_names)
-        if len(feature_names) != q:
-            raise ValidationError("feature_names length does not match design columns")
-    first, inverse = _distinct_rows(X)
-    coef, fit_info = _fit_binomial(
-        X[first],
-        np.bincount(inverse, weights=y),
-        np.bincount(inverse).astype(float),
-        n, feature_names, gtol, max_iter,
-    )
-    return LogisticFit(coef=coef, feature_names=feature_names, info=fit_info)
-
-
-@dataclass(frozen=True)
 class _FluctuationInfo:
-    """A fluctuation fit's convergence record, read like :class:`FitInfo`.
-
-    No estimate reads the log-likelihood, so it is evaluated, at the
-    fitted epsilon, only when ``loglik`` is read.
-    """
+    """A fluctuation fit's convergence record, read like :class:`FitInfo`
+    but without a log-likelihood, which no estimate reads."""
 
     converged: bool
     iterations: int
     grad_norm: float
-    _loglik: Callable[[], float] = field(repr=False, compare=False)
-
-    @property
-    def loglik(self) -> float:
-        return self._loglik()
 
 
 @dataclass(frozen=True)
@@ -378,9 +311,7 @@ def fit_fluctuation(
     if n_obs is not None:
         n = n_obs
     if np.all(h == 0.0):
-        return FluctuationFit(
-            0.0, _FluctuationInfo(True, 0, 0.0, lambda: _bernoulli_loglik(offset, y, t))
-        )
+        return FluctuationFit(0.0, _FluctuationInfo(True, 0, 0.0))
     accept_tol = max(gtol, 1e-8 * n)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
@@ -423,10 +354,7 @@ def fit_fluctuation(
             f"(score {trace[-1]:.3e})",
             trace,
         )
-    return FluctuationFit(
-        eps,
-        _FluctuationInfo(True, it, trace[-1], lambda: _bernoulli_loglik(offset + eps * h, y, t)),
-    )
+    return FluctuationFit(eps, _FluctuationInfo(True, it, trace[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +442,12 @@ class OutcomeModel:
             n_treatment_levels=int(d["n_treatment_levels"]),
             interactions=tuple((c, int(l)) for c, l in d.get("interactions", [])),
         )
-        return cls(
-            design=design,
-            coef=np.asarray(d["coef"], dtype=float),
-            info=FitInfo.from_dict(d),
-        )
+        coef = np.asarray(d["coef"], dtype=float)
+        if coef.shape != (len(design.column_names),):
+            raise ValidationError(
+                f"outcome coef has shape {coef.shape}, expected ({len(design.column_names)},)"
+            )
+        return cls(design=design, coef=coef, info=FitInfo.from_dict(d))
 
 
 def _columns_for(w: np.ndarray, have: tuple[str, ...], want: tuple[str, ...]) -> np.ndarray:
@@ -531,11 +460,6 @@ def _columns_for(w: np.ndarray, have: tuple[str, ...], want: tuple[str, ...]) ->
     if missing:
         raise ValidationError(f"model covariates not in the data: {missing}")
     return w[:, [have.index(c) for c in want]]
-
-
-def select_covariates(dataset: Dataset, names: tuple[str, ...]) -> np.ndarray:
-    """Columns of ``dataset.w`` matching ``names``, in model order."""
-    return _columns_for(dataset.w, dataset.covariate_names, names)
 
 
 def _evaluate_models(
@@ -564,7 +488,7 @@ def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.nd
     byte order is kept, so the patterns come out as :func:`_distinct_rows`
     would give them on all the rows.
     """
-    w = select_covariates(dataset, names)
+    w = _columns_for(dataset.w, dataset.covariate_names, names)
     first, inverse = dataset._w_groups()
     if w is dataset.w:
         return w[first], inverse
@@ -610,21 +534,20 @@ def fit_outcome_model(
 
 
 def _detect_structural_zeros(X: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]]:
-    """Empty (level, binary column) margin cells; the MLE pins these to -inf.
+    """Empty (level, column) margin cells; the MLE pins these to -inf.
 
-    ``X`` holds distinct design rows and ``counts[i, l]`` the number of
-    observations of level ``l`` at row ``i``.  Column 0 is the
+    ``X`` holds distinct rows of a binary design and ``counts[i, l]`` the
+    number of observations of level ``l`` at row ``i``.  Column 0 is the
     intercept, so a level observed nowhere pins on column 0 and needs no
     further pins.  Every column's seen levels come from one product of
     its indicator of ones with the counts (the intercept sees every
-    observed level, so it adds no pin); only binary columns with a one
-    somewhere define margin cells.  The pins come column by column,
-    levels ascending within a column.
+    observed level, so it adds no pin); only columns with a one somewhere
+    define margin cells.  The pins come column by column, levels
+    ascending within a column.
     """
     level_absent = counts.sum(axis=0) == 0
     ones = X == 1.0
-    binary = (ones | (X == 0.0)).all(axis=0) & ones.any(axis=0)
-    empty = binary[:, None] & ((ones.T @ counts) == 0) & ~level_absent
+    empty = ones.any(axis=0)[:, None] & ((ones.T @ counts) == 0) & ~level_absent
     pins = [(l, 0) for l in np.flatnonzero(level_absent).tolist()]
     return pins + [(l, c) for c, l in np.argwhere(empty).tolist()]
 
@@ -660,10 +583,10 @@ class TreatmentModel:
     ``coef`` has one row per non-reference level (1..K-1) over columns
     ``(intercept, covariates...)``.  ``structural_zeros`` lists the
     (level, feature name) cells pinned to probability zero; pinned
-    entries of ``coef`` are stored as ``-inf``.  ``predict`` floors the
-    raw probabilities at ``alpha_trunc`` without renormalizing;
-    ``predict_raw`` returns the untruncated probabilities, which sum to
-    one in every row (structurally zero cells are exactly zero).
+    entries of ``coef`` are stored as ``-inf``.  ``predict_raw`` returns
+    the untruncated probabilities, which sum to one in every row
+    (structurally zero cells are exactly zero).  The estimators floor
+    them at ``alpha_trunc`` where they weight by ``1/g``.
     """
 
     covariate_names: tuple[str, ...]
@@ -696,10 +619,6 @@ class TreatmentModel:
         support = _support_matrix(X, self._pin_columns(), self.n_treatment_levels)
         return _multinomial_probs(X, B, support)
 
-    def predict(self, w: np.ndarray) -> np.ndarray:
-        """Probabilities floored at ``alpha_trunc`` (no renormalization)."""
-        return np.maximum(self.predict_raw(w), self.alpha_trunc)
-
     def to_dict(self) -> dict:
         coef = [[None if not math.isfinite(v) else float(v) for v in row] for row in self.coef]
         return {
@@ -714,14 +633,17 @@ class TreatmentModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreatmentModel":
-        coef = np.array(
-            [[-np.inf if v is None else float(v) for v in row] for row in d["coef"]],
-            dtype=float,
-        )
+        names = tuple(d["covariate_names"])
+        k = int(d["n_treatment_levels"])
+        rows = [[-np.inf if v is None else float(v) for v in row] for row in d["coef"]]
+        if len(rows) != k - 1 or any(len(row) != 1 + len(names) for row in rows):
+            raise ValidationError(
+                f"treatment coef is not {k - 1} rows of {1 + len(names)} coefficients"
+            )
         return cls(
-            covariate_names=tuple(d["covariate_names"]),
-            n_treatment_levels=int(d["n_treatment_levels"]),
-            coef=coef,
+            covariate_names=names,
+            n_treatment_levels=k,
+            coef=np.array(rows, dtype=float),
             structural_zeros=tuple((int(l), f) for l, f in d.get("structural_zeros", [])),
             alpha_trunc=float(d["alpha_trunc"]),
             info=FitInfo.from_dict(d),
@@ -734,15 +656,11 @@ _PAIR_CHUNK = 256
 
 def _column_pairs(w: np.ndarray) -> np.ndarray:
     """Products ``X[:, a] * X[:, b]`` of every pair ``a <= b`` of columns of
-    the design ``X = [1, w]``, in :func:`numpy.triu_indices` order.
-
-    Binary covariates, which every :class:`~causalrules.ingest.Dataset`
-    has, keep them in int8; only other covariates need float pairs.
-    """
-    dtype = np.int8 if _binary(w) else float
-    X = np.column_stack([np.ones(w.shape[0], dtype=dtype), w.astype(dtype, copy=False)])
+    the design ``X = [1, w]``, in :func:`numpy.triu_indices` order, in
+    int8 like the binary covariates ``w`` of a dataset."""
+    X = np.column_stack([np.ones(w.shape[0], dtype=np.int8), w])
     q = X.shape[1]
-    pairs = np.empty((X.shape[0], q * (q + 1) // 2), dtype=dtype)
+    pairs = np.empty((X.shape[0], q * (q + 1) // 2), dtype=np.int8)
     start = 0
     for a in range(q):
         np.multiply(X[:, a : a + 1], X[:, a:], out=pairs[:, start : start + q - a])
@@ -796,58 +714,6 @@ def _multinomial_information(
     return information
 
 
-def fit_multinomial(
-    w: np.ndarray,
-    a: np.ndarray,
-    k_levels: int,
-    covariate_names: tuple[str, ...] | None = None,
-    alpha_trunc: float = 0.05,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> TreatmentModel:
-    """Fit a main-effects multinomial logit of treatment level on covariates.
-
-    Empty (level, feature) margin cells — including treatment levels that
-    never occur at all — are structural zeros: their probabilities are
-    estimated as exactly zero and flagged on the returned model rather
-    than sent diverging.  Genuine separation elsewhere raises
-    :class:`SeparationError` naming the level and feature.
-
-    The free coefficients are fitted by the same damped Newton iteration
-    as :func:`fit_logistic`: one line search that takes the first
-    halving whose log-likelihood rose or whose score sup-norm fell, and
-    a stall accepted only below a mean score of 1e-8 per row of ``w``.
-    The fit runs on the distinct rows of ``w``, each with its count of
-    every level, so its cost follows the number of covariate patterns.
-    Empty or non-finite input raises :class:`ValidationError`.
-    """
-    w = np.asarray(w)
-    a = np.asarray(a, dtype=np.int64)
-    if w.ndim != 2:
-        raise ValidationError("covariate matrix must be two-dimensional")
-    n, p = w.shape
-    if a.shape != (n,):
-        raise ValidationError("treatment length does not match covariate rows")
-    if n == 0:
-        raise ValidationError("treatment fit needs at least one row")
-    if not np.isfinite(w).all():
-        raise ValidationError("covariate matrix has non-finite entries")
-    if k_levels < 2:
-        raise ValidationError("k_levels must be at least 2")
-    if a.min() < 0 or a.max() >= k_levels:
-        raise ValidationError(f"treatment levels must lie in 0..{k_levels - 1}")
-    if covariate_names is None:
-        covariate_names = tuple(f"w{j}" for j in range(p))
-    else:
-        covariate_names = tuple(covariate_names)
-        if len(covariate_names) != p:
-            raise ValidationError("covariate_names length does not match covariate columns")
-    first, inverse = _distinct_rows(w)
-    return _fit_multinomial(
-        w[first], inverse, a, k_levels, covariate_names, alpha_trunc, gtol, max_iter
-    )
-
-
 def _fit_multinomial(
     w: np.ndarray,
     inverse: np.ndarray,
@@ -858,8 +724,9 @@ def _fit_multinomial(
     gtol: float,
     max_iter: int,
 ) -> TreatmentModel:
-    """:func:`fit_multinomial` on the distinct covariate rows ``w``, where
-    ``inverse`` gives the row of ``w`` of each observation and ``a`` its level."""
+    """A main-effects multinomial logit of treatment level on the distinct
+    binary covariate rows ``w``, where ``inverse`` gives the row of ``w``
+    of each observation and ``a`` its level (see :func:`fit_treatment_model`)."""
     if not 0.0 <= alpha_trunc < 1.0:
         raise ValidationError("alpha_trunc must lie in [0, 1)")
     n = a.size
@@ -940,9 +807,19 @@ def fit_treatment_model(
 ) -> TreatmentModel:
     """Fit ``g(a | W)`` on a dataset, optionally on a covariate subset.
 
-    ``covariate_names=()`` fits an intercept-only model (empirical level
-    frequencies).  The fit is :func:`fit_multinomial` on the dataset's
-    own grouping of its covariate rows (:func:`_covariate_patterns`).
+    A main-effects multinomial logit of treatment level on the
+    covariates.  ``covariate_names=()`` fits an intercept-only model
+    (empirical level frequencies).  Empty (level, feature) margin cells,
+    including treatment levels that never occur at all, are structural
+    zeros: their probabilities are estimated as exactly zero and flagged
+    on the returned model rather than sent diverging.  Genuine separation
+    elsewhere raises :class:`SeparationError` naming the level and
+    feature.
+
+    The free coefficients are fitted by :func:`_damped_newton` on the
+    dataset's own grouping of its covariate rows
+    (:func:`_covariate_patterns`), each with its count of every level,
+    so the fit's cost follows the number of covariate patterns.
     """
     if covariate_names is None:
         covariate_names = dataset.covariate_names
@@ -971,11 +848,13 @@ def save_models(path, treatment: TreatmentModel, outcome: OutcomeModel, meta: di
 
 
 def load_models(path) -> tuple[TreatmentModel, OutcomeModel, dict]:
-    with open(path) as fh:
-        bundle = json.load(fh)
     try:
+        with open(path) as fh:
+            bundle = json.load(fh)
         treatment = TreatmentModel.from_dict(bundle["treatment"])
         outcome = OutcomeModel.from_dict(bundle["outcome"])
-    except (KeyError, TypeError) as exc:
+        if outcome.design.n_treatment_levels != treatment.n_treatment_levels:
+            raise ValidationError("the two models disagree on the number of treatment levels")
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"{path}: malformed model bundle ({exc})") from None
     return treatment, outcome, bundle.get("meta", {})

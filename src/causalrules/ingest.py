@@ -201,10 +201,6 @@ class Dataset:
             and np.array_equal(self.y, other.y)
         )
 
-    def level_counts(self) -> np.ndarray:
-        """Observed count of each treatment level, length K."""
-        return np.bincount(self.a, minlength=self.n_treatment_levels)
-
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row-subset (or resample) the dataset by integer indices."""
         idx = np.asarray(indices, dtype=np.int64)

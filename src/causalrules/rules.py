@@ -161,16 +161,6 @@ def assign(
     return member, realistic_assignments(member, rule.target, rule.empty_set_policy, inverse)
 
 
-def rule_assignments(
-    g_probs_for_rules: np.ndarray | None,
-    observed_a: np.ndarray,
-    rule: Rule,
-    k_levels: int,
-) -> np.ndarray:
-    """Assigned levels under ``rule`` for every row (see :func:`assign`)."""
-    return assign(rule, g_probs_for_rules, observed_a, k_levels)[1]
-
-
 # ---------------------------------------------------------------------------
 # Reporting
 
@@ -201,7 +191,7 @@ def rule_assignment_table(
     table = np.zeros((k, k), dtype=np.int64)
     for target in range(k):
         rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
-        assigned = rule_assignments(probs, dataset.a, rule, k)
+        assigned = assign(rule, probs, dataset.a, k)[1]
         table[target] = np.bincount(assigned, minlength=k)
     return table
 

@@ -287,6 +287,30 @@ def test_fit_then_simulate_from_models(tmp_path, sim_csv, capsys):
                  "--output", str(tmp_path / "x.csv")]) == 1  # needs --input
 
 
+def _edit_bundle(text, edit):
+    bundle = json.loads(text)
+    edit(bundle)
+    return json.dumps(bundle)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: _edit_bundle(text, lambda b: b["treatment"]["coef"][0].pop()),
+    lambda text: _edit_bundle(text, lambda b: b["outcome"]["coef"].pop()),
+    lambda text: _edit_bundle(text, lambda b: b["outcome"].update(
+        n_treatment_levels=5, coef=b["outcome"]["coef"][:-1])),
+    lambda text: text[: len(text) // 2],
+], ids=["ragged-treatment-row", "short-outcome-coef", "outcome-with-fewer-levels", "cut-json"])
+def test_a_malformed_bundle_is_a_data_error(tmp_path, sim_csv, capsys, edit):
+    bundle = tmp_path / "models.json"
+    assert main(["fit", "--input", str(sim_csv), "--output", str(bundle)]) == 0
+    bundle.write_text(edit(bundle.read_text()))
+    capsys.readouterr()
+    rc = main(["simulate", "--models", str(bundle), "--input", str(sim_csv),
+               "--n", "40", "--seed", "1", "--output", str(tmp_path / "resim.csv")])
+    assert rc == 2
+    assert "malformed model bundle" in capsys.readouterr().err
+
+
 def test_fit_interaction_parsing(tmp_path, sim_csv):
     bundle = tmp_path / "with_int.json"
     rc = main(["fit", "--input", str(sim_csv), "--output", str(bundle),
@@ -386,6 +410,14 @@ def test_the_workflow_install_step_commands_succeed(tmp_path, monkeypatch, capsy
             assert main(words[1:]) == 0, (line, capsys.readouterr().err)
             replayed += 1
     assert replayed >= 8
+
+
+def test_every_exported_name_resolves_once_in_sorted_order():
+    names = causalrules.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    missing = [n for n in names if not hasattr(causalrules, n)]
+    assert missing == []
 
 
 def test_a_cell_without_finite_replicates_records_its_interval_error(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from causalrules import (
     DGP_REGISTRY,
     GeneratingDistribution,
+    Rule,
     ValidationError,
     cohort_dgp,
     interaction_dgp,
@@ -12,7 +13,7 @@ from causalrules import (
     no_violation_dgp,
     null_effect_dgp,
     structural_zero_dgp,
-    true_relative_risk,
+    true_psi,
 )
 
 
@@ -49,8 +50,9 @@ def test_null_effect_theta_is_one():
     gen = null_effect_dgp()
     for family in ("static", "realistic", "itt"):
         for target in range(1, 6):
-            theta = true_relative_risk(gen, family, target, alpha=0.05)
-            assert theta == pytest.approx(1.0, abs=1e-12)
+            psi, psi0 = (true_psi(gen, Rule(family=family, target=t, alpha=0.05))
+                         for t in (target, 0))
+            assert psi / psi0 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cohort_margins():

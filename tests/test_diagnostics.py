@@ -19,7 +19,6 @@ from causalrules import (
     make_treatment_model,
     positivity_report,
     true_psi,
-    true_relative_risk,
 )
 from causalrules import diagnostics, glm, ingest
 from causalrules.diagnostics import (
@@ -70,9 +69,9 @@ def test_true_psi_hand_mixture(tiny_gen):
     q_bar = 0.4 * 0.75 + 0.4 * (6 / 7) + 0.2 * 0.6
     assert itt2 == pytest.approx(0.75 * (1 / 3) + 0.25 * q_bar, abs=1e-12)
 
-    theta = true_relative_risk(tiny_gen, "realistic", 2, alpha=0.25)
+    real0 = true_psi(tiny_gen, Rule(family="realistic", target=0, alpha=0.25))
     psi0 = 0.75 * 0.5 + 0.25 * 0.75
-    assert theta == pytest.approx(real2 / psi0, abs=1e-12)
+    assert real2 / real0 == pytest.approx(real2 / psi0, abs=1e-12)
 
     with pytest.raises(ValidationError):
         true_psi(tiny_gen, Rule(family="static", target=3))
@@ -448,10 +447,25 @@ def test_generating_distribution_validation():
     support = np.array([[0], [1]], dtype=np.int8)
     with pytest.raises(ValidationError, match="probability"):
         GeneratingDistribution(support, np.array([0.6, 0.6]), ("Z",), g, q)
+    with pytest.raises(ValidationError, match="probability"):
+        GeneratingDistribution(support, np.array([np.nan, 0.5]), ("Z",), g, q)
     with pytest.raises(ValidationError, match="length"):
         GeneratingDistribution(support, np.array([1.0]), ("Z",), g, q)
     with pytest.raises(ValidationError, match="covariate_names"):
         GeneratingDistribution(support, np.array([0.5, 0.5]), ("Z", "Y"), g, q)
+
+
+@pytest.mark.parametrize("value", [0.7, np.nan, 2.0])
+def test_a_support_cell_that_is_not_0_or_1_is_rejected(value):
+    """Cast to int8 unchecked, 0.7 and NaN would become 0 and the support
+    would hold a row the caller never gave."""
+    g = make_treatment_model(("Z",), [[0.0, 0.0]])
+    q = make_outcome_model(("Z",), 2, [0.0, 0.0, 0.0])
+    support = np.array([[0.0], [value]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="w_support must be 0 or 1"):
+            GeneratingDistribution(support, np.array([0.5, 0.5]), ("Z",), g, q)
 
 
 def test_model_covariates_must_live_on_support():

@@ -218,7 +218,7 @@ def test_tmle_equals_driptw_at_updated_q(data_nv, models_nv):
     eps = est.diagnostics.epsilon
 
     probs_raw = g_model.predict_raw(data_nv.w)
-    probs_trunc = g_model.predict(data_nv.w)
+    probs_trunc = np.maximum(probs_raw, g_model.alpha_trunc)
     member = probs_raw >= rule.alpha
     # Highest feasible level at or below the target, row by row.
     assigned = np.array([

@@ -13,13 +13,12 @@ from scipy.special import expit, logit, logsumexp
 from causalrules import (
     DGP_REGISTRY,
     ConvergenceError,
+    Dataset,
     OutcomeDesign,
     SeparationError,
     ValidationError,
     cohort_dgp,
     fit_fluctuation,
-    fit_logistic,
-    fit_multinomial,
     fit_outcome_model,
     fit_treatment_model,
     generate,
@@ -27,11 +26,32 @@ from causalrules import (
     save_models,
 )
 from causalrules import glm
-from causalrules.glm import INTERCEPT_NAME, select_covariates
+from causalrules.estimators import _weight_scale
+from causalrules.glm import INTERCEPT_NAME, _columns_for
+from causalrules.ingest import _distinct_rows
 
 
 # ---------------------------------------------------------------------------
 # Binary logistic
+
+
+def _logistic(X, y, feature_names=None, max_iter=glm.DEFAULT_MAX_ITER):
+    """Logistic regression of 0/1 ``y`` on the design ``X`` through the
+    ``Q`` fit's core, on the distinct rows of ``X`` with their successes
+    out of trials; returns the coefficients and the fit record."""
+    first, inverse = _distinct_rows(X)
+    names = feature_names or tuple(f"x{j}" for j in range(X.shape[1]))
+    return glm._fit_binomial(
+        X[first], np.bincount(inverse, weights=y), np.bincount(inverse).astype(float),
+        len(y), names, glm.DEFAULT_GTOL, max_iter,
+    )
+
+
+def _dataset(w, a, k_levels, names=None):
+    """A dataset of 0/1 covariate rows ``w`` and levels ``a``; every outcome is 0."""
+    names = names or tuple(f"w{j}" for j in range(w.shape[1]))
+    return Dataset(w=w, a=np.asarray(a), y=np.zeros(len(a), dtype=int),
+                   covariate_names=names, n_treatment_levels=k_levels)
 
 
 def test_expit_matches_scipy():
@@ -60,10 +80,9 @@ def test_logistic_saturated_closed_form():
     x = np.repeat([0.0, 1.0], 4)
     y = np.array([1, 0, 0, 0, 1, 1, 1, 0], dtype=float)
     X = np.column_stack([np.ones(8), x])
-    fit = fit_logistic(X, y)
-    assert fit.info.converged
-    np.testing.assert_allclose(fit.coef, [-math.log(3.0), 2.0 * math.log(3.0)],
-                               atol=1e-8)
+    coef, info = _logistic(X, y)
+    assert info.converged
+    np.testing.assert_allclose(coef, [-math.log(3.0), 2.0 * math.log(3.0)], atol=1e-8)
 
 
 def test_logistic_matches_true_coefficients_at_large_n():
@@ -72,47 +91,20 @@ def test_logistic_matches_true_coefficients_at_large_n():
     beta = np.array([-0.4, 0.9, -0.7])
     X = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.integers(0, 2, n)])
     y = (rng.random(n) < expit(X @ beta)).astype(float)
-    fit = fit_logistic(X, y)
+    coef, _ = _logistic(X, y)
     # Wald SEs from the inverse information at the fit.
-    p = expit(X @ fit.coef)
+    p = expit(X @ coef)
     info = (X * (p * (1 - p))[:, None]).T @ X
     se = np.sqrt(np.diag(np.linalg.inv(info)))
-    assert np.all(np.abs(fit.coef - beta) < 3.0 * se)
+    assert np.all(np.abs(coef - beta) < 3.0 * se)
 
 
 def test_logistic_separation_names_feature():
     x = np.repeat([0.0, 1.0], 10)
     X = np.column_stack([np.ones(20), x])
     with pytest.raises(SeparationError) as err:
-        fit_logistic(X, x.copy(), feature_names=("(intercept)", "EXPOSED"))
+        _logistic(X, x.copy(), feature_names=("(intercept)", "EXPOSED"))
     assert err.value.feature == "EXPOSED"
-
-
-def test_logistic_input_validation():
-    with pytest.raises(ValidationError):
-        fit_logistic(np.ones((4, 1)), np.zeros(3))
-    with pytest.raises(ValidationError):
-        fit_logistic(np.ones(4), np.zeros(4))
-
-
-@pytest.mark.parametrize("X, y, match", [
-    (np.zeros((0, 2)), np.zeros(0), "at least one row"),
-    (np.ones((3, 1)), np.array([0.0, 2.0, 1.0]), "0 or 1"),
-    (np.array([[1.0, 0.0], [1.0, np.nan], [1.0, 1.0]]), np.array([0.0, 1.0, 1.0]),
-     "non-finite"),
-], ids=["no-rows", "outcome-not-binary", "nan-in-design"])
-def test_logistic_rejects_degenerate_input(X, y, match):
-    with pytest.raises(ValidationError, match=match):
-        fit_logistic(X, y)
-
-
-@pytest.mark.parametrize("w, a, match", [
-    (np.zeros((0, 2)), np.zeros(0, dtype=int), "at least one row"),
-    (np.array([[0.0], [np.nan], [1.0]]), np.array([0, 1, 1]), "non-finite"),
-], ids=["no-rows", "nan-in-covariates"])
-def test_multinomial_rejects_degenerate_input(w, a, match):
-    with pytest.raises(ValidationError, match=match):
-        fit_multinomial(w, a, 2)
 
 
 def test_logistic_iteration_budget():
@@ -120,7 +112,7 @@ def test_logistic_iteration_budget():
     X = np.column_stack([np.ones(60), rng.integers(0, 2, 60)])
     y = rng.integers(0, 2, 60).astype(float)
     with pytest.raises(ConvergenceError):
-        fit_logistic(X, y, max_iter=1)
+        _logistic(X, y, max_iter=1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +210,6 @@ def test_fluctuation_on_successes_out_of_trials_equals_the_expanded_rows():
         expanded = fit_fluctuation(y, h[rows], offset[rows])
         assert abs(grouped.epsilon - expanded.epsilon) <= 1e-12
         assert grouped.info.iterations == expanded.info.iterations
-        assert grouped.info.loglik == pytest.approx(expanded.info.loglik, abs=1e-9)
 
 
 def test_a_fluctuation_on_its_nonzero_entries_equals_the_full_fit():
@@ -239,22 +230,6 @@ def test_a_fluctuation_on_its_nonzero_entries_equals_the_full_fit():
     assert part.info.iterations == full.info.iterations
     with pytest.raises(ConvergenceError, match="stalled"):
         fit_fluctuation(y[:3], h[:3], offset[:3], trials=trials[:3])
-
-
-def test_a_fluctuation_evaluates_its_log_likelihood_only_when_read(monkeypatch):
-    calls = []
-    original = glm._bernoulli_loglik
-    monkeypatch.setattr(glm, "_bernoulli_loglik", lambda *a: calls.append(1) or original(*a))
-    y, h, offset = _fluct_case(0)
-    for h_case in (h, np.zeros_like(h)):
-        fit = fit_fluctuation(y, h_case, offset)
-        assert fit.info.converged and calls == []
-        eps = fit.epsilon
-        assert fit.info.loglik == pytest.approx(
-            float(np.sum(y * (offset + eps * h_case) - np.logaddexp(0.0, offset + eps * h_case)))
-        )
-        assert calls == [1]
-        calls.clear()
 
 
 def test_fluctuation_separation_names_h():
@@ -304,8 +279,7 @@ def test_fluctuation_solves_the_score_on_random_inputs(case):
 
 def test_multinomial_intercept_only_matches_frequencies():
     a = np.repeat([0, 1, 2], [10, 10, 20])
-    w = np.zeros((40, 0))
-    model = fit_multinomial(w, a, 3)
+    model = fit_treatment_model(_dataset(np.zeros((40, 0)), a, 3))
     probs = model.predict_raw(np.zeros((1, 0)))
     np.testing.assert_allclose(probs[0], [0.25, 0.25, 0.50], atol=1e-9)
     # Against level 0, the intercepts are the log frequency ratios.
@@ -314,12 +288,11 @@ def test_multinomial_intercept_only_matches_frequencies():
 
 def test_multinomial_two_levels_equals_logistic():
     rng = np.random.default_rng(7)
-    w = rng.integers(0, 2, size=(300, 2)).astype(float)
+    w = rng.integers(0, 2, size=(300, 2))
     a = (rng.random(300) < expit(-0.3 + 0.8 * w[:, 0] - 0.5 * w[:, 1])).astype(int)
-    model = fit_multinomial(w, a, 2, covariate_names=("x1", "x2"))
-    X = np.column_stack([np.ones(300), w])
-    ref = fit_logistic(X, a.astype(float))
-    np.testing.assert_allclose(model.coef[0], ref.coef, atol=1e-8)
+    model = fit_treatment_model(_dataset(w, a, 2))
+    ref, _ = _logistic(np.column_stack([np.ones(300), w]), a.astype(float))
+    np.testing.assert_allclose(model.coef[0], ref, atol=1e-8)
 
 
 def test_multinomial_rows_sum_to_one(models_nv, data_nv):
@@ -331,9 +304,10 @@ def test_multinomial_rows_sum_to_one(models_nv, data_nv):
 
 def test_truncation_floors_without_renormalizing():
     a = np.repeat([0, 1, 2], [2, 49, 49])
-    model = fit_multinomial(np.zeros((100, 0)), a, 3, alpha_trunc=0.05)
+    model = fit_treatment_model(_dataset(np.zeros((100, 0)), a, 3), alpha_trunc=0.05)
     raw = model.predict_raw(np.zeros((1, 0)))
-    trunc = model.predict(np.zeros((1, 0)))
+    trunc = _weight_scale(raw, model, truncate=True)
+    assert _weight_scale(raw, model, truncate=False) is raw
     np.testing.assert_allclose(raw[0], [0.02, 0.49, 0.49], atol=1e-9)
     np.testing.assert_allclose(trunc[0], [0.05, 0.49, 0.49], atol=1e-9)
     assert trunc[0].sum() > 1.0  # floored, not renormalized
@@ -348,9 +322,7 @@ def test_structural_zero_pinned_to_exact_zero():
         rng.integers(0, 2, n),          # level 2 never occurs for frail rows
         rng.integers(0, 3, n),
     )
-    model = fit_multinomial(
-        frail[:, None].astype(float), a, 3, covariate_names=("FRAIL",)
-    )
+    model = fit_treatment_model(_dataset(frail[:, None], a, 3, ("FRAIL",)))
     assert (2, "FRAIL") in model.structural_zeros
     probs = model.predict_raw(np.array([[1.0], [0.0]]))
     assert probs[0, 2] == 0.0
@@ -362,7 +334,7 @@ def test_structural_zero_pinned_to_exact_zero():
 
 def test_absent_level_pins_intercept():
     a = np.repeat([0, 1], [30, 30])  # level 2 never observed at all
-    model = fit_multinomial(np.zeros((60, 0)), a, 3)
+    model = fit_treatment_model(_dataset(np.zeros((60, 0)), a, 3))
     assert (2, INTERCEPT_NAME) in model.structural_zeros
     probs = model.predict_raw(np.zeros((1, 0)))
     assert probs[0, 2] == 0.0
@@ -370,15 +342,15 @@ def test_absent_level_pins_intercept():
 
 
 def test_multinomial_separation_names_level_and_feature():
-    # A three-valued dose column perfectly predicts the level, so the
-    # slope diverges.  Margin-cell pinning only applies to binary
-    # columns, so this must surface as separation, not a structural zero.
-    dose = np.repeat([0.0, 1.0, 2.0], 10)
-    a = (dose >= 1.0).astype(int)
+    """Level 2 occurs exactly where X1 = 1 and X2 = 0.  Its empty margin
+    cell on X2 is pinned; on the rows left, X1 alone predicts level 2, a
+    separation no margin cell shows, so X1's slope diverges."""
+    w = np.repeat([[0, 0], [1, 0], [0, 1], [1, 1]], 6, axis=0)
+    a = np.where((w[:, 0] == 1) & (w[:, 1] == 0), 2, np.tile([0, 1], 12))
     with pytest.raises(SeparationError) as err:
-        fit_multinomial(dose[:, None], a, 2, covariate_names=("DOSE",))
-    assert err.value.level == 1
-    assert err.value.feature == "DOSE"
+        fit_treatment_model(_dataset(w, a, 3, ("X1", "X2")))
+    assert err.value.level == 2
+    assert err.value.feature == "X1"
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +396,9 @@ def test_damped_newton_matches_a_general_optimizer(k_levels, data):
     n = len(levels)
     X = np.column_stack([np.ones(n), w])
     if k_levels == 2:
-        coef = fit_logistic(X, levels.astype(float)).coef[None, :]
+        coef = _logistic(X, levels.astype(float))[0][None, :]
     else:
-        coef = fit_multinomial(w, levels, k_levels).coef
+        coef = fit_treatment_model(_dataset(w, levels, k_levels)).coef
     eta = np.column_stack([np.zeros(n), X @ coef.T])
     probs = np.exp(eta - logsumexp(eta, axis=1, keepdims=True))
     score = X.T @ (np.eye(k_levels)[levels] - probs)[:, 1:]
@@ -472,12 +444,17 @@ def test_treatment_fit_works_on_distinct_covariate_rows(monkeypatch):
 
 
 def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
-    """A subset regroups the dataset's distinct rows; the fit equals
-    fit_multinomial on the subset's columns, which groups the rows."""
+    """A subset regroups the dataset's distinct rows; the fit equals the
+    g fit's core on the subset's columns grouped from the rows."""
     ds = generate(cohort_dgp(), 3000, seed=4)
     names = ("SMK.CURR", "AGE.5", "CARD", "FEMALE")
     model = fit_treatment_model(ds, covariate_names=names)
-    direct = fit_multinomial(select_covariates(ds, names), ds.a, ds.n_treatment_levels, names)
+    w = _columns_for(ds.w, ds.covariate_names, names)
+    first, inverse = _distinct_rows(w)
+    direct = glm._fit_multinomial(
+        w[first], inverse, ds.a, ds.n_treatment_levels, names, 0.05,
+        glm.DEFAULT_GTOL, glm.DEFAULT_MAX_ITER,
+    )
     np.testing.assert_array_equal(model.coef, direct.coef)
     assert model.structural_zeros == direct.structural_zeros
     assert model.info == direct.info
@@ -535,21 +512,6 @@ def test_information_equals_its_blocks_at_the_fitted_probabilities(name, subset)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_information_on_real_valued_covariates_equals_its_blocks():
-    """Covariates that are not 0/1 take float column pairs."""
-    rng = np.random.default_rng(3)
-    w = rng.normal(size=(700, 3)) * [1.0, 5.0, 0.1]
-    totals = rng.integers(1, 4, 700).astype(float)
-    free = np.ones((3, 4), dtype=bool)
-    free[1, 2] = False
-    eta = np.column_stack([np.zeros(700), rng.normal(size=(700, 3))])
-    probs = np.exp(eta - logsumexp(eta, axis=1, keepdims=True))
-    assert glm._column_pairs(w).dtype == np.float64
-    got = glm._multinomial_information(w, totals, free)(probs)
-    want = _information_by_blocks(np.column_stack([np.ones(700), w]), totals, probs, free)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_the_fit_holds_no_float_array_of_the_column_pairs():
     """A dataset's column pairs stay int8 and are cast to float a chunk of
     rows at a time, so the fit never allocates an m x q(q+1)/2 float array."""
@@ -568,15 +530,15 @@ def test_the_fit_holds_no_float_array_of_the_column_pairs():
 
 
 def _structural_zeros_by_column(X, counts):
-    """Empty (level, binary column) cells, one column at a time: absent
-    levels on the intercept, then every binary column with a one somewhere
-    and, within it, each level seen elsewhere but not on its ones."""
+    """Empty (level, column) cells of a binary design, one column at a
+    time: absent levels on the intercept, then every column with a one
+    somewhere and, within it, each level seen elsewhere but not on its ones."""
     k = counts.shape[1]
     absent = counts.sum(axis=0) == 0
     pins = [(l, 0) for l in range(k) if absent[l]]
     for c in range(1, X.shape[1]):
         col = X[:, c]
-        if not np.isin(col, (0.0, 1.0)).all() or not (col == 1.0).any():
+        if not (col == 1.0).any():
             continue
         seen = counts[col == 1.0].sum(axis=0) > 0
         pins += [(l, c) for l in range(k) if not (absent[l] or seen[l])]
@@ -584,14 +546,13 @@ def _structural_zeros_by_column(X, counts):
 
 
 def test_structural_zeros_from_one_product_match_the_per_column_definition():
-    """Columns: intercept, a binary column that pins level 1, a column with
-    a 2 in it, an all-zero column, and a binary column that pins levels 1
-    and 3; level 2 is absent everywhere."""
+    """Columns: intercept, a column that pins level 1, an all-zero column,
+    and a column that pins levels 1 and 3; level 2 is absent everywhere."""
     X = np.array([
-        [1, 1, 0, 0, 0],
-        [1, 1, 2, 0, 1],
-        [1, 0, 1, 0, 0],
-        [1, 0, 0, 0, 1],
+        [1, 1, 0, 0],
+        [1, 1, 0, 1],
+        [1, 0, 0, 0],
+        [1, 0, 0, 1],
     ], dtype=float)
     counts = np.array([
         [3, 0, 0, 1],
@@ -599,7 +560,7 @@ def test_structural_zeros_from_one_product_match_the_per_column_definition():
         [0, 2, 0, 4],
         [2, 0, 0, 0],
     ], dtype=float)
-    want = [(2, 0), (1, 1), (1, 4), (3, 4)]
+    want = [(2, 0), (1, 1), (1, 3), (3, 3)]
     assert _structural_zeros_by_column(X, counts) == want
     assert glm._detect_structural_zeros(X, counts) == want
     for name, make in DGP_REGISTRY.items():
@@ -661,11 +622,13 @@ def test_treatment_model_recovers_probabilities(gen_nv):
 
 
 def test_select_covariates_reorders_by_name(data_nv):
-    sub = select_covariates(data_nv, ("U", "V"))
+    names = data_nv.covariate_names
+    sub = _columns_for(data_nv.w, names, ("U", "V"))
     np.testing.assert_array_equal(sub[:, 0], data_nv.w[:, 1])
     np.testing.assert_array_equal(sub[:, 1], data_nv.w[:, 0])
+    assert _columns_for(data_nv.w, names, names) is data_nv.w
     with pytest.raises(ValidationError, match="MISSING"):
-        select_covariates(data_nv, ("MISSING",))
+        _columns_for(data_nv.w, names, ("MISSING",))
 
 
 def test_model_bundle_round_trip(tmp_path, models_nv, data_nv):
@@ -689,8 +652,7 @@ def test_structural_zero_survives_serialization(tmp_path):
     n = 400
     frail = rng.integers(0, 2, n)
     a = np.where(frail == 1, rng.integers(0, 2, n), rng.integers(0, 3, n))
-    model = fit_multinomial(frail[:, None].astype(float), a, 3,
-                            covariate_names=("FRAIL",))
+    model = fit_treatment_model(_dataset(frail[:, None], a, 3, ("FRAIL",)))
     d = model.to_dict()
     assert d["coef"][1][1] is None  # -inf serialized as null
     from causalrules.glm import TreatmentModel
@@ -703,5 +665,5 @@ def test_structural_zero_survives_serialization(tmp_path):
 def test_intercept_only_treatment_model(data_nv):
     model = fit_treatment_model(data_nv, covariate_names=())
     probs = model.predict_raw(np.zeros((1, 0)))
-    freq = data_nv.level_counts() / data_nv.n
+    freq = np.bincount(data_nv.a, minlength=data_nv.n_treatment_levels) / data_nv.n
     np.testing.assert_allclose(probs[0], freq, atol=1e-8)

@@ -89,7 +89,7 @@ def test_dataset_level_counts_and_take():
         y=np.array([0, 1, 1, 0]),
         covariate_names=("x",),
     )
-    assert ds.level_counts().tolist() == [1, 0, 2, 0, 0, 1]
+    assert np.bincount(ds.a, minlength=ds.n_treatment_levels).tolist() == [1, 0, 2, 0, 0, 1]
     sub = ds.take(np.array([2, 0, 2]))
     assert sub.n == 3
     assert sub.a.tolist() == [2, 0, 2]

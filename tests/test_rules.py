@@ -10,14 +10,14 @@ from causalrules import (
     positivity_report,
     realistic_assignments,
     rule_assignment_table,
-    rule_assignments,
 )
+from causalrules.rules import assign
 
 
 def assign_one(probs, rule, observed_a=0):
     """Assigned level of a single covariate profile."""
     probs = np.asarray([probs], dtype=float)
-    return int(rule_assignments(probs, np.array([observed_a]), rule, probs.shape[1])[0])
+    return int(assign(rule, probs, np.array([observed_a]), probs.shape[1])[1][0])
 
 
 def feasible_levels(probs, alpha):
@@ -113,7 +113,7 @@ def test_vectorized_assignments_match_scalar():
             want = np.array([scalar_itt(probs[i], alpha, target, observed[i]) for i in range(n)])
             np.testing.assert_array_equal(itt_assignments(member, target, observed), want)
             itt_rule = Rule(family="itt", target=target, alpha=alpha)
-            np.testing.assert_array_equal(rule_assignments(probs, observed, itt_rule, k), want)
+            np.testing.assert_array_equal(assign(itt_rule, probs, observed, k)[1], want)
 
 
 def test_realistic_assignment_bounds():
@@ -146,13 +146,11 @@ def test_alpha_zero_realistic_equals_static():
     probs = rng.dirichlet(np.ones(6), size=100)
     observed = rng.integers(0, 6, 100)
     for target in range(6):
-        static = rule_assignments(None, observed, Rule(family="static", target=target), 6)
-        realistic = rule_assignments(
-            probs, observed, Rule(family="realistic", target=target, alpha=0.0), 6
-        )
-        itt = rule_assignments(
-            probs, observed, Rule(family="itt", target=target, alpha=0.0), 6
-        )
+        static = assign(Rule(family="static", target=target), None, observed, 6)[1]
+        realistic = assign(
+            Rule(family="realistic", target=target, alpha=0.0), probs, observed, 6
+        )[1]
+        itt = assign(Rule(family="itt", target=target, alpha=0.0), probs, observed, 6)[1]
         assert np.array_equal(static, realistic)
         assert np.array_equal(static, itt)
         assert np.all(static == target)
@@ -160,8 +158,7 @@ def test_alpha_zero_realistic_equals_static():
 
 def test_realistic_rules_need_probabilities():
     with pytest.raises(ValidationError, match="probabilities"):
-        rule_assignments(None, np.zeros(5, dtype=int),
-                         Rule(family="realistic", target=1, alpha=0.05), 6)
+        assign(Rule(family="realistic", target=1, alpha=0.05), None, np.zeros(5, dtype=int), 6)
 
 
 def test_infeasible_rows_are_reported():

@@ -15,12 +15,15 @@ Generation always uses the raw (untruncated) treatment probabilities.
 Every draw lands on one of the support cells, so generation reads ``g``
 and ``Q`` off the support, where they are evaluated once per system by
 the package's one evaluation entry (``glm._evaluate_models``), instead
-of predicting them on the drawn rows; the levels are drawn off the
-support's cumulative ``g``, also made once per system.  It also hands
-each generated dataset its grouping into distinct covariate rows, read
-off the support's own grouping, and the support row of each distinct
-row: a replicate's fits and estimators share that grouping, and its
-rows are never grouped.
+of predicting them on the drawn rows.  The cells are drawn by indexed
+search off the cumulative cell probabilities, through a guide table
+cached per system, which gives the cells ``rng.choice`` would from the
+same uniforms; the levels are drawn off the support's cumulative ``g``,
+also made once per system.  Generation also hands each generated
+dataset its grouping into distinct covariate rows, read off the
+support's own grouping, and the support row of each distinct row: a
+replicate's fits and estimators share that grouping, and its rows are
+never grouped.
 
 By default each replicate refits g — the feasibility sets are part of
 the estimator — and the drift of the replicate-specific estimand (the
@@ -30,18 +33,21 @@ replicate evaluates ``g`` once: the sample's ``G`` is indexed out of
 the support evaluation made for the drift, or, without a refit, out of
 the system's own.  Only a refit without drift is predicted on the
 sample's distinct rows, so the support is evaluated, and can fail, only
-where the drift needs it.
+where the drift needs it.  The truths, and each replicate's drift, take
+one ``true_psi`` call per rule family: one assignment pass over the
+support gives every target's assigned levels.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CausalRulesError, EstimationError, ValidationError
+from .errors import CausalRulesError, EstimationError, RuleInfeasibleError, ValidationError
 from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_count, _check_failures, replicate_streams
@@ -125,6 +131,37 @@ class GeneratingDistribution:
         return _read_only(np.cumsum(self.support_g_raw(), axis=1))
 
     @cached_property
+    def _support_q_bar(self) -> np.ndarray:
+        """``E[Y | W]`` under the observed treatment, the g-weighted
+        average of ``Q`` over levels at every support row, made once per
+        system for the ITT truths."""
+        return _read_only((self.support_g_raw() * self.support_q()).sum(axis=1))
+
+    @cached_property
+    def _cell_guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The cumulative cell probabilities exactly as
+        ``Generator.choice`` forms them, and a guide table over them
+        (Chen and Asau, 1974), made once per system for drawing cells.
+
+        The table cuts ``[0, 1)`` into ``B`` equal buckets, ``B`` the
+        smallest power of two at least twice the support size, so that
+        ``u * B`` and ``j / B`` are exact.  Bucket ``j`` holds the range
+        of cell indices a uniform in ``[j / B, (j + 1) / B)`` can map to:
+        ``lo[j]`` cells have a cumulative probability at most ``j / B``,
+        and the cell at ``hi[j]`` has one at least ``(j + 1) / B``.
+        Returns ``(cdf, lo, hi, steps)``, with ``steps`` the bisection
+        steps that close the widest bucket.
+        """
+        cdf = self.w_probs.cumsum()
+        cdf /= cdf[-1]
+        buckets = 1 << (2 * cdf.size - 1).bit_length()
+        edges = np.arange(buckets + 1) / buckets
+        lo = cdf.searchsorted(edges[:-1], side="right")
+        hi = cdf.searchsorted(edges[1:], side="left")
+        steps = int((hi - lo).max()).bit_length()
+        return _read_only(cdf), _read_only(lo), _read_only(hi), steps
+
+    @cached_property
     def _support_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """The support's distinct rows, in byte order: ``(first, inverse)``
         as :func:`~causalrules.ingest._distinct_rows` gives them."""
@@ -134,6 +171,25 @@ class GeneratingDistribution:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _draw_cells(gen: GeneratingDistribution, u: np.ndarray) -> np.ndarray:
+    """The support cell of each uniform in ``u``: the number of cumulative
+    cell probabilities at or below it, which is the cell
+    ``rng.choice(m, p=gen.w_probs)`` draws from the same uniforms.
+
+    Each uniform's guide bucket brackets its cell; a fixed number of
+    bisection steps, vectorised over the uniforms, closes the bracket.
+    """
+    cdf, lo, hi, steps = gen._cell_guide
+    bucket = (u * lo.size).astype(np.intp)
+    first, last = lo[bucket], hi[bucket]
+    for _ in range(steps):
+        mid = (first + last) >> 1
+        above = cdf[mid] > u
+        last = np.where(above, mid, last)
+        first = np.where(above, first, mid + 1)
+    return first
 
 
 def _draw_levels(gen: GeneratingDistribution, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -164,8 +220,10 @@ def generate(
 ) -> Dataset:
     """Draw n iid observations (W, A, Y) from the generating system.
 
-    Each observation draws a support cell, then its treatment level from
-    the raw (untruncated) probabilities, so structurally zero cells
+    Each observation draws a support cell, by indexed search off the
+    system's cumulative cell probabilities (the cells and the stream
+    position ``rng.choice`` with ``p=w_probs`` gives), then its treatment
+    level from the raw (untruncated) probabilities, so structurally zero cells
     never appear in generated data, then its outcome.  ``g`` and ``Q``
     are read off the support (:meth:`GeneratingDistribution.support_g_raw`
     and :meth:`~GeneratingDistribution.support_q`, evaluated once per
@@ -181,7 +239,7 @@ def generate(
     if not isinstance(seed, np.random.Generator):
         _check_count(seed, "seed", 0)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cells = rng.choice(gen.w_support.shape[0], size=n, p=gen.w_probs)
+    cells = _draw_cells(gen, rng.random(n))
     a = _draw_levels(gen, cells, rng.random(n))
     y = (rng.random(n) < gen.support_q()[cells, a]).astype(np.int64)
     support_first, support_inverse = gen._support_groups
@@ -201,26 +259,40 @@ def generate(
 
 def true_psi(
     gen: GeneratingDistribution,
-    rule: Rule,
+    rule: Rule | Sequence[Rule],
     member: np.ndarray | None = None,
-) -> float:
+) -> float | list[float | RuleInfeasibleError]:
     """Exact counterfactual mean under the generating system.
 
     Enumeration over the covariate support; for ITT rules the
     observed-treatment branch contributes the g-weighted average of Q
     over levels.  ``member`` overrides the feasibility matrix on the
     support rows (used to evaluate estimand drift under refit g).
+
+    ``rule`` may also be a sequence of rules that differ only in target:
+    they are assigned in one pass (:func:`~causalrules.rules.assign`),
+    and the result is a list with one entry per rule: its truth, or the
+    :class:`~causalrules.errors.RuleInfeasibleError` that rule alone
+    raises.
     """
     g_raw, q_all = gen.support_g_raw(), gen.support_q()
     m, k = q_all.shape
     # Observed levels are not defined on the support; ITT rows off the
     # target take the g-weighted average of Q below instead.
     member, assigned = assign(rule, g_raw, np.zeros(m, dtype=np.int64), k, member)
-    values = q_all[np.arange(m), assigned]
-    if rule.family == "itt":
-        q_bar = (g_raw * q_all).sum(axis=1)  # E[Y | W] under observed treatment
-        values = np.where(member[:, rule.target], values, q_bar)
-    return float(np.dot(gen.w_probs, values))
+    single = isinstance(rule, Rule)
+    rules, assigned = ([rule], [assigned]) if single else (list(rule), assigned)
+    rows = np.arange(m)
+    truths = []
+    for r, levels in zip(rules, assigned):
+        if isinstance(levels, RuleInfeasibleError):
+            truths.append(levels)
+            continue
+        values = q_all[rows, levels]
+        if r.family == "itt":
+            values = np.where(member[:, r.target], values, gen._support_q_bar)
+        truths.append(float(np.dot(gen.w_probs, values)))
+    return truths[0] if single else truths
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +415,15 @@ def eta_bias_diagnostic(
     need_g, need_q = _needs((estimator,), families, alpha)
 
     cells = [(f, t) for f in families for t in targets]
-    truth = {
-        c: true_psi(gen, Rule(*c, alpha=alpha, empty_set_policy=empty_set_policy)) for c in cells
-    }
+    truth = {}
+    for f in families:
+        rules = [Rule(f, t, alpha=alpha, empty_set_policy=empty_set_policy) for t in targets]
+        if not rules:
+            continue
+        for t, psi in zip(targets, true_psi(gen, rules)):
+            if isinstance(psi, RuleInfeasibleError):
+                raise psi
+            truth[(f, t)] = psi
     estimates: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     drifts: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
     n_failed = 0
@@ -371,16 +449,21 @@ def eta_bias_diagnostic(
             g_model, alpha=alpha, empty_set_policy=empty_set_policy,
             truncate_weights=truncate_weights,
         )
+        drift_rules: dict[str, list[Rule]] = {"realistic": [], "itt": []}
         for c in cells:
             est = results[(*c, estimator, "psi")]
             if isinstance(est, CausalRulesError):
                 continue
             estimates[c].append(est.psi)
-            if member_fit is not None and est.rule.family in ("realistic", "itt") and alpha > 0.0:
-                try:
-                    drifts[c].append(true_psi(gen, est.rule, member_fit))
-                except CausalRulesError:
-                    pass
+            if member_fit is not None and est.rule.family in drift_rules and alpha > 0.0:
+                drift_rules[est.rule.family].append(est.rule)
+        # One assignment pass per family; an infeasible target drops only
+        # its own drift value.
+        for rules in drift_rules.values():
+            if rules:
+                for r, psi in zip(rules, true_psi(gen, rules, member_fit)):
+                    if not isinstance(psi, RuleInfeasibleError):
+                        drifts[(r.family, r.target)].append(psi)
         # Free this replicate's arrays before the next one draws and fits.
         del ds
 
@@ -515,19 +598,18 @@ def bernoulli_block_support(
         for pattern, _ in cats:
             if len(pattern) != len(cols):
                 raise ValidationError(f"block {cols} has a pattern of wrong width")
-    rows = []
-    probs = []
-    for combo in itertools.product(*(cats for _, cats in blocks)):
-        row: list[int] = []
-        p = 1.0
-        for pattern, prob in combo:
-            row.extend(pattern)
-            p *= prob
-        rows.append(row)
-        probs.append(p)
+    # itertools.product order: the last block varies fastest.  Each
+    # cell's probability multiplies its blocks' left to right from 1.0.
+    probs = np.ones(1)
+    columns = []
+    for i, (_, cats) in enumerate(blocks):
+        patterns = np.asarray([pattern for pattern, _ in cats], dtype=np.int8)
+        inner = math.prod(len(later) for _, later in blocks[i + 1:])
+        columns.append(np.tile(np.repeat(patterns, inner, axis=0), (probs.size, 1)))
+        probs = (probs[:, None] * np.asarray([p for _, p in cats], dtype=float)).ravel()
     return (
-        np.asarray(rows, dtype=np.int8),
-        np.asarray(probs, dtype=float),
+        np.hstack(columns) if columns else np.zeros((1, 0), dtype=np.int8),
+        probs,
         tuple(names),
     )
 

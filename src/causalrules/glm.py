@@ -563,17 +563,34 @@ def _support_matrix(X: np.ndarray, pins: list[tuple[int, int]], k_levels: int) -
 def _multinomial_probs(
     X: np.ndarray, B: np.ndarray, support: np.ndarray
 ) -> np.ndarray:
-    """Row-wise probabilities of a multinomial logit restricted to ``support``."""
-    if not support.any(axis=1).all():
+    """Row-wise probabilities of a multinomial logit restricted to ``support``.
+
+    Worked level by level on a ``(K, n)`` array, so that every step is an
+    elementwise operation over all rows: the row maximum is K-1 pairwise
+    maxima, and the normaliser adds the levels left to right, the order
+    in which numpy sums a row of K columns.  The result is the row-wise
+    form's bit for bit, returned in row order.
+    """
+    levels = support.T
+    supported = levels[0].copy()
+    for row in levels[1:]:
+        supported |= row
+    if not supported.all():
         raise ValidationError("a covariate row has no supported treatment level")
-    n, _ = X.shape
-    k = support.shape[1]
-    eta = np.zeros((n, k))
-    eta[:, 1:] = X @ B.T
-    eta = np.where(support, eta, -np.inf)
-    m = eta.max(axis=1, keepdims=True)
-    ex = np.exp(eta - m)
-    return ex / ex.sum(axis=1, keepdims=True)
+    eta = np.empty(levels.shape)
+    eta[0] = 0.0
+    eta[1:] = (X @ B.T).T
+    eta[~levels] = -np.inf
+    top = eta[0].copy()
+    for row in eta[1:]:
+        np.maximum(top, row, out=top)
+    eta -= top
+    np.exp(eta, out=eta)
+    total = eta[0].copy()
+    for row in eta[1:]:
+        total += row
+    eta /= total
+    return np.ascontiguousarray(eta.T)
 
 
 @dataclass(frozen=True)

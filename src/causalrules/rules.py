@@ -18,6 +18,7 @@ place where a rule becomes feasibility sets and assigned levels.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,62 +83,97 @@ def _first_rows(failed: np.ndarray, inverse: np.ndarray | None) -> list[int]:
     return np.nonzero(failed)[0][:10].tolist()
 
 
+def _targets(target: int | Sequence[int], k: int) -> list[int]:
+    """``target`` as a list of targets, each checked to lie in ``0..k-1``."""
+    targets = [target] if np.ndim(target) == 0 else list(target)
+    for t in targets:
+        if not 0 <= t < k:
+            raise ValidationError(f"target {t} outside 0..{k - 1}")
+    return targets
+
+
 def realistic_assignments(
     member: np.ndarray,
-    target: int,
+    target: int | Sequence[int],
     empty_set_policy: str = "error",
     inverse: np.ndarray | None = None,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray | RuleInfeasibleError]:
     """Vectorized d(a, W): highest feasible level <= target per row.
 
     ``member`` may hold one row per distinct pattern, with ``inverse``
     giving the pattern of every input row; errors then still name the
     input rows.
+
+    ``target`` may also be a sequence of targets.  One pass over the
+    levels, keeping each row's last feasible level, then serves them
+    all, and the result is a list with one entry per target: its
+    assigned levels, or the :class:`RuleInfeasibleError` that target
+    alone raises.
     """
     member = np.asarray(member, dtype=bool)
     n, k = member.shape
-    if not 0 <= target < k:
-        raise ValidationError(f"target {target} outside 0..{k - 1}")
-    eligible = member[:, : target + 1]
-    rev = eligible[:, ::-1]
-    has = rev.any(axis=1)
-    assigned = target - rev.argmax(axis=1)
-    if not has.all():
-        bad = ~has
-        if empty_set_policy == "assign_min_realistic":
-            any_member = member.any(axis=1)
-            if not any_member[bad].all():
-                rows = _first_rows(bad & ~any_member, inverse)
-                raise RuleInfeasibleError(
-                    f"rows with an empty feasible set: {rows}", rows=rows
-                )
-            assigned = np.where(bad, member.argmax(axis=1), assigned)
-        else:
-            rows = _first_rows(bad, inverse)
-            raise RuleInfeasibleError(
-                f"no feasible level at or below target {target} for rows {rows}",
-                rows=rows,
-            )
-    return assigned.astype(np.int64)
+    targets = _targets(target, k)
+    last = np.full(n, -1, dtype=np.int64)
+    below = dict.fromkeys(targets)
+    for level in range(max(targets, default=-1) + 1):
+        np.copyto(last, level, where=member[:, level])
+        if level in below:
+            below[level] = last.copy()
+    out = [_realistic_fallback(member, t, below[t], empty_set_policy, inverse) for t in targets]
+    if np.ndim(target) == 0:
+        if isinstance(out[0], RuleInfeasibleError):
+            raise out[0]
+        return out[0]
+    return out
 
 
-def itt_assignments(member: np.ndarray, target: int, observed_a: np.ndarray) -> np.ndarray:
-    """Vectorized d(a, A, W): target where feasible, observed level elsewhere."""
+def _realistic_fallback(
+    member: np.ndarray,
+    target: int,
+    assigned: np.ndarray,
+    empty_set_policy: str,
+    inverse: np.ndarray | None,
+) -> np.ndarray | RuleInfeasibleError:
+    """``assigned`` (-1 where no level at or below ``target`` is feasible)
+    under the empty-set policy, or the error that target raises."""
+    bad = assigned < 0
+    if not bad.any():
+        return assigned
+    if empty_set_policy == "assign_min_realistic":
+        any_member = member.any(axis=1)
+        if not any_member[bad].all():
+            rows = _first_rows(bad & ~any_member, inverse)
+            return RuleInfeasibleError(f"rows with an empty feasible set: {rows}", rows=rows)
+        return np.where(bad, member.argmax(axis=1), assigned)
+    rows = _first_rows(bad, inverse)
+    return RuleInfeasibleError(
+        f"no feasible level at or below target {target} for rows {rows}", rows=rows
+    )
+
+
+def itt_assignments(
+    member: np.ndarray, target: int | Sequence[int], observed_a: np.ndarray
+) -> np.ndarray | list[np.ndarray]:
+    """Vectorized d(a, A, W): target where feasible, observed level elsewhere.
+
+    ``target`` may also be a sequence of targets, with one array of
+    assigned levels per target returned in a list.
+    """
     member = np.asarray(member, dtype=bool)
-    n, k = member.shape
-    if not 0 <= target < k:
-        raise ValidationError(f"target {target} outside 0..{k - 1}")
-    return np.where(member[:, target], target, np.asarray(observed_a, dtype=np.int64))
+    targets = _targets(target, member.shape[1])
+    observed_a = np.asarray(observed_a, dtype=np.int64)
+    out = [np.where(member[:, t], t, observed_a) for t in targets]
+    return out[0] if np.ndim(target) == 0 else out
 
 
 def assign(
-    rule: Rule,
+    rule: Rule | Sequence[Rule],
     g_raw: np.ndarray | None,
     observed_a: np.ndarray,
     k_levels: int,
     member: np.ndarray | None = None,
     inverse: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | list[np.ndarray | RuleInfeasibleError]]:
     """Feasibility matrix and assigned level of every row under ``rule``.
 
     Feasibility comes from the raw treatment probabilities ``g_raw``,
@@ -146,19 +182,30 @@ def assign(
     overrides the feasibility matrix.  When the rows are distinct
     patterns, ``inverse`` maps every input row to its pattern so that an
     infeasible rule names input rows (see :func:`realistic_assignments`).
+
+    ``rule`` may also be a sequence of rules that differ only in target.
+    They then share one feasibility matrix and one pass over it, and the
+    assignments come as a list with one entry per rule: its assigned
+    levels, or the :class:`RuleInfeasibleError` that rule alone raises.
     """
-    if rule.target >= k_levels:
-        raise ValidationError(f"rule target {rule.target} outside 0..{k_levels - 1}")
+    rules = [rule] if isinstance(rule, Rule) else list(rule)
+    if len({(r.family, r.alpha, r.empty_set_policy) for r in rules}) != 1:
+        raise ValidationError("assign takes one rule, or rules that differ only in target")
+    for r in rules:
+        if r.target >= k_levels:
+            raise ValidationError(f"rule target {r.target} outside 0..{k_levels - 1}")
+    first = rules[0]
     if member is None:
-        if rule.family == "static" or rule.alpha == 0.0:
+        if first.family == "static" or first.alpha == 0.0:
             member = np.ones((len(observed_a), k_levels), dtype=bool)
         elif g_raw is None:
-            raise ValidationError(f"{rule.family} rules need treatment probabilities")
+            raise ValidationError(f"{first.family} rules need treatment probabilities")
         else:
-            member = membership_matrix(g_raw, rule.alpha)
-    if rule.family == "itt":
-        return member, itt_assignments(member, rule.target, observed_a)
-    return member, realistic_assignments(member, rule.target, rule.empty_set_policy, inverse)
+            member = membership_matrix(g_raw, first.alpha)
+    targets = rule.target if isinstance(rule, Rule) else [r.target for r in rules]
+    if first.family == "itt":
+        return member, itt_assignments(member, targets, observed_a)
+    return member, realistic_assignments(member, targets, first.empty_set_policy, inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from causalrules import (
     GeneratingDistribution,
     NuisanceSpec,
     Rule,
+    RuleInfeasibleError,
     ValidationError,
     alpha_sweep,
     cohort_dgp,
@@ -20,7 +22,7 @@ from causalrules import (
     positivity_report,
     true_psi,
 )
-from causalrules import diagnostics, glm, ingest
+from causalrules import dgps, diagnostics, glm, ingest
 from causalrules.diagnostics import (
     _draw_levels,
     bernoulli_block_support,
@@ -28,6 +30,7 @@ from causalrules.diagnostics import (
 )
 from causalrules.glm import _columns_for
 from causalrules.ingest import _distinct_rows
+from causalrules.rules import EMPTY_SET_POLICIES, membership_matrix
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +88,83 @@ def test_true_psi_member_override(tiny_gen):
     assert forced == pytest.approx(0.75 * (2 / 3) + 0.25 * (6 / 7), abs=1e-12)
 
 
+def _truths_per_rule(gen, family_rules, member=None):
+    """``true_psi`` of each rule alone, or the infeasibility it raises."""
+    out = []
+    for rule in family_rules:
+        try:
+            out.append(true_psi(gen, rule, member))
+        except RuleInfeasibleError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_truths(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, RuleInfeasibleError):
+            assert isinstance(g, RuleInfeasibleError)
+            assert (str(g), g.rows) == (str(w), w.rows)
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("name", DGP_REGISTRY)
+def test_the_truths_of_a_family_from_one_call_equal_one_call_per_rule(name):
+    """One ``true_psi`` call per family, in one assignment pass, gives each
+    rule's truth bit for bit, and each infeasible rule its own error."""
+    gen = DGP_REGISTRY[name]()
+    k = gen.n_treatment_levels
+    infeasible = 0
+    for alpha in (0.05, 0.1, 0.3):
+        for policy in EMPTY_SET_POLICIES:
+            for family in ("static", "realistic", "itt"):
+                for targets in (range(k), range(k)[::-2]):
+                    family_rules = [Rule(family, t, alpha=alpha, empty_set_policy=policy)
+                                    for t in targets]
+                    want = _truths_per_rule(gen, family_rules)
+                    _assert_same_truths(true_psi(gen, family_rules), want)
+                    infeasible += sum(isinstance(w, RuleInfeasibleError) for w in want)
+    if name == "cohort":
+        assert infeasible > 0
+
+
+def test_a_refit_membership_infeasible_at_one_target_drops_only_its_drift(monkeypatch):
+    """Knocking levels 0 and 1 off one support row of each replicate's
+    refit feasibility sets leaves realistic target 1 infeasible there:
+    only its drift is dropped, every other value is unchanged, and the
+    drift truths equal one ``true_psi`` call per rule."""
+    gen = cohort_dgp()
+    kwargs = dict(estimator="iptw", targets=(1, 3, 5), replicates=2, n_sim=2000, seed=4)
+    base = eta_bias_diagnostic(gen, **kwargs)
+    members = []
+
+    def knocked(g_probs, alpha):
+        member = membership_matrix(g_probs, alpha)
+        member[7, :2], member[7, 2] = False, True
+        members.append(member)
+        return member
+
+    monkeypatch.setattr(diagnostics, "membership_matrix", knocked)
+    report = eta_bias_diagnostic(gen, **kwargs)
+    assert len(members) == 2
+    for family in ("realistic", "itt"):
+        family_rules = [Rule(family, t) for t in (1, 3, 5)]
+        for member in members:
+            _assert_same_truths(
+                true_psi(gen, family_rules, member), _truths_per_rule(gen, family_rules, member)
+            )
+    for e, b in zip(report.entries, base.entries, strict=True):
+        for field in ("truth", "mean_estimate", "sd_estimate"):
+            assert getattr(e, field) == getattr(b, field)
+        if (e.family, e.target) == ("realistic", 1):
+            assert b.drift is not None and e.drift is None
+        elif e.family == "itt" and e.target == 1:
+            assert e.drift is not None
+        else:
+            assert e.drift == b.drift
+
+
 def test_generate_matches_analytic_margins(gen_nv):
     n = 60_000
     ds = generate(gen_nv, n, seed=4)
@@ -140,12 +220,41 @@ def _from_cohort_sample():
     return GeneratingDistribution.from_dataset(sample, cohort.g_model, cohort.q_model)
 
 
-@pytest.mark.parametrize("name", [*DGP_REGISTRY, "from_dataset"])
+def _zero_cell_system():
+    """Cohort with its first, its last and every third cell at probability zero."""
+    cohort = cohort_dgp()
+    p = cohort.w_probs.copy()
+    p[::3] = p[-1] = 0.0
+    return GeneratingDistribution(
+        cohort.w_support, p / p.sum(), cohort.covariate_names, cohort.g_model, cohort.q_model
+    )
+
+
+@pytest.mark.parametrize("name", [*DGP_REGISTRY, "from_dataset", "zero_cells"])
 def test_generate_reads_the_support_bit_for_bit(name):
     """Reading g and Q off the support draws exactly what predicting them
     on the drawn rows draws, and the grouping handed to the dataset is
-    the grouping of its rows."""
-    gen = _from_cohort_sample() if name == "from_dataset" else DGP_REGISTRY[name]()
+    the grouping of its rows.  The cells, drawn by indexed search off the
+    system's guide table, are the ones ``rng.choice`` draws, from the
+    same uniforms and leaving the stream at the same place; so are those
+    of uniforms on a bucket edge, just below one, on a cumulative cell
+    probability, and just below 1."""
+    systems = {"from_dataset": _from_cohort_sample, "zero_cells": _zero_cell_system}
+    gen = systems.get(name, DGP_REGISTRY.get(name))()
+    m = gen.w_support.shape[0]
+    if name == "from_dataset":
+        assert _distinct_rows(gen.w_support)[0].size < m
+    cdf = gen.w_probs.cumsum()
+    cdf /= cdf[-1]
+    buckets = gen._cell_guide[1].size
+    assert buckets & (buckets - 1) == 0 and 2 * m <= buckets < 4 * m
+    edges = np.arange(buckets) / buckets
+    u = np.concatenate(
+        [edges, np.nextafter(edges[1:], 0.0), cdf[cdf < 1.0], [np.nextafter(1.0, 0.0)]]
+    )
+    cells = diagnostics._draw_cells(gen, u)
+    np.testing.assert_array_equal(cells, cdf.searchsorted(u, side="right"))
+    assert np.all(gen.w_probs[cells] > 0.0)
     for n, seed in ((4000, 0), (257, 9)):
         ds = generate(gen, n, seed)
         w, a, y = _generate_rowwise(gen, n, seed)
@@ -423,7 +532,41 @@ def test_bernoulli_support_probabilities():
         bernoulli_support(("A",), (0.5, 0.25))
 
 
-def test_bernoulli_block_support_one_hot():
+def _block_support_itertools(blocks):
+    """The support and probabilities cell by cell in ``itertools.product``
+    order, each probability multiplied left to right from 1.0."""
+    rows, probs = [], []
+    for combo in itertools.product(*(cats for _, cats in blocks)):
+        row, p = [], 1.0
+        for pattern, prob in combo:
+            row.extend(pattern)
+            p *= prob
+        rows.append(row)
+        probs.append(p)
+    return np.asarray(rows, dtype=np.int8), np.asarray(probs, dtype=float)
+
+
+def test_bernoulli_block_support_one_hot(monkeypatch):
+    """Also: every built-in system's support, and the empty product, equal
+    the cell-by-cell form bit for bit."""
+    seen = []
+
+    def recorded(blocks):
+        seen.append(blocks)
+        return bernoulli_block_support(blocks)
+
+    monkeypatch.setattr(diagnostics, "bernoulli_block_support", recorded)
+    monkeypatch.setattr(dgps, "bernoulli_block_support", recorded)
+    for make in DGP_REGISTRY.values():
+        make()
+    assert len(seen) == len(DGP_REGISTRY)
+    for blocks in seen + [[]]:
+        support, probs, _ = bernoulli_block_support(blocks)
+        want_support, want_probs = _block_support_itertools(blocks)
+        assert support.dtype == want_support.dtype
+        np.testing.assert_array_equal(support, want_support)
+        assert probs.tobytes() == want_probs.tobytes()
+
     support, probs, names = bernoulli_block_support(
         [
             (("X1", "X2"), [((0, 0), 0.2), ((1, 0), 0.5), ((0, 1), 0.3)]),
@@ -491,6 +634,8 @@ def test_eta_bias_computes_only_the_psi_of_its_cells(monkeypatch, gen_nv):
                                  n_sim=400)
     assert calls == []
     assert all(e.n_effective == 2 for e in report.entries)
+    # No targets: no cells, no truths, an empty report.
+    assert eta_bias_diagnostic(gen_nv, targets=(), replicates=2, n_sim=400).entries == ()
 
 
 def test_an_unknown_estimator_is_rejected_before_any_draw(monkeypatch, gen_nv):

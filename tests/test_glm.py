@@ -332,6 +332,43 @@ def test_structural_zero_pinned_to_exact_zero():
     assert model.info.converged
 
 
+def _multinomial_probs_rowwise(X, B, support):
+    """The row-wise form: each row's maximum and normaliser reduced over its K columns."""
+    eta = np.zeros((X.shape[0], support.shape[1]))
+    eta[:, 1:] = X @ B.T
+    eta = np.where(support, eta, -np.inf)
+    ex = np.exp(eta - eta.max(axis=1, keepdims=True))
+    return ex / ex.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", [*DGP_REGISTRY, "random"])
+def test_level_major_probabilities_equal_the_rowwise_form_bit_for_bit(name):
+    """On every system's support with its structural-zero pins, and on
+    random rows with random supports, at the system's coefficients and
+    at random ones; a row with no supported level is still rejected."""
+    rng = np.random.default_rng(3)
+    if name == "random":
+        X = np.column_stack([np.ones(20_000), rng.integers(0, 2, (20_000, 7))]).astype(float)
+        support = rng.random((20_000, 6)) < 0.8
+        support[np.arange(20_000), rng.integers(0, 6, 20_000)] = True
+        coefs = [rng.normal(scale=3.0, size=(5, 8)) for _ in range(5)]
+    else:
+        gen = DGP_REGISTRY[name]()
+        g = gen.g_model
+        X = g._design(_columns_for(gen.w_support, gen.covariate_names, g.covariate_names))
+        support = glm._support_matrix(X, g._pin_columns(), g.n_treatment_levels)
+        assert support.all() == (name not in ("structural_zero", "cohort"))
+        own = np.where(np.isfinite(g.coef), g.coef, 0.0)
+        coefs = [own] + [rng.normal(scale=3.0, size=own.shape) for _ in range(20)]
+    for B in coefs:
+        got = glm._multinomial_probs(X, B, support)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _multinomial_probs_rowwise(X, B, support).tobytes()
+    support[-1] = False
+    with pytest.raises(ValidationError, match="no supported treatment level"):
+        glm._multinomial_probs(X, coefs[0], support)
+
+
 def test_absent_level_pins_intercept():
     a = np.repeat([0, 1], [30, 30])  # level 2 never observed at all
     model = fit_treatment_model(_dataset(np.zeros((60, 0)), a, 3))

@@ -114,6 +114,14 @@ def test_vectorized_assignments_match_scalar():
             np.testing.assert_array_equal(itt_assignments(member, target, observed), want)
             itt_rule = Rule(family="itt", target=target, alpha=alpha)
             np.testing.assert_array_equal(assign(itt_rule, probs, observed, k)[1], want)
+        # All targets at once, in any order, from one pass over the levels.
+        targets = [3, 0, 5, 1]
+        for target, got in zip(targets, realistic_assignments(member, targets,
+                                                              "assign_min_realistic")):
+            np.testing.assert_array_equal(
+                got, realistic_assignments(member, target, "assign_min_realistic"))
+        for target, got in zip(targets, itt_assignments(member, targets, observed)):
+            np.testing.assert_array_equal(got, itt_assignments(member, target, observed))
 
 
 def test_realistic_assignment_bounds():
@@ -159,6 +167,15 @@ def test_alpha_zero_realistic_equals_static():
 def test_realistic_rules_need_probabilities():
     with pytest.raises(ValidationError, match="probabilities"):
         assign(Rule(family="realistic", target=1, alpha=0.05), None, np.zeros(5, dtype=int), 6)
+
+
+def test_rules_assigned_together_must_differ_only_in_target():
+    probs = np.full((5, 6), 1 / 6)
+    observed = np.zeros(5, dtype=int)
+    for rules in ([], [Rule("realistic", 1), Rule("itt", 2)],
+                  [Rule("realistic", 1), Rule("realistic", 2, alpha=0.1)]):
+        with pytest.raises(ValidationError, match="differ only in target"):
+            assign(rules, probs, observed, 6)
 
 
 def test_infeasible_rows_are_reported():

@@ -275,13 +275,13 @@ def _check_targets(targets, k: int) -> tuple[int, ...] | None:
     return out
 
 
-def _make_dgp(name: str) -> GeneratingDistribution:
+def _make_dgp(name: str, alpha_trunc: float = 0.05) -> GeneratingDistribution:
     if name not in DGP_REGISTRY:
         raise UsageError(
             f"unknown generating system {name!r}; choose from "
             + ", ".join(sorted(DGP_REGISTRY))
         )
-    return DGP_REGISTRY[name]()
+    return DGP_REGISTRY[name](alpha_trunc=alpha_trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +432,7 @@ def cmd_diagnose(args) -> int:
     threshold_pct = get("diagnostic.threshold_pct")
 
     if dgp_name is not None:
-        gen = _make_dgp(dgp_name)
+        gen = _make_dgp(dgp_name, alpha_trunc)
         if n_sim is None:
             raise UsageError("n_sim is required when diagnosing a built-in system")
         spec = NuisanceSpec(alpha_trunc=alpha_trunc)
@@ -462,6 +462,9 @@ def cmd_diagnose(args) -> int:
         truncate_weights=truncate_weights,
     )
     report = eta_bias_diagnostic(gen, alpha=alpha, **common)
+    # Sweep before writing, so a failing sweep leaves no output behind.
+    if sweep_alphas is not None:
+        sweep = alpha_sweep(gen, sweep_alphas, threshold_pct=threshold_pct, **common)
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -471,7 +474,6 @@ def cmd_diagnose(args) -> int:
     _write_json(outdir / "positivity.json", {"source": source, **pos.to_dict()})
     written = "eta_bias.json, eta_bias.csv, positivity.json"
     if sweep_alphas is not None:
-        sweep = alpha_sweep(gen, sweep_alphas, threshold_pct=threshold_pct, **common)
         _write_json(outdir / "alpha_sweep.json", {"source": source, **sweep.to_dict()})
         written += ", alpha_sweep.json"
 

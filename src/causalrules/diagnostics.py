@@ -29,13 +29,11 @@ By default each replicate refits g — the feasibility sets are part of
 the estimator — and the drift of the replicate-specific estimand (the
 truth under the refit feasibility sets, with the refit g evaluated on
 the support through the same entry) is recorded alongside.  A
-replicate evaluates ``g`` once: the sample's ``G`` is indexed out of
-the support evaluation made for the drift, or, without a refit, out of
-the system's own.  Only a refit without drift is predicted on the
-sample's distinct rows, so the support is evaluated, and can fail, only
-where the drift needs it.  The truths, and each replicate's drift, take
-one ``true_psi`` call per rule family: one assignment pass over the
-support gives every target's assigned levels.
+replicate evaluates ``g`` once, on the support: the refit, or without
+a refit the system's own.  The sample's ``G`` is indexed out of that
+evaluation.  The truths, and each replicate's drift, take one
+``true_psi`` call per rule family: one assignment pass over the support
+gives every target's assigned levels.
 """
 
 from __future__ import annotations
@@ -279,19 +277,24 @@ def true_psi(
     m, k = q_all.shape
     # Observed levels are not defined on the support; ITT rows off the
     # target take the g-weighted average of Q below instead.
-    member, assigned = assign(rule, g_raw, np.zeros(m, dtype=np.int64), k, member)
     single = isinstance(rule, Rule)
-    rules, assigned = ([rule], [assigned]) if single else (list(rule), assigned)
+    rules = [rule] if single else list(rule)
+    member, assigned = assign(rules, g_raw, np.zeros(m, dtype=np.int64), k, member)
     rows = np.arange(m)
     truths = []
     for r, levels in zip(rules, assigned):
         if isinstance(levels, RuleInfeasibleError):
-            truths.append(levels)
+            # The rows it names are rows of the support, not of a dataset.
+            truths.append(RuleInfeasibleError(
+                str(levels).replace("rows", "support rows", 1), rows=levels.rows
+            ))
             continue
         values = q_all[rows, levels]
         if r.family == "itt":
             values = np.where(member[:, r.target], values, gen._support_q_bar)
         truths.append(float(np.dot(gen.w_probs, values)))
+    if single and isinstance(truths[0], RuleInfeasibleError):
+        raise truths[0]
     return truths[0] if single else truths
 
 
@@ -378,7 +381,6 @@ def eta_bias_diagnostic(
     refit_g: bool = True,
     empty_set_policy: str = "error",
     truncate_weights: bool = True,
-    record_drift: bool = True,
 ) -> BiasReport:
     """Simulate from the generating system and measure estimator bias.
 
@@ -392,11 +394,10 @@ def eta_bias_diagnostic(
     error around it.
 
     The generating system is evaluated on its support once, and each
-    replicate's refit ``g`` once: on the support when the drift is
-    recorded, with the sample's ``G`` indexed out of it, and on the
-    sample otherwise.  Replicates whose fits (or refit feasibility sets
-    on the support) fail are dropped and counted; more than 10% failing
-    raises, more than 1% warns.
+    replicate's refit ``g`` once, also on the support; the sample's
+    ``G`` is indexed out of it.  Replicates whose fits (or refit
+    feasibility sets on the support) fail are dropped and counted; more
+    than 10% failing raises, more than 1% warns.
     """
     _check_estimators((estimator,))
     _check_count(replicates, "diagnostic replicates", 1)
@@ -434,11 +435,11 @@ def eta_bias_diagnostic(
             g_model = (spec.fit_g(ds) if refit_g else gen.g_model) if need_g else None
             q_model = spec.fit_q(ds) if need_q else None
             g_support = member_fit = None
-            if g_model is not None and not refit_g:
-                g_support = gen.support_g_raw()
-            elif g_model is not None and record_drift:
-                g_support = _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
-            if record_drift and g_support is not None:
+            if g_model is not None:
+                g_support = (
+                    _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
+                    if refit_g else gen.support_g_raw()
+                )
                 member_fit = membership_matrix(g_support, alpha)
         except CausalRulesError:
             n_failed += 1

@@ -96,6 +96,10 @@ ESTIMATORS = ("gcomp", "iptw", "driptw", "tmle")
 # Below this, a denominator psi_0 is considered degenerate for ratios.
 MIN_PSI_DENOMINATOR = 1e-10
 
+# RR-TMLE stops after a step within both (see tmle_relative_risk).
+_RR_EPS_TOL = 1e-6
+_RR_RESIDUAL_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Nuisance model specification
@@ -639,8 +643,6 @@ def rr_tmle_from_arrays(
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
-    eps_tol: float = 1e-6,
-    residual_tol: float = 1e-8,
     max_iter: int = 50,
     itt_covariate: str = "delta",
 ) -> RelativeRiskEstimate:
@@ -707,7 +709,7 @@ def rr_tmle_from_arrays(
         q = _expit(m)
         theta, psi_num, psi_den, h = plugins(q)
         residual = float(h[:n0] @ (s0 - t0 * q[:n0])) / n
-        if abs(eps) < eps_tol and abs(residual) <= residual_tol:
+        if abs(eps) < _RR_EPS_TOL and abs(residual) <= _RR_RESIDUAL_TOL:
             break
     else:
         raise ConvergenceError(
@@ -739,8 +741,6 @@ def tmle_relative_risk(
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
-    eps_tol: float = 1e-6,
-    residual_tol: float = 1e-8,
     max_iter: int = 50,
     truncate_weights: bool = True,
     itt_covariate: str = "delta",
@@ -750,8 +750,8 @@ def tmle_relative_risk(
     Iterates a one-parameter fluctuation whose covariate contrasts the
     target rule against the target-0 rule, scaled by the running
     plug-in estimates (which are refreshed every step).  Stops when the
-    last step satisfied ``|epsilon| < eps_tol`` and the mean of the
-    ratio-scale estimating function is within ``residual_tol``; raises
+    last step satisfied ``|epsilon| < 1e-6`` and the mean of the
+    ratio-scale estimating function is within ``1e-8``; raises
     :class:`ConvergenceError` with the epsilon trace otherwise.
 
     For ITT rules two covariates are available: ``itt_covariate="delta"``
@@ -762,8 +762,8 @@ def tmle_relative_risk(
     table = _evaluate(dataset, g_model, q_model)
     return rr_tmle_from_arrays(
         family, target, table, _weight_scale(table.G, g_model, truncate_weights),
-        alpha=alpha, empty_set_policy=empty_set_policy, eps_tol=eps_tol,
-        residual_tol=residual_tol, max_iter=max_iter, itt_covariate=itt_covariate,
+        alpha=alpha, empty_set_policy=empty_set_policy, max_iter=max_iter,
+        itt_covariate=itt_covariate,
     )
 
 
@@ -795,7 +795,6 @@ def _grid(
     empty_set_policy: str = "error",
     truncate_weights: bool | dict = True,
     itt_covariate: str = "delta",
-    rr_max_iter: int = 50,
 ) -> dict:
     """Each requested ``(family, target, estimator, "psi" | "rr")`` label's
     estimate on a pattern table, or the package error it raised.
@@ -836,7 +835,6 @@ def _grid(
                 rr = rr_tmle_from_arrays(
                     family, target, table, weights[est], alpha=alpha,
                     empty_set_policy=empty_set_policy, itt_covariate=itt_covariate,
-                    max_iter=rr_max_iter,
                 )
             else:
                 num, den = psi(family, target, est), psi(family, 0, est)
@@ -951,7 +949,6 @@ def estimate_suite(
     empty_set_policy: str = "error",
     truncate_weights: bool | dict = True,
     itt_covariate: str = "delta",
-    rr_max_iter: int = 50,
 ) -> EstimateReport:
     """Estimate psi for every (family, target, estimator) cell plus the
     relative risk of each target against target 0 within the family.
@@ -976,7 +973,6 @@ def estimate_suite(
          if kind == "psi" or c.target != 0],
         g_model, alpha=alpha, empty_set_policy=empty_set_policy,
         truncate_weights=truncate_weights, itt_covariate=itt_covariate,
-        rr_max_iter=rr_max_iter,
     )
     for cell in cells:
         for kind in ("psi", "rr"):

@@ -191,9 +191,6 @@ def assign(
     rules = [rule] if isinstance(rule, Rule) else list(rule)
     if len({(r.family, r.alpha, r.empty_set_policy) for r in rules}) != 1:
         raise ValidationError("assign takes one rule, or rules that differ only in target")
-    for r in rules:
-        if r.target >= k_levels:
-            raise ValidationError(f"rule target {r.target} outside 0..{k_levels - 1}")
     first = rules[0]
     if member is None:
         if first.family == "static" or first.alpha == 0.0:

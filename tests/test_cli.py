@@ -235,6 +235,43 @@ def test_diagnose_dgp_mode(tmp_path, capsys):
     assert "alpha sweep" in capsys.readouterr().out
 
 
+def test_a_failing_alpha_sweep_writes_no_files(tmp_path, capsys):
+    """At these sweep alphas the truth of realistic target 0 is undefined
+    on some support rows; the sweep runs before any file is written."""
+    outdir = tmp_path / "diag"
+    rc = main([
+        "diagnose", "--dgp", "cohort", "--estimator", "iptw", "--n-sim", "20000",
+        "--replicates", "10", "--seed", "3", "--alpha-sweep", "0.01,0.05,0.1,0.15",
+        "--output-dir", str(outdir),
+    ])
+    assert rc == 2
+    assert "no feasible level at or below target 0 for support rows [4, 10," in (
+        capsys.readouterr().err
+    )
+    assert not outdir.exists()
+
+
+def test_diagnose_without_refit_reads_the_runs_alpha_trunc(tmp_path):
+    """Without a refit the estimators weight by the system's own g, which
+    must carry the run's truncation floor."""
+    outputs = []
+    for alpha_trunc in (0.05, 0.2):
+        cfg = tmp_path / f"cfg{alpha_trunc}.json"
+        cfg.write_text(json.dumps({"alpha_trunc": alpha_trunc}))
+        outdir = tmp_path / f"out{alpha_trunc}"
+        assert main([
+            "diagnose", "--config", str(cfg), "--dgp", "structural_zero",
+            "--estimator", "iptw", "--no-refit-g", "--replicates", "3", "--n-sim", "500",
+            "--output-dir", str(outdir),
+        ]) == 0
+        outputs.append(json.loads((outdir / "eta_bias.json").read_text()))
+    low, high = outputs
+    assert [e["truth"] for e in low["entries"]] == [e["truth"] for e in high["entries"]]
+    assert [e["mean_estimate"] for e in low["entries"]] != [
+        e["mean_estimate"] for e in high["entries"]
+    ]
+
+
 def test_diagnose_data_mode(tmp_path, sim_csv):
     outdir = tmp_path / "diagdata"
     rc = main([
@@ -285,6 +322,36 @@ def test_fit_then_simulate_from_models(tmp_path, sim_csv, capsys):
 
     assert main(["simulate", "--models", str(bundle), "--n", "5",
                  "--output", str(tmp_path / "x.csv")]) == 1  # needs --input
+
+
+def test_fit_flags_reach_the_bundle(tmp_path, sim_csv):
+    """``--covariates``, ``--treatment-column`` and ``--alpha-trunc`` each
+    change what is fitted: the bundle fitted from the LTPA_MET column of a
+    file that has both treatment columns equals the one fitted from a file
+    whose A column holds those levels."""
+    met_of_level = ("0", "5", "15", "30", "50", "70")
+    rows = list(csv.reader(sim_csv.open()))
+    assert rows[0] == ["V", "U", "A", "Y"]
+    both, flipped = tmp_path / "both.csv", tmp_path / "flipped.csv"
+    with open(both, "w", newline="") as fh:
+        csv.writer(fh).writerows([["V", "U", "A", "LTPA_MET", "Y"]] + [
+            [v, u, a, met_of_level[5 - int(a)], y] for v, u, a, y in rows[1:]])
+    with open(flipped, "w", newline="") as fh:
+        csv.writer(fh).writerows([["V", "A", "Y"]] + [
+            [v, str(5 - int(a)), y] for v, _, a, y in rows[1:]])
+    bundles = []
+    for argv in (["--input", str(both), "--covariates", "V", "--treatment-column", "LTPA_MET",
+                  "--alpha-trunc", "0.2"],
+                 ["--input", str(flipped), "--alpha-trunc", "0.2"]):
+        path = tmp_path / f"models{len(bundles)}.json"
+        assert main(["fit", *argv, "--output", str(path)]) == 0
+        bundles.append(json.loads(path.read_text()))
+    got, want = bundles
+    assert got["meta"]["covariates"] == ["V"]
+    assert got["treatment"]["covariate_names"] == got["outcome"]["covariate_names"] == ["V"]
+    assert got["meta"]["alpha_trunc"] == got["treatment"]["alpha_trunc"] == 0.2
+    assert got["treatment"]["coef"] == want["treatment"]["coef"]
+    assert got["outcome"]["coef"] == want["outcome"]["coef"]
 
 
 def _edit_bundle(text, edit):

@@ -6,6 +6,7 @@ import pytest
 
 from causalrules import (
     DGP_REGISTRY,
+    BootstrapConfig,
     Dataset,
     GeneratingDistribution,
     NuisanceSpec,
@@ -13,6 +14,7 @@ from causalrules import (
     RuleInfeasibleError,
     ValidationError,
     alpha_sweep,
+    bootstrap_ci,
     cohort_dgp,
     estimate_suite,
     eta_bias_diagnostic,
@@ -432,23 +434,17 @@ def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
     assert [w.filename for w in record if w.category is UserWarning] == [__file__]
 
 
-@pytest.mark.parametrize(
-    "refit_g, record_drift, failed",
-    [(True, True, 2), (True, False, 1), (False, True, 0), (False, False, 0)],
-)
-def test_a_replicate_reads_its_sample_g_off_the_support(
-    monkeypatch, refit_g, record_drift, failed
-):
-    """Where a replicate has g on the support (the refit, evaluated for the
-    drift, or the system's own), the sample's G is indexed out of it and
-    equals predicting g on the sample's distinct rows; without drift a
-    refit is predicted on the sample alone.  Predicting G instead drops
-    the same replicates and gives the same estimates.  Of this seed's
-    refits, one fails to fit and one misses a support row, which drops
-    its replicate only where the support is evaluated."""
+@pytest.mark.parametrize("refit_g, failed", [(True, 2), (False, 0)])
+def test_a_replicate_reads_its_sample_g_off_the_support(monkeypatch, refit_g, failed):
+    """Every replicate with a g has it on the support (the refit, or the
+    system's own), and the sample's G is indexed out of it and equals
+    predicting g on the sample's distinct rows.  Predicting G instead
+    drops the same replicates and gives the same estimates.  Of this
+    seed's refits, one fails to fit and one misses a support row, which
+    drops its replicate."""
     kwargs = dict(
         estimator="iptw", replicates=20, n_sim=100, seed=0, refit_g=refit_g,
-        record_drift=record_drift, empty_set_policy="assign_min_realistic",
+        empty_set_policy="assign_min_realistic",
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -467,7 +463,7 @@ def test_a_replicate_reads_its_sample_g_off_the_support(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         reference = eta_bias_diagnostic(cohort_dgp(), **kwargs)
-    assert set(handed) == {record_drift or not refit_g}
+    assert set(handed) == {True}
     assert indexed.n_failed_replicates == reference.n_failed_replicates
     assert indexed.n_failed_replicates == failed
     for got, want in zip(indexed.entries, reference.entries, strict=True):
@@ -636,6 +632,23 @@ def test_eta_bias_computes_only_the_psi_of_its_cells(monkeypatch, gen_nv):
     assert all(e.n_effective == 2 for e in report.entries)
     # No targets: no cells, no truths, an empty report.
     assert eta_bias_diagnostic(gen_nv, targets=(), replicates=2, n_sim=400).entries == ()
+
+
+def test_gcomp_cells_at_alpha_zero_never_fit_g(monkeypatch, gen_nv, data_nv):
+    """At alpha 0 every level is feasible, so G-computation under realistic
+    and ITT rules reads no g: neither a bootstrap nor the diagnostic fits it."""
+    import causalrules.estimators as est_module
+
+    def no_g(*args, **kwargs):
+        raise AssertionError("g was fitted")
+
+    monkeypatch.setattr(est_module, "fit_treatment_model", no_g)
+    ci = bootstrap_ci(data_nv, NuisanceSpec(), Rule("realistic", 2, alpha=0.0), "gcomp",
+                      BootstrapConfig(replicates=3))
+    assert ci.b_effective == 3
+    report = eta_bias_diagnostic(gen_nv, estimator="gcomp", families=("realistic", "itt"),
+                                 targets=(2,), alpha=0.0, replicates=2, n_sim=400)
+    assert [e.n_effective for e in report.entries] == [2, 2]
 
 
 def test_an_unknown_estimator_is_rejected_before_any_draw(monkeypatch, gen_nv):

@@ -685,18 +685,25 @@ def test_model_bundle_round_trip(tmp_path, models_nv, data_nv):
 
 
 def test_structural_zero_survives_serialization(tmp_path):
-    rng = np.random.default_rng(9)
-    n = 400
-    frail = rng.integers(0, 2, n)
-    a = np.where(frail == 1, rng.integers(0, 2, n), rng.integers(0, 3, n))
-    model = fit_treatment_model(_dataset(frail[:, None], a, 3, ("FRAIL",)))
-    d = model.to_dict()
-    assert d["coef"][1][1] is None  # -inf serialized as null
-    from causalrules.glm import TreatmentModel
+    """A level absent among frail rows is saved as a null coefficient and
+    read back as a zero probability, at the middle level and the top one."""
+    for absent in (2, 1):
+        rng = np.random.default_rng(9)
+        n = 400
+        frail = rng.integers(0, 2, n)
+        present = np.delete(np.arange(3), absent)
+        a = np.where(frail == 1, present[rng.integers(0, 2, n)], rng.integers(0, 3, n))
+        model = fit_treatment_model(_dataset(frail[:, None], a, 3, ("FRAIL",)))
+        d = model.to_dict()
+        # -inf serialized as null, and only there.
+        assert [[c is None for c in row] for row in d["coef"]] == [
+            [(l, c) == (absent - 1, 1) for c in range(2)] for l in range(2)
+        ]
+        from causalrules.glm import TreatmentModel
 
-    back = TreatmentModel.from_dict(d)
-    probs = back.predict_raw(np.array([[1.0]]))
-    assert probs[0, 2] == 0.0
+        back = TreatmentModel.from_dict(d)
+        probs = back.predict_raw(np.array([[1.0]]))
+        assert probs[0, absent] == 0.0
 
 
 def test_intercept_only_treatment_model(data_nv):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from causalrules import (
+    Dataset,
     Rule,
     RuleInfeasibleError,
     ValidationError,
+    fit_treatment_model,
     itt_assignments,
     membership_matrix,
     positivity_report,
@@ -169,6 +171,12 @@ def test_realistic_rules_need_probabilities():
         assign(Rule(family="realistic", target=1, alpha=0.05), None, np.zeros(5, dtype=int), 6)
 
 
+def test_assign_rejects_a_target_outside_the_levels():
+    for family in ("static", "realistic", "itt"):
+        with pytest.raises(ValidationError, match=r"^target 6 outside 0\.\.5$"):
+            assign(Rule(family, 6), np.full((2, 6), 1 / 6), np.zeros(2, dtype=int), 6)
+
+
 def test_rules_assigned_together_must_differ_only_in_target():
     probs = np.full((5, 6), 1 / 6)
     observed = np.zeros(5, dtype=int)
@@ -220,3 +228,18 @@ def test_positivity_report(data_nv, models_nv):
     # A sky-high threshold flags every level.
     strict = positivity_report(data_nv, g_model, alpha=0.9)
     assert list(strict.flagged_levels) == list(range(6))
+
+
+def test_a_probability_equal_to_alpha_is_feasible_and_not_below_alpha():
+    """An intercept-only fit on a balanced two-level sample gives g = 0.5
+    exactly.  At alpha = 0.5 membership counts the tie as feasible, so the
+    positivity report must not count it as below alpha."""
+    ds = Dataset(w=np.array([[0], [1], [0], [1]]), a=np.array([0, 0, 1, 1]),
+                 y=np.zeros(4, dtype=int), covariate_names=("H",), n_treatment_levels=2)
+    g_model = fit_treatment_model(ds, covariate_names=())
+    probs = g_model.predict_raw(np.zeros((1, 0)))
+    assert probs.tolist() == [[0.5, 0.5]]
+    assert membership_matrix(probs, 0.5).all()
+    rep = positivity_report(ds, g_model, alpha=0.5)
+    assert [lv.n_below_alpha for lv in rep.levels] == [0, 0]
+    assert list(rep.flagged_levels) == []

@@ -96,9 +96,11 @@ ESTIMATORS = ("gcomp", "iptw", "driptw", "tmle")
 # Below this, a denominator psi_0 is considered degenerate for ratios.
 MIN_PSI_DENOMINATOR = 1e-10
 
-# RR-TMLE stops after a step within both (see tmle_relative_risk).
+# RR-TMLE stops after a step within both, or fails after _RR_MAX_ITER
+# steps (see tmle_relative_risk).
 _RR_EPS_TOL = 1e-6
 _RR_RESIDUAL_TOL = 1e-8
+_RR_MAX_ITER = 50
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +645,6 @@ def rr_tmle_from_arrays(
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
-    max_iter: int = 50,
     itt_covariate: str = "delta",
 ) -> RelativeRiskEstimate:
     """Targeted estimate of theta = psi_target / psi_0 from a dataset's
@@ -653,8 +654,6 @@ def rr_tmle_from_arrays(
         raise ValidationError("relative-risk target must differ from the reference level 0")
     if itt_covariate not in ("delta", "appendix"):
         raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
     rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
     _check_models("tmle", rule_num, table.G, table.M)
@@ -702,7 +701,7 @@ def rr_tmle_from_arrays(
     epsilons: list[float] = []
     residual = np.inf
     theta, psi_num, psi_den, h = plugins(_expit(m))
-    for _ in range(max_iter):
+    for _ in range(_RR_MAX_ITER):
         eps = fit_fluctuation(s0, h[:n0], m[:n0], trials=t0, n_obs=n).epsilon
         epsilons.append(eps)
         m = m + eps * h
@@ -713,7 +712,7 @@ def rr_tmle_from_arrays(
             break
     else:
         raise ConvergenceError(
-            f"relative-risk targeting did not converge in {max_iter} iterations "
+            f"relative-risk targeting did not converge in {_RR_MAX_ITER} iterations "
             f"(last epsilon {epsilons[-1]:.3e}, residual {residual:.3e})",
             trace=epsilons,
         )
@@ -741,7 +740,6 @@ def tmle_relative_risk(
     *,
     alpha: float = 0.05,
     empty_set_policy: str = "error",
-    max_iter: int = 50,
     truncate_weights: bool = True,
     itt_covariate: str = "delta",
 ) -> RelativeRiskEstimate:
@@ -752,7 +750,9 @@ def tmle_relative_risk(
     plug-in estimates (which are refreshed every step).  Stops when the
     last step satisfied ``|epsilon| < 1e-6`` and the mean of the
     ratio-scale estimating function is within ``1e-8``; raises
-    :class:`ConvergenceError` with the epsilon trace otherwise.
+    :class:`ConvergenceError` with the epsilon trace if 50 steps do not
+    get there.  The rule is fixed (``_RR_EPS_TOL``, ``_RR_RESIDUAL_TOL``,
+    ``_RR_MAX_ITER``): where targeting stops is part of the estimator.
 
     For ITT rules two covariates are available: ``itt_covariate="delta"``
     (default) contrasts the two ITT clever covariates, while
@@ -762,8 +762,7 @@ def tmle_relative_risk(
     table = _evaluate(dataset, g_model, q_model)
     return rr_tmle_from_arrays(
         family, target, table, _weight_scale(table.G, g_model, truncate_weights),
-        alpha=alpha, empty_set_policy=empty_set_policy, max_iter=max_iter,
-        itt_covariate=itt_covariate,
+        alpha=alpha, empty_set_policy=empty_set_policy, itt_covariate=itt_covariate,
     )
 
 

@@ -30,7 +30,7 @@ off one product too: the indicator of ones of every column against the
 level counts.
 
 The ``g`` and ``Q`` fits share one damped Newton driver.  It converges
-on the sup-norm of the score (default ``1e-8``) and damps each step by
+on the sup-norm of the score (``GTOL``) and damps each step by
 one line search: halve up to 40 times and take the first candidate
 whose log-likelihood rose or whose score fell.  The fits raise on
 perfect separation or singular designs instead of silently returning
@@ -71,8 +71,13 @@ from .errors import (
 )
 from .ingest import Dataset, _distinct_codes, _distinct_rows
 
-DEFAULT_GTOL = 1e-8
-DEFAULT_MAX_ITER = 100
+# Where each solver stops is part of the estimator, so no caller sets it.
+# The g and Q fits converge at score sup-norm <= GTOL within MAX_ITER
+# Newton steps; the fluctuation at |score| <= FLUCTUATION_GTOL within
+# MAX_ITER steps.  Read when a fit runs.
+GTOL = 1e-8
+MAX_ITER = 100
+FLUCTUATION_GTOL = 1e-10
 # Beyond this, a binary-design coefficient is treated as diverging.
 _SEPARATION_BOUND = 40.0
 INTERCEPT_NAME = "(intercept)"
@@ -113,8 +118,6 @@ def _damped_newton(
     check_separation,
     dim: int,
     n: int,
-    gtol: float,
-    max_iter: int,
     model: str,
 ) -> tuple[np.ndarray, FitInfo]:
     """Maximise a concave log-likelihood over ``dim`` free parameters from zero.
@@ -125,27 +128,27 @@ def _damped_newton(
     ``check_separation(theta)`` raises :class:`SeparationError` when a
     coefficient has passed the separation bound.
 
-    Converges when the score sup-norm is <= ``gtol``.  Each Newton step
-    is damped by one line search that halves it up to 40 times and takes
-    the first candidate whose log-likelihood rose or whose score
-    sup-norm fell.  The second test matters at the log-likelihood's
-    machine-precision plateau, where a whole Newton step can shrink the
-    score by orders of magnitude while moving the log-likelihood by
-    less than one ulp.  When the search finds nothing, or the budget
-    runs out, the fit is accepted if the score is below a mean of 1e-8
-    per observation (the summed score grows with n, and so does the
-    achievable plateau) and raises :class:`ConvergenceError` otherwise.
-    ``n`` is that number of observations (rows), not the number of
-    distinct patterns the likelihood is summed over.
+    Converges when the score sup-norm is <= ``GTOL`` within ``MAX_ITER``
+    Newton steps.  Each step is damped by one line search that halves it
+    up to 40 times and takes the first candidate whose log-likelihood
+    rose or whose score sup-norm fell.  The second test matters at the
+    log-likelihood's machine-precision plateau, where a whole Newton step
+    can shrink the score by orders of magnitude while moving the
+    log-likelihood by less than one ulp.  When the search finds nothing,
+    or the budget runs out, the fit is accepted if the score is below a
+    mean of 1e-8 per observation (the summed score grows with n, and so
+    does the achievable plateau) and raises :class:`ConvergenceError`
+    otherwise.  ``n`` is that number of observations (rows), not the
+    number of distinct patterns the likelihood is summed over.
     """
-    accept_tol = max(gtol, 1e-8 * n)
+    accept_tol = max(GTOL, 1e-8 * n)
     theta = np.zeros(dim)
     state, ll, score = evaluate(theta)
     gnorm = _sup_norm(score)
     trace: list[float] = []
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         trace.append(gnorm)
-        if gnorm <= gtol:
+        if gnorm <= GTOL:
             return theta, FitInfo(True, it, gnorm, ll)
         try:
             step = np.linalg.solve(information(state), score)
@@ -172,9 +175,9 @@ def _damped_newton(
         theta, state, ll, score, gnorm = cand, c_state, c_ll, c_score, c_gnorm
         check_separation(theta)
     if gnorm <= accept_tol:
-        return theta, FitInfo(True, max_iter, gnorm, ll)
+        return theta, FitInfo(True, MAX_ITER, gnorm, ll)
     raise ConvergenceError(
-        f"{model} fit did not converge in {max_iter} iterations "
+        f"{model} fit did not converge in {MAX_ITER} iterations "
         f"(score sup-norm {gnorm:.3e})",
         trace,
     )
@@ -207,8 +210,6 @@ def _fit_binomial(
     trials: np.ndarray,
     n: int,
     feature_names: tuple[str, ...],
-    gtol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, FitInfo]:
     """Logistic regression of ``successes`` out of ``trials`` on the
     distinct design rows ``X``; ``n`` is the number of rows they stand for."""
@@ -229,9 +230,7 @@ def _fit_binomial(
                 feature=feature_names[j],
             )
 
-    return _damped_newton(
-        evaluate, information, check_separation, X.shape[1], n, gtol, max_iter, "logistic"
-    )
+    return _damped_newton(evaluate, information, check_separation, X.shape[1], n, "logistic")
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,6 @@ def fit_fluctuation(
     y: np.ndarray,
     h: np.ndarray,
     offset: np.ndarray,
-    gtol: float = 1e-10,
-    max_iter: int = DEFAULT_MAX_ITER,
     trials: np.ndarray | None = None,
     n_obs: float | None = None,
 ) -> FluctuationFit:
@@ -275,27 +272,25 @@ def fit_fluctuation(
     Newton steps inside a bracket that starts at ``+-40`` and shrinks by
     the sign of ``s`` at every iterate; a step that would leave the
     bracket, or one taken from an iterate where ``|s|`` did not fall, is
-    replaced by bisection.  Converges at ``|s| <= gtol`` (tight by
-    default so that downstream substitution estimators solve their
-    estimating equation to near machine precision).  When the bracket
-    collapses to float resolution first, the fit is accepted only if the
-    mean score per observation is already below 1e-8, where the number of
-    observations is ``n_obs``, by default ``sum(trials)``.  Entries with
-    ``h = 0`` change neither the score nor its slope, so a caller may
-    leave them out and pass the number of observations they all stand
-    for as ``n_obs``.  A root beyond ``+-40`` raises
-    :class:`SeparationError`.
+    replaced by bisection.  Converges at ``|s| <= FLUCTUATION_GTOL``
+    (1e-10, tight so that downstream substitution estimators solve their
+    estimating equation to near machine precision) within ``MAX_ITER``
+    steps.  When the bracket collapses to float resolution first, the fit
+    is accepted only if the mean score per observation is already below
+    1e-8, where the number of observations is ``n_obs``, by default
+    ``sum(trials)``.  Entries with ``h = 0`` change neither the score nor
+    its slope, so a caller may leave them out and pass the number of
+    observations they all stand for as ``n_obs``.  A root beyond ``+-40``
+    raises :class:`SeparationError`.
 
     Known limit: where ``h`` weights only entries whose outcomes are all
-    or nearly all successes, ``s`` is flat where it meets ``gtol`` (with
-    all successes it only decays towards 0 as epsilon grows), so a wide
-    interval of epsilons meets ``|s| <= gtol`` and the fit stops anywhere
-    in it.  The same data as distinct patterns and as rows can then give
+    or nearly all successes, ``s`` is flat where it meets the tolerance
+    (with all successes it only decays towards 0 as epsilon grows), so a
+    wide interval of epsilons meets it and the fit stops anywhere in it.
+    The same data as distinct patterns and as rows can then give
     epsilons about 1e-5 apart; in the test example (an interval over
     2e-4 wide) the TMLE estimates made from them agree to 1e-12.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     y = np.asarray(y, dtype=float)
     h = np.asarray(h, dtype=float)
     offset = np.asarray(offset, dtype=float)
@@ -312,15 +307,15 @@ def fit_fluctuation(
         n = n_obs
     if np.all(h == 0.0):
         return FluctuationFit(0.0, _FluctuationInfo(True, 0, 0.0))
-    accept_tol = max(gtol, 1e-8 * n)
+    accept_tol = max(FLUCTUATION_GTOL, 1e-8 * n)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
     trace: list[float] = []
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         p = _expit(offset + eps * h)
         score = float(h @ (y - t * p))
         trace.append(abs(score))
-        if abs(score) <= gtol:
+        if abs(score) <= FLUCTUATION_GTOL:
             break
         if score > 0.0:
             lo = eps
@@ -350,7 +345,7 @@ def fit_fluctuation(
         eps, last = nxt, abs(score)
     else:
         raise ConvergenceError(
-            f"fluctuation fit did not converge in {max_iter} iterations "
+            f"fluctuation fit did not converge in {MAX_ITER} iterations "
             f"(score {trace[-1]:.3e})",
             trace,
         )
@@ -496,19 +491,16 @@ def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.nd
     return w[first[sub_first]], sub_inverse[inverse]
 
 
-def fit_outcome_model(
-    dataset: Dataset,
-    design: OutcomeDesign | None = None,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> OutcomeModel:
+def fit_outcome_model(dataset: Dataset, design: OutcomeDesign | None = None) -> OutcomeModel:
     """Fit ``Q(a, W)`` on a dataset; default design is main effects plus level indicators.
 
     The fit runs on the distinct (W, A) rows, each with its outcome
     successes out of trials; only those rows get a design row.  The W
     patterns are the dataset's own grouping (:func:`_covariate_patterns`).
     The acceptance rule of :func:`_damped_newton` still counts every row
-    of the dataset.
+    of the dataset.  A treatment level with no rows leaves its indicator
+    unidentified, so it raises :class:`SingularInformationError` naming
+    the levels before any Newton step.
     """
     if design is None:
         design = OutcomeDesign(
@@ -518,13 +510,19 @@ def fit_outcome_model(
     elif design.n_treatment_levels != dataset.n_treatment_levels:
         raise ValidationError("design and dataset disagree on the number of treatment levels")
     k = dataset.n_treatment_levels
+    absent = np.flatnonzero(np.bincount(dataset.a, minlength=k) == 0).tolist()
+    if absent:
+        raise SingularInformationError(
+            f"treatment levels {absent} have no rows; the outcome model cannot "
+            "estimate their indicators"
+        )
     w, w_index = _covariate_patterns(dataset, design.covariate_names)
     keys, inverse = _distinct_codes(w_index * k + dataset.a, w.shape[0] * k)
     coef, fit_info = _fit_binomial(
         design.matrix(keys % k, w[keys // k]),
         np.bincount(inverse, weights=dataset.y),
         np.bincount(inverse).astype(float),
-        dataset.n, design.column_names, gtol, max_iter,
+        dataset.n, design.column_names,
     )
     return OutcomeModel(design=design, coef=coef, info=fit_info)
 
@@ -738,8 +736,6 @@ def _fit_multinomial(
     k_levels: int,
     covariate_names: tuple[str, ...],
     alpha_trunc: float,
-    gtol: float,
-    max_iter: int,
 ) -> TreatmentModel:
     """A main-effects multinomial logit of treatment level on the distinct
     binary covariate rows ``w``, where ``inverse`` gives the row of ``w``
@@ -798,8 +794,7 @@ def _fit_multinomial(
             )
 
     theta, fit_info = _damped_newton(
-        evaluate, information, check_separation, int(free.sum()), n, gtol, max_iter,
-        "multinomial",
+        evaluate, information, check_separation, int(free.sum()), n, "multinomial"
     )
     coef = coefficients(theta)
     for l, c in pins:
@@ -819,8 +814,6 @@ def fit_treatment_model(
     dataset: Dataset,
     alpha_trunc: float = 0.05,
     covariate_names: tuple[str, ...] | None = None,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TreatmentModel:
     """Fit ``g(a | W)`` on a dataset, optionally on a covariate subset.
 
@@ -833,10 +826,11 @@ def fit_treatment_model(
     elsewhere raises :class:`SeparationError` naming the level and
     feature.
 
-    The free coefficients are fitted by :func:`_damped_newton` on the
-    dataset's own grouping of its covariate rows
-    (:func:`_covariate_patterns`), each with its count of every level,
-    so the fit's cost follows the number of covariate patterns.
+    The free coefficients are fitted by :func:`_damped_newton`, which
+    stops by ``GTOL`` and ``MAX_ITER``, on the dataset's own grouping of
+    its covariate rows (:func:`_covariate_patterns`), each with its count
+    of every level, so the fit's cost follows the number of covariate
+    patterns.
     """
     if covariate_names is None:
         covariate_names = dataset.covariate_names
@@ -844,8 +838,7 @@ def fit_treatment_model(
         covariate_names = tuple(covariate_names)
     w, inverse = _covariate_patterns(dataset, covariate_names)
     return _fit_multinomial(
-        w, inverse, dataset.a, dataset.n_treatment_levels, covariate_names,
-        alpha_trunc, gtol, max_iter,
+        w, inverse, dataset.a, dataset.n_treatment_levels, covariate_names, alpha_trunc
     )
 
 

@@ -207,6 +207,19 @@ def test_estimate_unreadable_csv_is_a_data_error(tmp_path, capsys, body):
     assert f"error: {path}: " in capsys.readouterr().err
 
 
+def test_estimate_names_the_treatment_levels_with_no_rows(tmp_path, sim_csv, capsys):
+    """A sample holding only levels 0 and 1 of the default six: the
+    outcome fit names levels 2-5 and the run is a data error."""
+    path = tmp_path / "two_levels.csv"
+    with sim_csv.open(newline="") as fh, open(path, "w", newline="") as out:
+        rows = csv.reader(fh)
+        csv.writer(out).writerows([next(rows)] + [r for r in rows if r[2] in ("0", "1")])
+    rc = main(["estimate", "--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "treatment levels [2, 3, 4, 5] have no rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_estimate_infinite_level_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("W1,A,Y\n1,2,1\n0,inf,0\n")
@@ -330,7 +343,8 @@ def test_fit_flags_reach_the_bundle(tmp_path, sim_csv):
     file that has both treatment columns equals the one fitted from a file
     whose A column holds those levels."""
     met_of_level = ("0", "5", "15", "30", "50", "70")
-    rows = list(csv.reader(sim_csv.open()))
+    with sim_csv.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["V", "U", "A", "Y"]
     both, flipped = tmp_path / "both.csv", tmp_path / "flipped.csv"
     with open(both, "w", newline="") as fh:

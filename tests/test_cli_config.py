@@ -31,7 +31,8 @@ def data(tmp_path_factory):
     sz = root / "sz.csv"
     assert main(["simulate", "--dgp", "structural_zero", "--n", "1500", "--seed", "1",
                  "--output", str(sz)]) == 0
-    rows = list(csv.reader(sz.open()))
+    with sz.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["H", "F", "A", "Y"]
     (root / "copy.csv").write_bytes(sz.read_bytes())
     with open(root / "three.csv", "w", newline="") as fh:

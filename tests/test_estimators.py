@@ -36,7 +36,7 @@ from causalrules import (
     tmle_mean,
     tmle_relative_risk,
 )
-from causalrules import errors
+from causalrules import errors, estimators, glm
 from causalrules.errors import CausalRulesError
 from causalrules.estimators import (
     ESTIMATORS,
@@ -51,7 +51,7 @@ from causalrules.estimators import (
     psi_from_arrays,
     rr_tmle_from_arrays,
 )
-from causalrules.glm import DEFAULT_GTOL, fit_fluctuation
+from causalrules.glm import fit_fluctuation
 from causalrules.rules import (
     EMPTY_SET_POLICIES,
     FAMILIES,
@@ -247,14 +247,12 @@ def test_tmle_relative_risk_converges(data_nv, models_nv):
         assert rr.iterations <= 50
 
 
-def test_relative_risk_targeting_rejects_max_iter_below_one(data_nv, models_nv):
+def test_relative_risk_targeting_stops_at_its_iteration_budget(monkeypatch, data_nv, models_nv):
     g_model, q_model = models_nv
-    for max_iter in (0, -1):
-        with pytest.raises(ValidationError, match=f"max_iter must be at least 1, got {max_iter}"):
-            tmle_relative_risk(data_nv, g_model, q_model, "static", 2, max_iter=max_iter)
-    # One step is a valid budget; it is not enough to converge here.
+    # One step is not enough to converge here.
+    monkeypatch.setattr(estimators, "_RR_MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match="did not converge in 1 iterations") as err:
-        tmle_relative_risk(data_nv, g_model, q_model, "static", 2, max_iter=1)
+        tmle_relative_risk(data_nv, g_model, q_model, "static", 2)
     assert len(err.value.trace) == 1
 
 
@@ -434,15 +432,15 @@ def _fitted_grid(ds, scale=1):
     fit gives its exception type (row numbers in messages follow the order).
 
     The g and Q fits stop on the summed score, which grows with the number
-    of rows, so their tolerance is scaled with it: a sample repeated
-    ``scale`` times then takes the same Newton iterates and stops at the
-    same one.
+    of rows, so their tolerance ``glm.GTOL`` is scaled with it: a sample
+    repeated ``scale`` times then takes the same Newton iterates and stops
+    at the same one.
     """
-    gtol = scale * DEFAULT_GTOL
     try:
-        report = estimate_suite(
-            ds, fit_treatment_model(ds, gtol=gtol), fit_outcome_model(ds, gtol=gtol)
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(glm, "GTOL", scale * glm.GTOL)
+            g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+        report = estimate_suite(ds, g_model, q_model)
     except FitError as exc:
         return type(exc).__name__
     return {
@@ -509,13 +507,37 @@ def _assert_same(got, want, where):
         assert got == want, (where, got, want)
 
 
+def _recorded(fn, *args, **kwargs):
+    """:func:`_outcome` of ``fn``, and the ``(successes, trials, h, offset)``
+    of every fluctuation it fits, in order."""
+    problems = []
+
+    def recording(y, h, offset, trials=None, n_obs=None):
+        problems.append((y, 1.0 if trials is None else trials, h, offset))
+        return fit_fluctuation(y, h, offset, trials=trials, n_obs=n_obs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "fit_fluctuation", recording)
+        return _outcome(fn, *args, **kwargs), problems
+
+
+def _assert_same_estimate(got, want, where, problems):
+    """:func:`_assert_same`, but each epsilon by :func:`_flat_or_equal`
+    against the fluctuation ``problems`` that gave ``want``'s."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        got, want = _assert_epsilons(got, want, where, problems)
+    _assert_same(got, want, where)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_estimators_on_patterns_equal_the_expanded_rows(data):
     """Every estimator on (W, A) patterns with successes out of trials
-    equals the same estimator on one row per observation: psi, theta,
-    epsilons and residuals to 1e-12, every count exactly, and every
-    failure with the same type and message (rows named included)."""
+    equals the same estimator on one row per observation: psi, theta and
+    residuals to 1e-12, every count exactly, and every failure with the
+    same type and message (rows named included).  Epsilons match to 1e-12
+    too, except where the fluctuation score is flat (see
+    :func:`_flat_or_equal`)."""
     ds = data.draw(_small_samples())
     alpha = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
     policy = data.draw(st.sampled_from(EMPTY_SET_POLICIES))
@@ -534,15 +556,16 @@ def test_estimators_on_patterns_equal_the_expanded_rows(data):
         for target in range(ds.n_treatment_levels):
             rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=policy)
             for est in ESTIMATORS:
-                got, want = (_outcome(psi_from_arrays, est, rule, *t) for t in tables)
-                _assert_same(got, want, (rule, est))
+                got = _outcome(psi_from_arrays, est, rule, *tables[0])
+                want, problems = _recorded(psi_from_arrays, est, rule, *tables[1])
+                _assert_same_estimate(got, want, (rule, est), problems)
             for covariate in ("delta", "appendix") if target else ():
-                got, want = (
-                    _outcome(rr_tmle_from_arrays, family, target, *t, alpha=alpha,
-                             empty_set_policy=policy, itt_covariate=covariate)
-                    for t in tables
+                options = dict(alpha=alpha, empty_set_policy=policy, itt_covariate=covariate)
+                got = _outcome(rr_tmle_from_arrays, family, target, *tables[0], **options)
+                want, problems = _recorded(
+                    rr_tmle_from_arrays, family, target, *tables[1], **options
                 )
-                _assert_same(got, want, (rule, covariate))
+                _assert_same_estimate(got, want, (rule, covariate), problems)
 
 
 def test_a_flat_fluctuation_score_fixes_psi_but_not_epsilon():
@@ -653,7 +676,7 @@ def _ref_psi(est, rule, p, G_weights, problems):
         weights = np.where(ruled, h, 0.0)
         psi = float(h @ (s - t * expit(m_at[0]))) / n + float(t @ expit(m_at[1])) / n
     else:
-        problems.append((h, m_at[0]))
+        problems.append((s, t, h, m_at[0]))
         epsilon = fit_fluctuation(s, h, m_at[0], trials=t).epsilon
         if np.any(g_at[1, ruled] <= 0.0):
             level = "the target level" if rule.family == "itt" else "an assigned level"
@@ -702,7 +725,7 @@ def _ref_rr(family, target, p, G_weights, alpha, policy, covariate, problems):
     epsilons = []
     theta, psi_num, psi_den, h = plugins()
     for _ in range(50):
-        problems.append((h[0], m_at[0]))
+        problems.append((s, t, h[0], m_at[0]))
         eps = fit_fluctuation(s, h[0], m_at[0], trials=t).epsilon
         epsilons.append(eps)
         m_at = m_at + eps * h
@@ -722,47 +745,61 @@ def _ref_rr(family, target, p, G_weights, alpha, policy, covariate, problems):
     )
 
 
-def _flat_or_equal(eps, want, problem, p):
+def _flat_or_equal(eps, want, problem):
     """Epsilons match to 1e-12 unless the fluctuation score is flat there:
     a fit stops anywhere in an interval where ``|s| <= 1e-10`` (see
-    ``fit_fluctuation``), so both must then solve the reference's score
-    equation to that tolerance."""
+    ``fit_fluctuation``), so ``eps`` must then solve the score equation of
+    the fluctuation ``problem = (successes, trials, h, offset)`` that gave
+    ``want`` to that tolerance."""
     if abs(eps - want) <= 1e-12:
         return True
-    h, m = problem
-    return abs(float(h @ (p["s"] - p["t"] * expit(m + eps * h)))) <= 1e-10
+    s, t, h, m = problem
+    return abs(float(h @ (s - t * expit(m + eps * h)))) <= 1e-10
 
 
-def _assert_matches(got, want, where, problems, p):
+def _split_epsilons(d):
+    """An estimate's dict without its epsilons, and the epsilons."""
+    d = dict(d)
+    if "epsilons" in d:
+        return d, list(d.pop("epsilons"))
+    d["diagnostics"] = dict(d["diagnostics"])
+    return d, [d["diagnostics"].pop("epsilon")]
+
+
+def _assert_epsilons(got, want, where, problems):
+    """The epsilons of two estimate dicts agree by :func:`_flat_or_equal`
+    on ``problems``, the fluctuations that gave ``want``'s; returns both
+    dicts without them."""
+    (got, eps_got), (want, eps_want) = _split_epsilons(got), _split_epsilons(want)
+    assert len(eps_got) == len(eps_want), where
+    for i, (e, f) in enumerate(zip(eps_got, eps_want)):
+        assert (e is None) == (f is None), where
+        assert e is None or _flat_or_equal(e, f, problems[i]), (where, i, e, f)
+    return got, want
+
+
+def _assert_matches(got, want, where, problems):
     """``got`` equals ``want``: floats to 1e-12 (relative above 1),
     every integer, string and None exactly, epsilons by
     :func:`_flat_or_equal`."""
     if isinstance(want, CausalRulesError) or isinstance(got, CausalRulesError):
         assert _describe(got) == _describe(want), where
         return
-    got, want = got.to_dict(), want.to_dict()
+    got, want = _assert_epsilons(got.to_dict(), want.to_dict(), where, problems)
     assert got.keys() == want.keys(), where
-    eps_got = got.get("epsilons", [got.get("diagnostics", {}).get("epsilon")])
-    eps_want = want.get("epsilons", [want.get("diagnostics", {}).get("epsilon")])
-    assert len(eps_got) == len(eps_want), where
-    for i, (e, f) in enumerate(zip(eps_got, eps_want)):
-        assert (e is None) == (f is None), where
-        assert e is None or _flat_or_equal(e, f, problems[i], p), (where, i, e, f)
 
     def same(u, v, key):
         if isinstance(v, dict):
             assert u.keys() == v.keys(), (where, key)
             for name in v:
-                if name != "epsilon":
-                    same(u[name], v[name], (key, name))
+                same(u[name], v[name], (key, name))
         elif isinstance(v, float):
             assert isinstance(u, float) and abs(u - v) <= 1e-12 * max(1.0, abs(v)), (where, key, u, v)
         else:
             assert type(u) is type(v) and u == v, (where, key, u, v)
 
     for key in want:
-        if key != "epsilons":
-            same(got[key], want[key], key)
+        same(got[key], want[key], key)
 
 
 def _assert_grid_matches_reference(ds, g_model, q_model, settings):
@@ -792,7 +829,7 @@ def _assert_grid_matches_reference(ds, g_model, q_model, settings):
                 want = exc
             where = (q_model is None, alpha, truncate, policy, covariate,
                      family, target, est, kind)
-            _assert_matches(got[(family, target, est, kind)], want, where, problems, p)
+            _assert_matches(got[(family, target, est, kind)], want, where, problems)
 
 
 @pytest.mark.parametrize("system", sorted(_GOLDEN_SAMPLES))

@@ -16,6 +16,7 @@ from causalrules import (
     Dataset,
     OutcomeDesign,
     SeparationError,
+    SingularInformationError,
     ValidationError,
     cohort_dgp,
     fit_fluctuation,
@@ -35,7 +36,7 @@ from causalrules.ingest import _distinct_rows
 # Binary logistic
 
 
-def _logistic(X, y, feature_names=None, max_iter=glm.DEFAULT_MAX_ITER):
+def _logistic(X, y, feature_names=None):
     """Logistic regression of 0/1 ``y`` on the design ``X`` through the
     ``Q`` fit's core, on the distinct rows of ``X`` with their successes
     out of trials; returns the coefficients and the fit record."""
@@ -43,7 +44,7 @@ def _logistic(X, y, feature_names=None, max_iter=glm.DEFAULT_MAX_ITER):
     names = feature_names or tuple(f"x{j}" for j in range(X.shape[1]))
     return glm._fit_binomial(
         X[first], np.bincount(inverse, weights=y), np.bincount(inverse).astype(float),
-        len(y), names, glm.DEFAULT_GTOL, max_iter,
+        len(y), names,
     )
 
 
@@ -107,12 +108,46 @@ def test_logistic_separation_names_feature():
     assert err.value.feature == "EXPOSED"
 
 
-def test_logistic_iteration_budget():
+def test_logistic_iteration_budget(monkeypatch):
     rng = np.random.default_rng(6)
     X = np.column_stack([np.ones(60), rng.integers(0, 2, 60)])
     y = rng.integers(0, 2, 60).astype(float)
-    with pytest.raises(ConvergenceError):
-        _logistic(X, y, max_iter=1)
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="logistic fit did not converge in 1 iterations"):
+        _logistic(X, y)
+
+
+def test_multinomial_iteration_budget(monkeypatch):
+    ds = generate(cohort_dgp(), 500, seed=0)
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match="multinomial fit did not converge in 1 iterations") as err:
+        fit_treatment_model(ds)
+    assert len(err.value.trace) == 1
+
+
+def test_identical_covariate_columns_make_both_fits_singular():
+    """Two copies of one covariate leave the split of its coefficient
+    between them unidentified, in ``Q`` and in ``g`` alike."""
+    ds = generate(DGP_REGISTRY["no_violation"](), 600, seed=2)
+    twin = Dataset(w=np.column_stack([ds.w, ds.w[:, :1]]), a=ds.a, y=ds.y,
+                   covariate_names=ds.covariate_names + ("twin",),
+                   n_treatment_levels=ds.n_treatment_levels)
+    for fit in (fit_outcome_model, fit_treatment_model):
+        with pytest.raises(SingularInformationError, match="collinear or degenerate"):
+            fit(twin)
+
+
+def test_a_treatment_level_with_no_rows_is_named_by_the_outcome_fit():
+    """Levels 2-5 never occur: ``g`` pins them on the intercept, and the
+    ``Q`` fit names them instead of reporting a singular design."""
+    ds = generate(cohort_dgp(), 2000, seed=0)
+    sample = ds.take(np.flatnonzero(ds.a < 2))
+    assert fit_treatment_model(sample).structural_zeros[:4] == tuple(
+        (l, INTERCEPT_NAME) for l in range(2, 6))
+    with pytest.raises(SingularInformationError,
+                       match=r"treatment levels \[2, 3, 4, 5\] have no rows"):
+        fit_outcome_model(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +182,6 @@ def test_fluctuation_zero_covariate_gives_zero_epsilon():
     fit = fit_fluctuation(y, np.zeros(4), np.full(4, 0.3))
     assert fit.epsilon == 0.0
     assert fit.info.converged
-
-
-def test_fluctuation_rejects_max_iter_below_one():
-    y = np.array([0.0, 1.0, 1.0, 0.0])
-    for h in (np.array([1.0, 2.0, 0.5, 1.0]), np.zeros(4)):
-        with pytest.raises(ValidationError, match="max_iter must be at least 1, got 0"):
-            fit_fluctuation(y, h, np.full(4, 0.3), max_iter=0)
 
 
 def test_fluctuation_solves_score_to_tolerance():
@@ -216,8 +244,8 @@ def test_a_fluctuation_on_its_nonzero_entries_equals_the_full_fit():
     """Entries with h = 0 change neither the score nor its slope.  Left
     out, with the observations they stand for passed as ``n_obs``, they
     give the same fit, also where h is so large that no float epsilon
-    brings |s| to gtol and the fit is accepted on the mean score per
-    observation; without ``n_obs`` that mean is taken over 4
+    brings |s| to its tolerance and the fit is accepted on the mean score
+    per observation; without ``n_obs`` that mean is taken over 4
     observations, not 1,000,004, and the fit stalls."""
     h = np.array([1.0, -0.7, 0.4, 0.0]) * 1e11
     y = np.array([1.0, 0.0, 1.0, 3e5])
@@ -239,11 +267,13 @@ def test_fluctuation_separation_names_h():
     assert err.value.feature == "h"
 
 
-def test_fluctuation_iteration_budget():
+def test_fluctuation_iteration_budget(monkeypatch):
     y, h, offset = _fluct_case(0)
-    with pytest.raises(ConvergenceError) as err:
-        fit_fluctuation(y, h, offset, max_iter=1)
-    assert err.value.trace
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    with pytest.raises(ConvergenceError,
+                       match="fluctuation fit did not converge in 1 iterations") as err:
+        fit_fluctuation(y, h, offset)
+    assert len(err.value.trace) == 1
 
 
 _finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -489,8 +519,7 @@ def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
     w = _columns_for(ds.w, ds.covariate_names, names)
     first, inverse = _distinct_rows(w)
     direct = glm._fit_multinomial(
-        w[first], inverse, ds.a, ds.n_treatment_levels, names, 0.05,
-        glm.DEFAULT_GTOL, glm.DEFAULT_MAX_ITER,
+        w[first], inverse, ds.a, ds.n_treatment_levels, names, 0.05
     )
     np.testing.assert_array_equal(model.coef, direct.coef)
     assert model.structural_zeros == direct.structural_zeros

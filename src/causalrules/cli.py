@@ -133,6 +133,15 @@ def _one_of(choices: tuple[str, ...]):
     return check
 
 
+def _no_repeats(name, values):
+    """A list setting names each entry once: a repeat would repeat its output."""
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise UsageError(f"{name} lists {v!r} more than once")
+        seen.add(v)
+
+
 def _subset_of(choices: tuple[str, ...]):
     def check(name, values):
         if not values:
@@ -140,6 +149,7 @@ def _subset_of(choices: tuple[str, ...]):
         bad = [v for v in values if v not in choices]
         if bad:
             raise UsageError(f"unknown {name} {bad[0]!r}; choose from {', '.join(choices)}")
+        _no_repeats(name, values)
     return check
 
 
@@ -182,7 +192,7 @@ _FIELDS = (
     _Field("alpha", "a number", 0.05, check=_UNIT, flag="alpha"),
     _Field("alpha_trunc", "a number", 0.05, check=_UNIT),
     _Field("truncate_weights", "a boolean or an {estimator: boolean} object", True),
-    _Field("q_interactions", "a list of [covariate, level] pairs", ()),
+    _Field("q_interactions", "a list of [covariate, level] pairs", (), check=_no_repeats),
     # BootstrapConfig checks the replicates, interval and level.  With no
     # bootstrap.seed, the bootstrap uses the run's seed.
     _Field("bootstrap", "an object or null", nullable=True, reads=_ESTIMATE),
@@ -203,7 +213,7 @@ _FIELDS = (
     _Field("diagnostic.threshold_pct", "a number", 2.0,
            check=_must(lambda v: 0.0 < v < float("inf"), "be a finite positive number"),
            reads=_DIAGNOSE),
-    # diagnose checks these, and that they are sorted.
+    # diagnose checks these, that they are sorted, and that none repeats.
     _Field("diagnostic.alpha_sweep", "a list of numbers", nullable=True, flag="alpha_sweep",
            reads=_DIAGNOSE),
 )
@@ -272,6 +282,7 @@ def _check_targets(targets, k: int) -> tuple[int, ...] | None:
             raise UsageError(f"target {t} is outside 0..{k - 1}")
     if not out:
         raise UsageError("targets must not be empty")
+    _no_repeats("targets", out)
     return out
 
 
@@ -334,6 +345,7 @@ def cmd_estimate(args) -> int:
     families = get("families")
     estimators = get("estimators")
     targets = _check_targets(get("targets"), k)
+    q_interactions = get("q_interactions")
     policy = get("empty_set_policy")
     itt_covariate = get("itt_covariate")
     truncate_weights = get("truncate_weights")
@@ -358,7 +370,7 @@ def cmd_estimate(args) -> int:
         treatment_column=get("treatment_column"),
         n_treatment_levels=k,
     )
-    spec = NuisanceSpec(q_interactions=get("q_interactions"), alpha_trunc=alpha_trunc)
+    spec = NuisanceSpec(q_interactions=q_interactions, alpha_trunc=alpha_trunc)
     g_model = spec.fit_g(dataset)
     q_model = spec.fit_q(dataset)
     report = estimate_suite(
@@ -429,6 +441,7 @@ def cmd_diagnose(args) -> int:
             raise UsageError("alpha_sweep values must be sorted ascending")
         for a in sweep_alphas:
             _UNIT("alpha_sweep value", a)
+        _no_repeats("alpha_sweep", sweep_alphas)
     threshold_pct = get("diagnostic.threshold_pct")
 
     if dgp_name is not None:
@@ -441,13 +454,14 @@ def cmd_diagnose(args) -> int:
         pos = positivity_report(pos_data, gen.g_model, alpha=alpha)
         source = {"kind": "dgp", "name": dgp_name}
     else:
+        q_interactions = get("q_interactions")
         dataset = load_csv(
             input_path,
             covariate_names=get("covariates"),
             treatment_column=get("treatment_column"),
             n_treatment_levels=k,
         )
-        spec = NuisanceSpec(q_interactions=get("q_interactions"), alpha_trunc=alpha_trunc)
+        spec = NuisanceSpec(q_interactions=q_interactions, alpha_trunc=alpha_trunc)
         g_model = spec.fit_g(dataset)
         q_model = spec.fit_q(dataset)
         gen = GeneratingDistribution.from_dataset(dataset, g_model, q_model)
@@ -528,6 +542,7 @@ def cmd_fit(args) -> int:
             except ValueError:
                 raise UsageError(f"bad interaction level in {token!r}") from None
         interactions = tuple(pairs)
+        _no_repeats("q-interactions", interactions)
     dataset = load_csv(
         args.input,
         covariate_names=args.covariates,

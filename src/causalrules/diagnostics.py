@@ -124,9 +124,10 @@ class GeneratingDistribution:
 
     @cached_property
     def _support_g_cumulative(self) -> np.ndarray:
-        """Raw ``g`` summed over levels ``0..a`` at every support row and
-        level ``a``, made once per system for drawing levels."""
-        return _read_only(np.cumsum(self.support_g_raw(), axis=1))
+        """Raw ``g`` summed over levels ``0..a`` at every level ``a`` and
+        support row, level-major (one row per level), made once per
+        system for drawing levels."""
+        return _read_only(np.ascontiguousarray(np.cumsum(self.support_g_raw(), axis=1).T))
 
     @cached_property
     def _support_q_bar(self) -> np.ndarray:
@@ -194,12 +195,16 @@ def _draw_levels(gen: GeneratingDistribution, cells: np.ndarray, u: np.ndarray) 
     """Inverse-CDF draw of one treatment level at each of the support
     rows ``cells`` from uniforms ``u``, off the support's cumulative ``g``.
 
-    A ``u`` above a row's rounded cumulative sum takes the row's last
-    level of positive probability, never a structurally zero one.
+    The level is the number of cumulative sums below ``u``, counted one
+    level at a time.  A ``u`` above a row's rounded cumulative sum takes
+    the row's last level of positive probability, never a structurally
+    zero one.
     """
     cumulative = gen._support_g_cumulative
-    k = cumulative.shape[1]
-    a = (u[:, None] > cumulative[cells]).sum(axis=1)
+    k = cumulative.shape[0]
+    a = np.zeros(cells.size, np.int64)
+    for level in cumulative:
+        a += u > level[cells]
     past = np.flatnonzero(a == k)
     a[past] = k - 1 - np.argmax(gen.support_g_raw()[cells[past], ::-1] > 0.0, axis=1)
     return a

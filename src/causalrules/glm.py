@@ -747,6 +747,11 @@ def _fit_multinomial(
     X = np.column_stack([np.ones(m), np.asarray(w, dtype=float)])
     counts = np.bincount(inverse * k_levels + a, minlength=m * k_levels)
     counts = counts.reshape(m, k_levels).astype(float)
+    if not counts[:, 0].any():
+        raise SingularInformationError(
+            "treatment level 0 has no rows; it is the treatment model's reference "
+            "level, so the other levels' coefficients are not identified"
+        )
     totals = counts.sum(axis=1)
     observed = np.flatnonzero(counts)
     observed_counts = counts.ravel()[observed]
@@ -822,9 +827,11 @@ def fit_treatment_model(
     (empirical level frequencies).  Empty (level, feature) margin cells,
     including treatment levels that never occur at all, are structural
     zeros: their probabilities are estimated as exactly zero and flagged
-    on the returned model rather than sent diverging.  Genuine separation
-    elsewhere raises :class:`SeparationError` naming the level and
-    feature.
+    on the returned model rather than sent diverging.  Level 0 is the
+    reference level, so a sample without it raises
+    :class:`SingularInformationError` before any Newton step.  Genuine
+    separation elsewhere raises :class:`SeparationError` naming the level
+    and feature.
 
     The free coefficients are fitted by :func:`_damped_newton`, which
     stops by ``GTOL`` and ``MAX_ITER``, on the dataset's own grouping of

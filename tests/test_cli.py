@@ -220,6 +220,19 @@ def test_estimate_names_the_treatment_levels_with_no_rows(tmp_path, sim_csv, cap
     assert not (tmp_path / "o").exists()
 
 
+def test_estimate_names_an_absent_reference_level(tmp_path, sim_csv, capsys):
+    """A sample without level 0, the treatment model's reference level:
+    the treatment fit names it and the run is a data error."""
+    path = tmp_path / "no_level_0.csv"
+    with sim_csv.open(newline="") as fh, open(path, "w", newline="") as out:
+        rows = csv.reader(fh)
+        csv.writer(out).writerows([next(rows)] + [r for r in rows if r[2] != "0"])
+    rc = main(["estimate", "--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "treatment level 0 has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_estimate_infinite_level_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "inf.csv"
     path.write_text("W1,A,Y\n1,2,1\n0,inf,0\n")
@@ -401,6 +414,16 @@ def test_fit_interaction_parsing(tmp_path, sim_csv):
                  "--q-interactions", "V"]) == 1
     assert main(["fit", "--input", str(sim_csv), "--output", str(bundle),
                  "--q-interactions", "V:x"]) == 1
+
+
+def test_fit_rejects_a_repeated_interaction(tmp_path, sim_csv, capsys):
+    bundle = tmp_path / "models.json"
+    capsys.readouterr()
+    assert main(["fit", "--input", str(sim_csv), "--output", str(bundle),
+                 "--q-interactions", "V:2,V:2"]) == 1
+    assert capsys.readouterr().err == (
+        "causal-rules: error: q-interactions lists ('V', 2) more than once\n")
+    assert not bundle.exists()
 
 
 def test_categorize(tmp_path, capsys):

@@ -268,6 +268,23 @@ GOLDEN = [
      1, "config field 'alpha' must be a number"),
     ("diagnose", {"empty_set_policy": "x", "diagnostic": {"replicates": 0}}, [],
      1, "exactly one data source is required: --dgp or --input"),
+    # A list setting names each entry once; a field's other checks come first.
+    ("estimate", {"input": S}, ["--targets", "1,1"], 1, "targets lists 1 more than once"),
+    ("estimate", {"input": S}, ["--targets", "9,9"], 1, "target 9 is outside 0..5"),
+    ("estimate", {"input": S}, ["--families", "static,static"],
+     1, "families lists 'static' more than once"),
+    ("estimate", {"input": S}, ["--families", "static,static,bogus"],
+     1, "unknown families 'bogus'; choose from static, realistic, itt"),
+    ("estimate", {"input": S}, ["--estimators", "iptw,iptw"],
+     1, "estimators lists 'iptw' more than once"),
+    ("estimate", {"input": S, "q_interactions": [["V1", 2], ["V1", 2]]}, [],
+     1, "q_interactions lists ('V1', 2) more than once"),
+    ("diagnose", {"input": S, "q_interactions": [["V1", 2], ["V1", 2]]}, [],
+     1, "q_interactions lists ('V1', 2) more than once"),
+    ("diagnose", {}, ["--dgp", "no_violation", "--n-sim", "50", "--alpha-sweep", "0.05,0.05"],
+     1, "alpha_sweep lists 0.05 more than once"),
+    ("diagnose", {}, ["--dgp", "no_violation", "--n-sim", "50", "--alpha-sweep", "0.1,0.05,0.1"],
+     1, "alpha_sweep values must be sorted ascending"),
 ]
 
 

@@ -150,6 +150,18 @@ def test_a_treatment_level_with_no_rows_is_named_by_the_outcome_fit():
         fit_outcome_model(sample)
 
 
+@pytest.mark.parametrize("dropped", [[0], [0, 1]])
+def test_a_sample_without_the_reference_level_is_named_by_the_treatment_fit(dropped):
+    """Level 0 is the multinomial logit's reference: without it no other
+    level's coefficients are identified, whichever levels remain."""
+    ds = generate(cohort_dgp(), 3000, seed=0)
+    sample = ds.take(np.flatnonzero(~np.isin(ds.a, dropped)))
+    with pytest.raises(SingularInformationError,
+                       match=r"^treatment level 0 has no rows; it is the treatment model's "
+                             r"reference level"):
+        fit_treatment_model(sample)
+
+
 # ---------------------------------------------------------------------------
 # Fluctuation
 

@@ -343,15 +343,19 @@ def _oracle_load(path, covariate_names=None, n_treatment_levels=6):
 
 
 # Cell pools per column, weighted towards valid cells so that many
-# generated files load.
+# generated files load.  Besides one-byte cells they hold cells of 2 to 8
+# bytes, cells of more than 8 bytes, non-ASCII cells ("１" is a digit
+# that ``float`` reads) and tabs, which the tokeniser keys differently.
 _MISSING_CELLS = ["", "NA", " NA ", ".", "nan", " NaN"]
 _POOLS = {
-    "W": ["0", "1"] * 8 + [" 1 ", "1.0", "0.0", "2", "yes", "inf"] + _MISSING_CELLS,
-    "A": [str(k) for k in range(6)] * 4 + ["2.0", " 3 ", "6", "-1", "1.5", "inf", "x"] + _MISSING_CELLS,
+    "W": ["0", "1"] * 8 + [" 1 ", "1.0", "0.0", "2", "yes", "inf", "\t1", "1.000000", "１",
+                           " 1        ", "0.000000001", "é"] + _MISSING_CELLS,
+    "A": [str(k) for k in range(6)] * 4 + ["2.0", " 3 ", "6", "-1", "1.5", "inf", "x", "３",
+                                           "4.0000000", " 2\t"] + _MISSING_CELLS,
     "LTPA_MET": ["0", "0.0", "10", "20", "40", "60", "60.0001", "35.5", " 5 "] * 3
-    + ["-2", "inf", "NAN", "x"] + _MISSING_CELLS,
-    "Y": ["0", "1"] * 8 + ["1.0", "2", "no"] + _MISSING_CELLS,
-    "Z": ["junk", "1", ""],
+    + ["-2", "inf", "NAN", "x", "35.500000001", "１０"] + _MISSING_CELLS,
+    "Y": ["0", "1"] * 8 + ["1.0", "2", "no", "0.000000", "１"] + _MISSING_CELLS,
+    "Z": ["junk", "1", "", "é", "１", "a longer junk cell", "\t"],
 }
 
 
@@ -395,6 +399,11 @@ def _csv_files(draw):
     return "".join(line + end for line, end in zip(lines, ends)), names
 
 
+# A repeated first block, then new cells of 3, 2, 10 and 11 bytes, a
+# tab, and non-ASCII text in a column that is not read.
+_LATER_CELLS = "W1,Z,A,Y\n1,a,2,1\n0,b,1,0\n1,a,2,1\n１,é,３,0\n 1        ,0.000000001,2,1\n\t0,x,4,1\n"
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(case=_csv_files(), chunk=st.sampled_from([1, 3, 4096]))
 @example(case=("W1,A,Y\n,9,1\n1,NA,yes\n2,1,0\n", None), chunk=4096)  # bad after dropped
@@ -403,6 +412,11 @@ def _csv_files(draw):
          chunk=3)  # the first quote after some rows, then a repeated line
 @example(case=("W1,A,Y\r1,2,1\r\r1,2,1\r", None), chunk=4096)  # a blank line
 @example(case=("W1,A,Y\n,1,1\n1,2,1\n1,2,1\n0,1,0\n", None), chunk=4096)  # a repeat, then new W
+# Cells of more than one byte, first seen in a later block.
+@example(case=(_LATER_CELLS, ("W1",)), chunk=1)
+@example(case=(_LATER_CELLS, ("W1",)), chunk=3)
+@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\n1,2,0.000000001\n", None), chunk=3)
+@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\né,2,1\n", None), chunk=3)
 def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
     text, names = case
     path = tmp_path_factory.getbasetemp() / "oracle.csv"

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .dgps import DGP_REGISTRY
-from .diagnostics import GeneratingDistribution, alpha_sweep, eta_bias_diagnostic, generate
+from .diagnostics import AlphaSweepResult, GeneratingDistribution, eta_bias_diagnostic, generate
 from .errors import CausalRulesError, ValidationError
 from .estimators import ESTIMATORS, NuisanceSpec, estimate_suite
 from .glm import load_models, save_models
@@ -475,10 +475,13 @@ def cmd_diagnose(args) -> int:
         refit_g=refit_g, empty_set_policy=policy,
         truncate_weights=truncate_weights,
     )
-    report = eta_bias_diagnostic(gen, alpha=alpha, **common)
-    # Sweep before writing, so a failing sweep leaves no output behind.
-    if sweep_alphas is not None:
-        sweep = alpha_sweep(gen, sweep_alphas, threshold_pct=threshold_pct, **common)
+    # One pass serves the main alpha and the sweep; a failing sweep writes no file.
+    if sweep_alphas is None:
+        report = eta_bias_diagnostic(gen, alpha=alpha, **common)
+    else:
+        alphas = [alpha, *map(float, sweep_alphas)]
+        report, *reports = eta_bias_diagnostic(gen, alpha=alphas, **common)
+        sweep = AlphaSweepResult.from_reports(reports, threshold_pct)
 
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

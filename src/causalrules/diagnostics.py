@@ -14,26 +14,17 @@ than confounding.
 Generation always uses the raw (untruncated) treatment probabilities.
 Every draw lands on one of the support cells, so generation reads ``g``
 and ``Q`` off the support, where they are evaluated once per system by
-the package's one evaluation entry (``glm._evaluate_models``), instead
-of predicting them on the drawn rows.  The cells are drawn by indexed
-search off the cumulative cell probabilities, through a guide table
-cached per system, which gives the cells ``rng.choice`` would from the
-same uniforms; the levels are drawn off the support's cumulative ``g``,
-also made once per system.  Generation also hands each generated
-dataset its grouping into distinct covariate rows, read off the
-support's own grouping, and the support row of each distinct row: a
-replicate's fits and estimators share that grouping, and its rows are
-never grouped.
+the package's one evaluation entry (``glm._evaluate_models``), and hands
+each generated dataset its grouping into distinct covariate rows (see
+:func:`generate`): a replicate's rows are never grouped.
 
 By default each replicate refits g — the feasibility sets are part of
 the estimator — and the drift of the replicate-specific estimand (the
-truth under the refit feasibility sets, with the refit g evaluated on
-the support through the same entry) is recorded alongside.  A
-replicate evaluates ``g`` once, on the support: the refit, or without
-a refit the system's own.  The sample's ``G`` is indexed out of that
-evaluation.  The truths, and each replicate's drift, take one
-``true_psi`` call per rule family: one assignment pass over the support
-gives every target's assigned levels.
+truth under the refit feasibility sets) is recorded alongside.  A
+replicate evaluates ``g`` once, on the support, and indexes the sample's
+``G`` out of it.  One pass over the replicates serves every alpha of a
+run; only the grid and the drift are made once per alpha.  The truths,
+and each drift, take one ``true_psi`` call per rule family.
 """
 
 from __future__ import annotations
@@ -347,17 +338,9 @@ class BiasReport:
         raise KeyError((family, target))
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "replicates": self.replicates,
-            "n_sim": self.n_sim,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "families": list(self.families),
-            "targets": list(self.targets),
-            "n_failed_replicates": self.n_failed_replicates,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        d = dict(vars(self), families=list(self.families), targets=list(self.targets))
+        d["entries"] = [e.to_dict() for e in d.pop("entries")]
+        return d
 
     def bias_table(self) -> tuple[list[str], list[list[str]]]:
         """Rows per target level, one bias-percent column per family."""
@@ -381,12 +364,13 @@ def eta_bias_diagnostic(
     replicates: int = 500,
     n_sim: int | None = None,
     seed: int = 0,
-    alpha: float = 0.05,
+    alpha: float | Sequence[float] = 0.05,
     spec: NuisanceSpec | None = None,
     refit_g: bool = True,
     empty_set_policy: str = "error",
     truncate_weights: bool = True,
-) -> BiasReport:
+    _stacklevel: int = 2,
+) -> BiasReport | list[BiasReport]:
     """Simulate from the generating system and measure estimator bias.
 
     Each replicate draws ``n_sim`` observations, refits the nuisance
@@ -398,11 +382,16 @@ def eta_bias_diagnostic(
     the data-adaptive estimand itself moves, separately from estimation
     error around it.
 
-    The generating system is evaluated on its support once, and each
-    replicate's refit ``g`` once, also on the support; the sample's
-    ``G`` is indexed out of it.  Replicates whose fits (or refit
-    feasibility sets on the support) fail are dropped and counted; more
-    than 10% failing raises, more than 1% warns.
+    Replicates whose fits (or refit feasibility sets on the support)
+    fail are dropped and counted; more than 10% failing raises, more than
+    1% warns at the frame ``_stacklevel`` up (the caller, by default).
+
+    ``alpha`` may also be a sequence: one pass over the replicates then
+    gives one report per entry, each equal to a call at that alpha alone.
+    Each replicate draws, fits and builds its pattern table once, then
+    runs the grid and drift once per distinct alpha; a failed ``g`` fails
+    only the alphas that need it.  The first alpha's infeasible truth is
+    raised before any draw, other alphas' errors after the pass, in order.
     """
     _check_estimators((estimator,))
     _check_count(replicates, "diagnostic replicates", 1)
@@ -418,101 +407,111 @@ def eta_bias_diagnostic(
     _check_count(n_sim, "n_sim", 1)
     if spec is None:
         spec = NuisanceSpec(alpha_trunc=gen.g_model.alpha_trunc)
-    need_g, need_q = _needs((estimator,), families, alpha)
+    single = np.ndim(alpha) == 0
+    alphas = [alpha] if single else list(alpha)
+    if not alphas:
+        raise ValidationError("alpha must hold at least one threshold")
 
     cells = [(f, t) for f in families for t in targets]
-    truth = {}
-    for f in families:
-        rules = [Rule(f, t, alpha=alpha, empty_set_policy=empty_set_policy) for t in targets]
-        if not rules:
-            continue
-        for t, psi in zip(targets, true_psi(gen, rules)):
-            if isinstance(psi, RuleInfeasibleError):
-                raise psi
-            truth[(f, t)] = psi
-    estimates: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
-    drifts: dict[tuple[str, int], list[float]] = {c: [] for c in cells}
-    n_failed = 0
+    labels = [(f, t, estimator, "psi") for f, t in cells]
+    # Each alpha's truths, or the first error that stops them.
+    truths = {}
+    for a in dict.fromkeys(alphas):
+        truths[a] = {}
+        try:
+            for f in families:
+                rules = [Rule(f, t, alpha=a, empty_set_policy=empty_set_policy) for t in targets]
+                for t, psi in zip(targets, true_psi(gen, rules) if rules else ()):
+                    if isinstance(psi, RuleInfeasibleError):
+                        raise psi
+                    truths[a][(f, t)] = psi
+        except CausalRulesError as exc:
+            truths[a] = exc.with_traceback(None)
+    if isinstance(truths[alphas[0]], CausalRulesError):
+        raise truths[alphas[0]]
+    live = [a for a, truth in truths.items() if not isinstance(truth, CausalRulesError)]
+    need_g = {a: _needs((estimator,), families, a)[0] for a in live}
+    need_q = _needs((estimator,), families, alphas[0])[1]
+    estimates = {a: {c: [] for c in cells} for a in live}
+    drifts = {a: {c: [] for c in cells} for a in live}
+    n_failed = dict.fromkeys(live, 0)
 
     for rng in replicate_streams(seed, replicates):
         ds = generate(gen, n_sim, rng)
+        g_model = g_support = None
         try:
-            g_model = (spec.fit_g(ds) if refit_g else gen.g_model) if need_g else None
-            q_model = spec.fit_q(ds) if need_q else None
-            g_support = member_fit = None
-            if g_model is not None:
+            if any(need_g.values()):
+                g_model = spec.fit_g(ds) if refit_g else gen.g_model
                 g_support = (
                     _evaluate_models(gen.w_support, gen.covariate_names, g_model, None)[0]
                     if refit_g else gen.support_g_raw()
                 )
-                member_fit = membership_matrix(g_support, alpha)
         except CausalRulesError:
-            n_failed += 1
+            g_model = None
+        # A failed g (or its refit feasibility sets on the support) fails
+        # only the alphas that need it; a failed Q fails them all.
+        ran = [a for a in live if g_support is not None or not need_g[a]]
+        try:
+            q_model = spec.fit_q(ds) if need_q and ran else None
+        except CausalRulesError:
+            ran = []
+        for a in live:
+            n_failed[a] += a not in ran
+        if not ran:
             continue
         G = None if g_support is None else g_support[ds._support_rows]
-        results = _grid(
-            _evaluate(ds, g_model, q_model, G), [(f, t, estimator, "psi") for f, t in cells],
-            g_model, alpha=alpha, empty_set_policy=empty_set_policy,
-            truncate_weights=truncate_weights,
-        )
-        drift_rules: dict[str, list[Rule]] = {"realistic": [], "itt": []}
-        for c in cells:
-            est = results[(*c, estimator, "psi")]
-            if isinstance(est, CausalRulesError):
-                continue
-            estimates[c].append(est.psi)
-            if member_fit is not None and est.rule.family in drift_rules and alpha > 0.0:
-                drift_rules[est.rule.family].append(est.rule)
-        # One assignment pass per family; an infeasible target drops only
-        # its own drift value.
-        for rules in drift_rules.values():
-            if rules:
-                for r, psi in zip(rules, true_psi(gen, rules, member_fit)):
-                    if not isinstance(psi, RuleInfeasibleError):
-                        drifts[(r.family, r.target)].append(psi)
+        table = _evaluate(ds, g_model, q_model, G)
+        for a in ran:
+            results = _grid(table, labels, g_model, alpha=a, empty_set_policy=empty_set_policy,
+                            truncate_weights=truncate_weights)
+            member_fit = None if g_support is None or a == 0.0 else membership_matrix(g_support, a)
+            drift_rules: dict[str, list[Rule]] = {"realistic": [], "itt": []}
+            for c, label in zip(cells, labels):
+                est = results[label]
+                if isinstance(est, CausalRulesError):
+                    continue
+                estimates[a][c].append(est.psi)
+                if member_fit is not None and c[0] in drift_rules:
+                    drift_rules[c[0]].append(est.rule)
+            # One assignment pass per family; an infeasible target drops
+            # only its own drift value.
+            for rules in drift_rules.values():
+                if rules:
+                    for r, psi in zip(rules, true_psi(gen, rules, member_fit)):
+                        if not isinstance(psi, RuleInfeasibleError):
+                            drifts[a][(r.family, r.target)].append(psi)
         # Free this replicate's arrays before the next one draws and fits.
-        del ds
+        del ds, table
 
-    _check_failures(n_failed, replicates, "diagnostic")
-
-    entries = []
-    for f, t in cells:
-        values = np.asarray(estimates[(f, t)], dtype=float)
-        if values.size == 0:
-            raise EstimationError(f"no successful replicates for {f} target {t}")
-        tru = truth[(f, t)]
-        mean_est = float(values.mean())
-        bias = mean_est - tru
-        bias_pct = None if abs(tru) < 1e-12 else 100.0 * bias / tru
-        drift = drift_pct = None
-        dvals = drifts[(f, t)]
-        if dvals:
-            drift = float(np.mean(dvals) - tru)
-            drift_pct = None if abs(tru) < 1e-12 else 100.0 * drift / tru
-        entries.append(
-            BiasEntry(
-                family=f,
-                target=t,
-                truth=tru,
-                mean_estimate=mean_est,
-                sd_estimate=float(values.std(ddof=1)) if values.size > 1 else 0.0,
-                bias=float(bias),
-                bias_pct=bias_pct,
-                n_effective=int(values.size),
-                drift=drift,
-                drift_pct=drift_pct,
+    reports, entries = [], {}
+    for a in alphas:
+        if a not in entries:
+            if isinstance(truths[a], CausalRulesError):
+                raise truths[a]
+            _check_failures(n_failed[a], replicates, "diagnostic", _stacklevel + 1)
+            entries[a] = tuple(
+                _bias_entry(*c, truths[a][c], estimates[a][c], drifts[a][c]) for c in cells
             )
-        )
-    return BiasReport(
-        estimator=estimator,
-        replicates=replicates,
-        n_sim=n_sim,
-        seed=seed,
-        alpha=alpha,
-        families=tuple(families),
-        targets=tuple(targets),
-        entries=tuple(entries),
-        n_failed_replicates=n_failed,
+        reports.append(BiasReport(estimator, replicates, n_sim, seed, a, tuple(families),
+                                  tuple(targets), entries[a], n_failed[a]))
+    return reports[0] if single else reports
+
+
+def _bias_entry(family: str, target: int, truth: float, estimates: list, drifts: list) -> BiasEntry:
+    """One cell's summary over its successful replicates."""
+    values = np.asarray(estimates, dtype=float)
+    if values.size == 0:
+        raise EstimationError(f"no successful replicates for {family} target {target}")
+    mean_est = float(values.mean())
+    bias = mean_est - truth
+    drift = float(np.mean(drifts) - truth) if drifts else None
+
+    def pct(x):
+        return None if x is None or abs(truth) < 1e-12 else 100.0 * x / truth
+
+    sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    return BiasEntry(
+        family, target, truth, mean_est, sd, bias, pct(bias), values.size, drift, pct(drift)
     )
 
 
@@ -525,6 +524,20 @@ class AlphaSweepResult:
     max_abs_bias_pct: tuple[float, ...]
     smallest_passing_alpha: float | None
     reports: tuple[BiasReport, ...] = field(repr=False, default=())
+
+    @classmethod
+    def from_reports(cls, reports, threshold_pct: float) -> "AlphaSweepResult":
+        """The summary of bias reports at ascending alphas: each report's
+        largest absolute bias percentage (across all family/target cells),
+        and the first alpha at which it falls below ``threshold_pct``."""
+        alphas = tuple(r.alpha for r in reports)
+        max_abs = tuple(
+            max((abs(e.bias_pct) for e in r.entries if e.bias_pct is not None),
+                default=float("inf"))
+            for r in reports
+        )
+        passing = next((a for a, w in zip(alphas, max_abs) if w < threshold_pct), None)
+        return cls(alphas, threshold_pct, max_abs, passing, tuple(reports))
 
     def to_dict(self) -> dict:
         return {
@@ -546,11 +559,11 @@ def alpha_sweep(
 ) -> AlphaSweepResult:
     """Run the bias diagnostic over a grid of alpha values.
 
-    Reports the largest absolute bias percentage per alpha (across all
-    family/target cells) and the smallest alpha at which it falls below
-    ``threshold_pct``.  At ``alpha = 0`` realistic rules coincide with
-    static ones, so the sweep's first entry reproduces the static
-    diagnostic when 0 is included.
+    One pass over the replicates serves every alpha.  Reports the largest
+    absolute bias percentage per alpha (across all family/target cells)
+    and the smallest alpha at which it falls below ``threshold_pct``.  At
+    ``alpha = 0`` realistic rules coincide with static ones, so the sweep's
+    first entry reproduces the static diagnostic when 0 is included.
     """
     alphas = tuple(float(a) for a in alphas)
     if not alphas:
@@ -559,26 +572,8 @@ def alpha_sweep(
         raise ValidationError("alphas must be sorted ascending")
     if not 0.0 < threshold_pct < float("inf"):
         raise ValidationError("threshold_pct must be a finite positive number")
-    reports = []
-    max_abs = []
-    for a in alphas:
-        report = eta_bias_diagnostic(gen, alpha=a, families=families, **kwargs)
-        reports.append(report)
-        worst = max(
-            (abs(e.bias_pct) for e in report.entries if e.bias_pct is not None),
-            default=float("inf"),
-        )
-        max_abs.append(worst)
-    passing = next(
-        (a for a, w in zip(alphas, max_abs) if w < threshold_pct), None
-    )
-    return AlphaSweepResult(
-        alphas=alphas,
-        threshold_pct=threshold_pct,
-        max_abs_bias_pct=tuple(max_abs),
-        smallest_passing_alpha=passing,
-        reports=tuple(reports),
-    )
+    reports = eta_bias_diagnostic(gen, alpha=alphas, families=families, _stacklevel=3, **kwargs)
+    return AlphaSweepResult.from_reports(reports, threshold_pct)
 
 
 # ---------------------------------------------------------------------------

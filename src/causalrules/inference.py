@@ -137,10 +137,10 @@ def interval_from_replicates(
     )
 
 
-def _check_failures(n_failed: int, replicates: int, noun: str) -> None:
+def _check_failures(n_failed: int, replicates: int, noun: str, stacklevel: int) -> None:
     """Raise when more than 10% of the ``noun`` replicates failed, warn above 1%.
 
-    Called from a public replicate loop; the warning points at its caller.
+    The warning points at the caller of the public entry, ``stacklevel`` up.
     """
     if n_failed > 0.10 * replicates:
         raise EstimationError(
@@ -149,7 +149,7 @@ def _check_failures(n_failed: int, replicates: int, noun: str) -> None:
     if n_failed > 0.01 * replicates:
         warnings.warn(
             f"{n_failed} of {replicates} {noun} replicates failed and were dropped",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -158,13 +158,14 @@ def bootstrap_statistics(
     stat_fn,
     config: BootstrapConfig,
     n_stats: int,
+    *, _stacklevel: int = 2,
 ) -> np.ndarray:
     """(replicates, n_stats) matrix of replicate statistics.
 
     ``stat_fn(dataset) -> array`` is applied to each resampled dataset.
     A replicate that raises a package error yields a NaN row; per-cell
     NaNs from ``stat_fn`` are kept as-is.  Failure accounting uses the
-    all-NaN rows.
+    all-NaN rows, and their warning names the frame ``_stacklevel`` up.
     """
     out = np.full((config.replicates, n_stats), np.nan)
     for b, rng in enumerate(replicate_streams(config.seed, config.replicates)):
@@ -178,7 +179,7 @@ def bootstrap_statistics(
         except CausalRulesError:
             pass
     n_failed = int(np.isnan(out).all(axis=1).sum())
-    _check_failures(n_failed, config.replicates, "bootstrap")
+    _check_failures(n_failed, config.replicates, "bootstrap", _stacklevel + 1)
     return out
 
 
@@ -205,7 +206,8 @@ def _grid_replicates(
     dataset: Dataset, spec: NuisanceSpec, labels: list, config: BootstrapConfig, settings: dict
 ) -> np.ndarray:
     """(replicates, labels) matrix of the labels' bootstrap values; a label
-    that failed on a replicate reads NaN there."""
+    that failed on a replicate reads NaN there; a failure warning names
+    the caller of the public entry."""
 
     def values(ds: Dataset) -> list:
         return [
@@ -213,7 +215,7 @@ def _grid_replicates(
             for v in _refit_grid(ds, spec, labels, settings)
         ]
 
-    return bootstrap_statistics(dataset, values, config, n_stats=len(labels))
+    return bootstrap_statistics(dataset, values, config, n_stats=len(labels), _stacklevel=4)
 
 
 def bootstrap_ci(

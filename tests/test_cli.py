@@ -261,6 +261,53 @@ def test_diagnose_dgp_mode(tmp_path, capsys):
     assert "alpha sweep" in capsys.readouterr().out
 
 
+def test_a_sweep_leaves_the_main_report_and_matches_runs_at_its_alphas(tmp_path):
+    """Adding ``--alpha-sweep`` leaves ``eta_bias.json`` byte for byte, and
+    each sweep report is the report of a run at that ``--alpha`` alone."""
+    base = ["diagnose", "--dgp", "cohort", "--estimator", "tmle", "--n-sim", "3000",
+            "--replicates", "3", "--seed", "2"]
+    sweep = ["0.0", "0.02", "0.05", "0.07"]
+
+    def run(name, *extra):
+        assert main([*base, *extra, "--output-dir", str(tmp_path / name)]) == 0
+        return tmp_path / name
+
+    alone, swept = run("alone"), run("swept", "--alpha-sweep", ",".join(sweep))
+    assert (swept / "eta_bias.json").read_bytes() == (alone / "eta_bias.json").read_bytes()
+    reports = json.loads((swept / "alpha_sweep.json").read_text())["reports"]
+    assert len(reports) == len(sweep)
+    for a, report in zip(sweep, reports):
+        body = json.loads((run(a, "--alpha", a) / "eta_bias.json").read_text())
+        del body["source"]
+        assert report == body
+
+
+@pytest.mark.parametrize("sweep", [None, "0.05", "0.01,0.03,0.05,0.07"])
+def test_diagnose_draws_and_fits_g_once_per_replicate_whatever_the_sweep(
+    tmp_path, monkeypatch, sweep
+):
+    """One draw for the positivity summary, then one draw and one ``g``
+    fit per replicate, however many alphas the sweep adds."""
+    from causalrules import cli, diagnostics
+    from causalrules.estimators import NuisanceSpec
+
+    counts = {"draws": 0, "g fits": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, diagnostics):
+        monkeypatch.setattr(module, "generate", counted("draws", diagnostics.generate))
+    monkeypatch.setattr(NuisanceSpec, "fit_g", counted("g fits", NuisanceSpec.fit_g))
+    argv = ["diagnose", "--dgp", "cohort", "--n-sim", "3000", "--replicates", "3",
+            "--output-dir", str(tmp_path / "diag")]
+    assert main(argv + (["--alpha-sweep", sweep] if sweep else [])) == 0
+    assert counts == {"draws": 1 + 3, "g fits": 3}
+
+
 def test_a_failing_alpha_sweep_writes_no_files(tmp_path, capsys):
     """At these sweep alphas the truth of realistic target 0 is undefined
     on some support rows; the sweep runs before any file is written."""

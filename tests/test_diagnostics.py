@@ -7,6 +7,7 @@ import pytest
 from causalrules import (
     DGP_REGISTRY,
     BootstrapConfig,
+    CausalRulesError,
     Dataset,
     GeneratingDistribution,
     NuisanceSpec,
@@ -419,19 +420,75 @@ def test_eta_bias_requires_n_sim(gen_nv):
         eta_bias_diagnostic(gen_nv, replicates=2)
 
 
-def test_replicate_whose_refit_g_misses_a_support_row_is_dropped():
+@pytest.mark.parametrize("entry", ["eta_bias_diagnostic", "alpha_sweep"])
+def test_replicate_whose_refit_g_misses_a_support_row_is_dropped(entry):
     """At n = 100 some refits pin a cohort level away on a covariate a
     support row carries, leaving that row with no supported level; the
     replicate is dropped and counted instead of aborting the run, and the
-    unsupported row is caught before any arithmetic warns about it."""
+    unsupported row is caught before any arithmetic warns about it.  The
+    warning names the line that called either entry."""
+    kwargs = dict(estimator="iptw", families=("static", "realistic", "itt"), replicates=20,
+                  n_sim=100, seed=0, empty_set_policy="assign_min_realistic")
     with pytest.warns(UserWarning, match="2 of 20 diagnostic replicates failed") as record:
-        report = eta_bias_diagnostic(
-            cohort_dgp(), estimator="iptw", replicates=20, n_sim=100, seed=0,
-            empty_set_policy="assign_min_realistic",
-        )
+        if entry == "alpha_sweep":
+            (report,) = alpha_sweep(cohort_dgp(), [0.05], **kwargs).reports
+        else:
+            report = eta_bias_diagnostic(cohort_dgp(), **kwargs)
     assert report.n_failed_replicates == 2
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
     assert [w.filename for w in record if w.category is UserWarning] == [__file__]
+
+
+@pytest.mark.parametrize("gen, alphas, kwargs, failed", [
+    pytest.param(
+        "no_violation", (0.1, 0.02, 0.1, 0.05),
+        dict(estimator="tmle", replicates=6, n_sim=400, seed=1), [0, 0, 0, 0],
+        id="repeated-out-of-order",
+    ),
+    # At alpha 0 G-computation needs no g, so the two replicates whose g
+    # fails here count as failed only at the alphas that read g.
+    pytest.param(
+        "cohort", (0.05, 0.0, 0.1),
+        dict(estimator="gcomp", families=("realistic", "itt"), replicates=20, n_sim=150,
+             seed=0, empty_set_policy="assign_min_realistic"), [2, 0, 2],
+        id="gcomp-g-needed-at-some-alphas",
+    ),
+])
+def test_a_sequence_of_alphas_equals_one_call_per_alpha(gen, alphas, kwargs, failed):
+    gen = DGP_REGISTRY[gen]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        want = [eta_bias_diagnostic(gen, alpha=a, **kwargs) for a in alphas]
+        got = eta_bias_diagnostic(gen, alpha=list(alphas), **kwargs)
+    assert got == want
+    assert [r.alpha for r in got] == list(alphas)
+    assert [r.n_failed_replicates for r in got] == failed
+    assert any(e.drift is not None for e in got[0].entries)
+
+
+@pytest.mark.parametrize("alphas, message, draws", [
+    ((0.05, 0.15), "12 of 20 diagnostic replicates failed (> 10%)", 20),
+    ((0.15, 0.05), "no feasible level at or below target 0 for support rows [0, 4,", 0),
+])
+def test_a_sequence_of_alphas_raises_what_the_calls_in_its_order_raise(
+    monkeypatch, alphas, message, draws
+):
+    """At alpha 0.05 more than 10% of these replicates fail, and at 0.15
+    the truth of realistic target 0 is undefined.  Whichever comes first
+    is raised, the undefined truth before any draw."""
+    gen = cohort_dgp()
+    kwargs = dict(estimator="gcomp", families=("realistic", "itt"), replicates=20, n_sim=100,
+                  seed=0)
+    with pytest.raises(CausalRulesError) as by_call:
+        for a in alphas:
+            eta_bias_diagnostic(gen, alpha=a, **kwargs)
+    drawn, draw = [], diagnostics.generate
+    monkeypatch.setattr(diagnostics, "generate", lambda *a: drawn.append(1) or draw(*a))
+    with pytest.raises(type(by_call.value)) as at_once:
+        eta_bias_diagnostic(gen, alpha=list(alphas), **kwargs)
+    assert str(by_call.value).startswith(message)
+    assert str(at_once.value) == str(by_call.value)
+    assert len(drawn) == draws
 
 
 @pytest.mark.parametrize("refit_g, failed", [(True, 2), (False, 0)])

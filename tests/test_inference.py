@@ -125,10 +125,14 @@ def test_bootstrap_statistics_failure_accounting(data_nv):
         bootstrap_statistics(data_nv, broken, BootstrapConfig(replicates=20, seed=0), 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 10, 11])
-def test_bootstrap_failure_thresholds(data_nv, k):
+@pytest.mark.parametrize("k, entry", [
+    *(pytest.param(k, "bootstrap_statistics", id=str(k)) for k in (1, 2, 10, 11)),
+    *(pytest.param(2, e, id=e) for e in ("bootstrap_ci", "attach_bootstrap_intervals")),
+])
+def test_bootstrap_failure_thresholds(data_nv, k, entry):
     """Of 100 replicates, 1 failure (1%) is silent, 2 to 10 warn at the
-    caller, and 11 (> 10%) raise."""
+    caller, and 11 (> 10%) raise.  The entries that refit on every
+    replicate warn at their own caller too."""
     calls = {"i": 0}
 
     def fails_k_times(ds):
@@ -137,15 +141,32 @@ def test_bootstrap_failure_thresholds(data_nv, k):
             raise CausalRulesError("synthetic failure")
         return np.array([ds.y.mean()])
 
-    cfg = BootstrapConfig(replicates=100, seed=0)
+    class FailsOnReplicates(NuisanceSpec):
+        def fit_g(self, ds):
+            if ds is not data_nv:
+                fails_k_times(ds)
+            return super().fit_g(ds)
+
+    cfg, rule = BootstrapConfig(replicates=100, seed=0), Rule(family="static", target=1)
     if k > 10:
         with pytest.raises(EstimationError, match=f"{k} of 100 bootstrap replicates failed"):
             bootstrap_statistics(data_nv, fails_k_times, cfg, n_stats=1)
         return
+    report = estimate_suite(data_nv, NuisanceSpec().fit_g(data_nv), None, families=("static",),
+                            targets=(1,), estimators=("iptw",))
+    # Each entry is called from here, so that a warning one frame too far
+    # up would name pytest's frame instead of this file.
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        reps = bootstrap_statistics(data_nv, fails_k_times, cfg, n_stats=1)
-    assert int(np.isnan(reps[:, 0]).sum()) == k
+        if entry == "bootstrap_statistics":
+            reps = bootstrap_statistics(data_nv, fails_k_times, cfg, n_stats=1)
+            n_failed = int(np.isnan(reps[:, 0]).sum())
+        elif entry == "bootstrap_ci":
+            n_failed = bootstrap_ci(data_nv, FailsOnReplicates(), rule, "iptw", cfg).n_failed
+        else:
+            attach_bootstrap_intervals(report, data_nv, FailsOnReplicates(), cfg)
+            n_failed = report.cells[0].psi_interval.n_failed
+    assert n_failed == k
     if k == 1:
         assert not record
     else:

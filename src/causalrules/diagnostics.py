@@ -40,7 +40,7 @@ from .errors import CausalRulesError, EstimationError, RuleInfeasibleError, Vali
 from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_count, _check_failures, replicate_streams
-from .ingest import Dataset, _binary, _distinct_codes, _distinct_rows
+from .ingest import Dataset, _binary, _check_levels, _check_unique, _distinct_rows, _subgroups
 from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
@@ -237,10 +237,11 @@ def generate(
     a = _draw_levels(gen, cells, rng.random(n))
     y = (rng.random(n) < gen.support_q()[cells, a]).astype(np.int64)
     support_first, support_inverse = gen._support_groups
-    drawn, inverse = _distinct_codes(support_inverse[cells], support_first.size)
-    first = np.full(drawn.size, n)
-    np.minimum.at(first, inverse, np.arange(n))
-    return _Draw(
+    first, inverse = _subgroups(support_inverse, support_first.size, cells)
+    # The draw makes every other value valid; these the system does not.
+    _check_unique(gen.covariate_names)
+    _check_levels(a, gen.n_treatment_levels)
+    return _Draw._checked(
         w=gen.w_support[cells],
         a=a,
         y=y,
@@ -488,7 +489,9 @@ def eta_bias_diagnostic(
         if a not in entries:
             if isinstance(truths[a], CausalRulesError):
                 raise truths[a]
-            _check_failures(n_failed[a], replicates, "diagnostic", _stacklevel + 1)
+            _check_failures(
+                n_failed[a], replicates, "diagnostic", _stacklevel + 1, f" at alpha {a}"
+            )
             entries[a] = tuple(
                 _bias_entry(*c, truths[a][c], estimates[a][c], drifts[a][c]) for c in cells
             )

@@ -51,11 +51,17 @@ Each term is summed where it lives:
   Patterns left alone keep their observed level, with ``h = 1``, in the
   plug-ins too.
 
-Each rule's record on the table (``_Patterns.rule``) is built once and
-shared by every cell that reads the rule, and the rules at one ``alpha``
-share one feasibility matrix.  Estimators read ``G`` and
-``M`` at one stack of evaluation points (``_evaluation_stack``), and
-every inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
+The grid (``_grid``) walks rules, not cells.  Each family's targets are
+assigned in one pass into records on the table (``_Patterns.rule``),
+and the rules at one ``alpha`` share one feasibility matrix.  Each rule
+is then read once per weight denominator (``_Evaluation``): its support
+patterns, ``G`` and ``M`` at its assigned levels, ``Q``, the clever
+covariate on both parts and the DR-IPTW score.  G-computation, IPTW,
+DR-IPTW, the TMLE mean and RR-TMLE all read that one evaluation, and
+every fluctuation starts from the score at ``epsilon = 0`` its caller
+already holds.  Only the current rule's evaluations and its family's
+target-0 ones, which the relative risks divide by, are held.  Every
+inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
 Feasibility sets always use the raw probabilities (see ``rules``);
 weight denominators use the truncated ones unless
 ``truncate_weights=False``.
@@ -65,6 +71,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -146,12 +153,12 @@ class _RuleRows:
 
     ``ruled`` marks the distinct covariate rows the rule moves: every row
     for static and realistic rules, the rows with a feasible target for
-    ITT rules.  ``d`` is the assigned level of every covariate row (the
-    target, for an ITT rule) and ``rows`` lists the ruled ones.  ``left``
-    marks the patterns on rows the rule leaves alone, which keep their
-    observed level with weight one.  ``support`` marks the patterns where
-    the clever covariate is nonzero: those at their row's assigned level
-    and the ``left`` ones.
+    ITT rules.  ``d`` holds the assigned level of every ruled covariate
+    row and ``rows`` lists the ruled rows.  ``left`` marks the patterns
+    on rows the rule leaves alone, which keep their observed level with
+    weight one.  ``support`` marks the patterns where the clever
+    covariate is nonzero: those at their row's assigned level and the
+    ``left`` ones.
     """
 
     ruled: np.ndarray
@@ -198,6 +205,11 @@ class _Patterns:
     def n(self) -> int:
         return self.w_inverse.size
 
+    def at_observed(self, x: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+        """``x``, one row per covariate row and one column per level, read
+        at the observed level of each of ``patterns``."""
+        return x.take(self.w[patterns] * self.k + self.a[patterns])
+
     def rule(self, rule: Rule) -> _RuleRows:
         """``rule`` on this table, built once per rule and shared by
         every estimator.
@@ -206,16 +218,43 @@ class _Patterns:
         which has no traceback: a raised error's frames hold the table,
         which would then live on in a cycle.
         """
-        hit = self._rules.get(rule)
-        if hit is None:
-            try:
-                hit = self._rule_rows(rule)
-            except CausalRulesError as exc:
-                hit = exc.with_traceback(None)
-            self._rules[rule] = hit
+        if rule not in self._rules:
+            self.assign_rules([rule])
+        hit = self._rules[rule]
         if isinstance(hit, CausalRulesError):
             raise copy.copy(hit)
         return hit
+
+    def assign_rules(self, rules: list[Rule]) -> None:
+        """Assign ``rules``, which differ only in target, in one pass
+        (:func:`~causalrules.rules.assign`) and keep each one's record, or
+        the error that rule alone raises, for :meth:`rule`.  Rules already
+        kept are left as they are."""
+        rules = [rule for rule in rules if rule not in self._rules]
+        if not rules:
+            return
+        size = self.n_w.size
+        # A covariate row has no observed level: an ITT rule's assigned
+        # level is read only on the rows it moves, and the patterns on the
+        # rows it leaves alone keep theirs.  An infeasible rule names input
+        # rows through ``w_inverse``.
+        try:
+            member, assigned = assign(
+                rules, self.G, np.zeros(size, dtype=np.int64), self.k,
+                self._membership(rules[0]), inverse=self.w_inverse,
+            )
+        except CausalRulesError as exc:
+            member, assigned = None, [exc.with_traceback(None)] * len(rules)
+        for rule, d in zip(rules, assigned):
+            if not isinstance(d, CausalRulesError):
+                if rule.family == "itt":
+                    ruled = member[:, rule.target]
+                    rows = np.flatnonzero(ruled)
+                else:
+                    ruled, rows = np.ones(size, dtype=bool), np.arange(size)
+                left = ~ruled[self.w]
+                d = _RuleRows(ruled, d, rows, left, left | (self.a == d[self.w]))
+            self._rules[rule] = d
 
     def _membership(self, rule: Rule) -> np.ndarray | None:
         """The feasibility matrix ``rule`` reads off ``G``, made once per
@@ -228,24 +267,6 @@ class _Patterns:
             member = self._members[rule.alpha] = membership_matrix(self.G, rule.alpha)
             member.flags.writeable = False
         return member
-
-    def _rule_rows(self, rule: Rule) -> _RuleRows:
-        size = self.n_w.size
-        # A covariate row has no observed level: an ITT rule assigns its
-        # target on the rows it moves, and the patterns on the rows it
-        # leaves alone keep theirs.  An infeasible rule names input rows
-        # through ``w_inverse``.
-        member, d = assign(
-            rule, self.G, np.full(size, rule.target), self.k, self._membership(rule),
-            inverse=self.w_inverse,
-        )
-        if rule.family == "itt":
-            ruled = member[:, rule.target]
-            rows = np.flatnonzero(ruled)
-        else:
-            ruled, rows = np.ones(size, dtype=bool), np.arange(size)
-        left = ~ruled[self.w]
-        return _RuleRows(ruled, d, rows, left, left | (self.a == d[self.w]))
 
 
 def _evaluate(
@@ -291,32 +312,94 @@ def _weight_scale(G: np.ndarray | None, g_model: TreatmentModel | None, truncate
     return np.maximum(G, g_model.alpha_trunc)
 
 
-def _evaluation_stack(
-    table: _Patterns, records: tuple[_RuleRows, ...], observed: np.ndarray, G_weights, M
-):
-    """The points at which estimators read ``g`` and ``Q``: first the
-    patterns marked ``observed``, at their observed level, then each
-    record's ruled covariate rows at its assigned level.
+class _Evaluation:
+    """One rule on a pattern table, read at one weight denominator: what
+    every estimator of the rule reads, each part made when a cell first
+    reads it and then shared by the rule's cells.
 
-    Returns the indices of the observed patterns; the covariate row and
-    the level of every point; each record's plug-in weight at every point
-    (the rows a covariate row stands for, and the trials of the patterns
-    the rule leaves alone); and ``G_weights`` and ``M`` at the points, or
-    None where None was passed.
+    The rule's points are its support patterns ``obs`` at their observed
+    level, then its ruled covariate rows at their assigned level ``at``.
+    It holds the logit of ``Q`` (``m_obs``, ``m_at``) and ``Q`` (``q_obs``,
+    ``q_at``) on both parts, ``G_weights`` at the assigned level
+    (``g_at``), the clever covariate on the support (``h_obs``) and the
+    support's successes ``s`` out of trials ``t``.  ``plug`` is every
+    point's plug-in weight: the trials of the support patterns the rule
+    leaves alone, 0 on the others, then the rows each ruled covariate row
+    stands for.  ``score`` is the sum of the DR-IPTW residual
+    ``h (Y - Q)`` over the support, the score at ``epsilon = 0`` of the
+    rule's TMLE fluctuation.  A part that raises is not kept: each cell
+    that reads it raises the error anew.
     """
-    obs = np.flatnonzero(observed)
-    rows = np.concatenate((table.w[obs], *(r.rows for r in records)))
-    at = np.concatenate((table.a[obs], *(r.d[r.rows] for r in records)))
-    # Positions of the points in the flattened (covariate rows, levels) arrays.
-    flat = rows * table.k + at
-    g, m = (None if x is None else x.take(flat) for x in (G_weights, M))
-    plug = np.zeros((len(records), rows.size))
-    start = obs.size
-    for i, r in enumerate(records):
-        plug[i, : obs.size] = np.where(r.left[obs], table.trials[obs], 0.0)
-        plug[i, start : start + r.rows.size] = table.n_w[r.rows]
-        start += r.rows.size
-    return obs, rows, at, plug, g, m
+
+    def __init__(self, table: _Patterns, rule: Rule, G_weights: np.ndarray | None):
+        self.table, self.rule, self.G_weights = table, rule, G_weights
+
+    @cached_property
+    def rec(self) -> _RuleRows:
+        return self.table.rule(self.rule)
+
+    @cached_property
+    def obs(self) -> np.ndarray:
+        return np.flatnonzero(self.rec.support)
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return self.table.successes[self.obs]
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return self.table.trials[self.obs]
+
+    @cached_property
+    def m_obs(self) -> np.ndarray:
+        return self.table.at_observed(self.table.M, self.obs)
+
+    @cached_property
+    def q_obs(self) -> np.ndarray:
+        return _expit(self.m_obs)
+
+    @cached_property
+    def h_obs(self) -> np.ndarray:
+        rec, w = self.rec, self.table.w[self.obs]
+        g = self.table.at_observed(self.G_weights, self.obs)
+        return _clever_covariate(rec.ruled[w], self.table.a[self.obs], rec.d[w], g)
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        return self.rec.d[self.rec.rows]
+
+    def at_assigned(self, x: np.ndarray) -> np.ndarray:
+        """``x``, one row per covariate row and one column per level, read
+        at the ruled rows' assigned level."""
+        return x.take(self.rec.rows * self.table.k + self.at)
+
+    @cached_property
+    def g_at(self) -> np.ndarray:
+        return self.at_assigned(self.G_weights)
+
+    @cached_property
+    def m_at(self) -> np.ndarray:
+        return self.at_assigned(self.table.M)
+
+    @cached_property
+    def q_at(self) -> np.ndarray:
+        return _expit(self.m_at)
+
+    @cached_property
+    def plug(self) -> np.ndarray:
+        return np.concatenate(
+            (np.where(self.rec.left[self.obs], self.t, 0.0), self.table.n_w[self.rec.rows])
+        )
+
+    @cached_property
+    def score(self) -> float:
+        return float(self.h_obs @ (self.s - self.t * self.q_obs))
+
+    def free_support(self) -> None:
+        """Drop the parts on the support; a cell that reads one makes it
+        again."""
+        for name in ("obs", "s", "t", "m_obs", "q_obs", "h_obs", "plug", "score"):
+            self.__dict__.pop(name, None)
 
 
 def _clever_covariate(
@@ -329,7 +412,7 @@ def _clever_covariate(
     with a feasible target for ITT rules (the others keep their observed
     level and outcome, with weight one).  ``eval_a``, ``level`` and
     ``g_eval`` hold the evaluated level, the rule's level and ``g`` at
-    every point of a stack (see :func:`_evaluation_stack`).
+    every point (see :class:`_Evaluation`).
     """
     match = ruled & (eval_a == level)
     g = np.where(match, g_eval, 1.0)
@@ -339,13 +422,6 @@ def _clever_covariate(
             "(only possible with truncation disabled)"
         )
     return np.where(match, 1.0 / g, np.where(ruled, 0.0, 1.0))
-
-
-def _score(table: _Patterns, obs: np.ndarray, h: np.ndarray, m: np.ndarray) -> float:
-    """Mean over rows of ``h (Y - Q)`` on the patterns ``obs``, with ``m``
-    the logit of ``Q`` at their observed level: the weighted
-    outcome-residual term (``h`` is zero on the other patterns)."""
-    return float(h @ (table.successes[obs] - table.trials[obs] * _expit(m))) / table.n
 
 
 def _weight_summary(
@@ -460,50 +536,45 @@ def psi_from_arrays(
     row per distinct covariate row.
     """
     _check_estimators((estimator,))
+    return _psi(estimator, _Evaluation(table, rule, G_weights))
+
+
+def _psi(estimator: str, ev: _Evaluation) -> CounterfactualEstimate:
+    """psi of a known ``estimator`` off the rule's evaluation."""
+    table, rule = ev.table, ev.rule
     _check_models(estimator, rule, table.G, table.M)
-    rec, n = table.rule(rule), table.n
-    # G-computation reads its observed-level points only for the outcomes
-    # of the patterns the rule leaves alone; IPTW reads no assigned level.
-    obs, rows, at, plug, g, m = _evaluation_stack(
-        table,
-        () if estimator == "iptw" else (rec,),
-        rec.left if estimator == "gcomp" else rec.support,
-        None if estimator == "gcomp" else G_weights,
-        None if estimator == "iptw" else table.M,
-    )
-    n0 = obs.size
+    rec, n = ev.rec, table.n
     if estimator == "gcomp":
-        psi = (float(plug[0, n0:] @ _expit(m[n0:])) + float(table.successes[obs].sum())) / n
+        # The patterns the rule leaves alone give back their outcomes.
+        psi = (
+            float(table.n_w[rec.rows] @ ev.q_at) + float(table.successes[rec.left].sum())
+        ) / n
         return CounterfactualEstimate(
             estimator="gcomp", rule=rule, psi=psi, diagnostics=EstimateDiagnostics(n=n),
         )
-
-    def covariate(points: slice) -> np.ndarray:
-        return _clever_covariate(
-            rec.ruled[rows[points]], at[points], rec.d[rows[points]], g[points]
-        )
-
-    h = covariate(slice(None, n0))
+    h = ev.h_obs
     epsilon = residual = None
     weights = h
     if estimator == "iptw":
-        psi = float(h @ table.successes[obs]) / n
+        psi = float(h @ ev.s) / n
     elif estimator == "driptw":
         # Patterns the rule leaves alone carry no weight here; their h = 1
         # and observed level in the plug-in give back their outcome.
-        weights = np.where(rec.left[obs], 0.0, h)
-        psi = _score(table, obs, h, m[:n0]) + float(plug[0] @ _expit(m)) / n
+        weights = np.where(rec.left[ev.obs], 0.0, h)
+        psi = ev.score / n + float(ev.plug @ np.concatenate((ev.q_obs, ev.q_at))) / n
     else:
+        # The fluctuation starts from DR-IPTW's Q and score at epsilon = 0.
         epsilon = fit_fluctuation(
-            table.successes[obs], h, m[:n0], trials=table.trials[obs], n_obs=n
+            ev.s, h, ev.m_obs, trials=ev.t, n_obs=n, _start=(ev.q_obs, ev.score)
         ).epsilon
-        if np.any(g[n0:] <= 0.0):
+        if np.any(ev.g_at <= 0.0):
             level = "the target level" if rule.family == "itt" else "an assigned level"
             raise EstimationError(f"zero treatment probability at {level}")
-        m = m + epsilon * np.concatenate((h, covariate(slice(n0, None))))
-        psi = float(plug[0] @ _expit(m)) / n
-        residual = _score(table, obs, h, m[:n0])
-    n_w, w_min, w_max, w_mean = _weight_summary(weights, table.trials[obs])
+        h_at = _clever_covariate(rec.ruled[rec.rows], ev.at, ev.at, ev.g_at)
+        q = _expit(np.concatenate((ev.m_obs, ev.m_at)) + epsilon * np.concatenate((h, h_at)))
+        psi = float(ev.plug @ q) / n
+        residual = float(h @ (ev.s - ev.t * q[: h.size])) / n
+    n_w, w_min, w_max, w_mean = _weight_summary(weights, ev.t)
     return CounterfactualEstimate(
         estimator=estimator,
         rule=rule,
@@ -637,6 +708,20 @@ def relative_risk_plugin(
     )
 
 
+def _rr_rules(
+    family: str, target: int, alpha: float, empty_set_policy: str, itt_covariate: str
+) -> tuple[Rule, Rule]:
+    """The numerator and denominator rules of a relative risk, checked."""
+    if target == 0:
+        raise ValidationError("relative-risk target must differ from the reference level 0")
+    if itt_covariate not in ("delta", "appendix"):
+        raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
+    return tuple(
+        Rule(family=family, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
+        for t in (target, 0)
+    )
+
+
 def rr_tmle_from_arrays(
     family: str,
     target: int,
@@ -650,64 +735,92 @@ def rr_tmle_from_arrays(
     """Targeted estimate of theta = psi_target / psi_0 from a dataset's
     pattern table (see :func:`psi_from_arrays` and
     :func:`tmle_relative_risk`); the two rules' assignments are the table's."""
-    if target == 0:
-        raise ValidationError("relative-risk target must differ from the reference level 0")
-    if itt_covariate not in ("delta", "appendix"):
-        raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
-    rule_num = Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
-    rule_den = Rule(family=family, target=0, alpha=alpha, empty_set_policy=empty_set_policy)
-    _check_models("tmle", rule_num, table.G, table.M)
-    rec_num, rec_den = table.rule(rule_num), table.rule(rule_den)
-    appendix = family == "itt" and itt_covariate == "appendix"
-    # The appendix covariate is nonzero on every pattern with a feasible
-    # target, and the plug-ins read every pattern left alone.
-    obs, rows, at, plug, g, m = _evaluation_stack(
-        table, (rec_num, rec_den),
-        np.ones(table.a.size, dtype=bool) if appendix else rec_num.support | rec_den.support,
-        G_weights, table.M,
-    )
-    n0, n = obs.size, table.n
+    rules = _rr_rules(family, target, alpha, empty_set_policy, itt_covariate)
+    return _rr_tmle(*(_Evaluation(table, rule, G_weights) for rule in rules), itt_covariate)
+
+
+def _rr_covariates(
+    num: _Evaluation, den: _Evaluation, obs: np.ndarray, appendix: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """RR-TMLE's two clever covariates at the points: the patterns ``obs``
+    at their observed level, then the ruled rows of ``num`` and of
+    ``den`` at their assigned levels."""
+    table, rec_num, rec_den = num.table, num.rec, den.rec
+    g = np.concatenate((table.at_observed(num.G_weights, obs), num.g_at, den.g_at))
     # The assigned-level points: the ruled rows, and the patterns either
     # rule leaves alone, at their observed level.
     left = rec_num.left[obs] | rec_den.left[obs]
-    if np.any(g[n0:] <= 0.0) or np.any(g[:n0][left] <= 0.0):
+    if np.any(g[obs.size :] <= 0.0) or np.any(g[: obs.size][left] <= 0.0):
         raise EstimationError("zero treatment probability at an assigned level")
-
+    rows = np.concatenate((table.w[obs], rec_num.rows, rec_den.rows))
+    at = np.concatenate((table.a[obs], num.at, den.at))
     if appendix:
         # Rows with a feasible target get (1 - theta) / psi_0; the others
         # contrast the two realistic rules' covariates.
         real_num, real_den = (
-            table.rule(replace(rule, family="realistic")) for rule in (rule_num, rule_den)
+            table.rule(replace(ev.rule, family="realistic")) for ev in (num, den)
         )
         infeasible = ~rec_num.ruled[rows]
-        h_num = _clever_covariate(infeasible, at, real_num.d[rows], g)
-        h_den = _clever_covariate(infeasible, at, real_den.d[rows], g)
-    else:
-        h_num = _clever_covariate(rec_num.ruled[rows], at, rec_num.d[rows], g)
-        h_den = _clever_covariate(rec_den.ruled[rows], at, rec_den.d[rows], g)
+        return (
+            _clever_covariate(infeasible, at, real_num.d[rows], g),
+            _clever_covariate(infeasible, at, real_den.d[rows], g),
+        )
+    return (
+        _clever_covariate(rec_num.ruled[rows], at, rec_num.d[rows], g),
+        _clever_covariate(rec_den.ruled[rows], at, rec_den.d[rows], g),
+    )
+
+
+def _rr_tmle(num: _Evaluation, den: _Evaluation, itt_covariate: str) -> RelativeRiskEstimate:
+    """RR-TMLE off the evaluations of its two rules, at one denominator."""
+    table, rule_num = num.table, num.rule
+    family, target, alpha = rule_num.family, rule_num.target, rule_num.alpha
+    _check_models("tmle", rule_num, table.G, table.M)
+    rec_num, rec_den = num.rec, den.rec
+    appendix = family == "itt" and itt_covariate == "appendix"
+    # The points: the observed patterns, then each rule's ruled rows at its
+    # assigned level, as the two evaluations hold them.  The appendix
+    # covariate is nonzero on every pattern with a feasible target, and the
+    # plug-ins read every pattern left alone.
+    obs = np.flatnonzero(
+        np.ones(table.a.size, dtype=bool) if appendix else rec_num.support | rec_den.support
+    )
+    n0, n1, n = obs.size, rec_num.rows.size, table.n
+    h_num, h_den = _rr_covariates(num, den, obs, appendix)
     s0, t0 = table.successes[obs], table.trials[obs]
+    plug = np.zeros((2, h_num.size))
+    plug[0, :n0] = np.where(rec_num.left[obs], t0, 0.0)
+    plug[1, :n0] = np.where(rec_den.left[obs], t0, 0.0)
+    plug[0, n0 : n0 + n1] = table.n_w[rec_num.rows]
+    plug[1, n0 + n1 :] = table.n_w[rec_den.rows]
+    m = table.at_observed(table.M, obs)
+    q = np.concatenate((_expit(m), num.q_at, den.q_at))
+    m = np.concatenate((m, num.m_at, den.m_at))
 
     def plugins(q):
         """Plug-ins from ``q = Q`` at every point; the covariate at them
-        serves the next step."""
+        serves the next step, and its score at them starts that step."""
         psi_num, psi_den = (float(v) / n for v in plug @ q)
         if psi_den < MIN_PSI_DENOMINATOR:
             raise EstimationError(
                 f"denominator psi_0 = {psi_den:.3e} is numerically zero"
             )
         theta = psi_num / psi_den
-        return theta, psi_num, psi_den, (h_num - theta * h_den) / psi_den
+        h = (h_num - theta * h_den) / psi_den
+        return theta, psi_num, psi_den, h, float(h[:n0] @ (s0 - t0 * q[:n0]))
 
     epsilons: list[float] = []
     residual = np.inf
-    theta, psi_num, psi_den, h = plugins(_expit(m))
+    theta, psi_num, psi_den, h, score = plugins(q)
     for _ in range(_RR_MAX_ITER):
-        eps = fit_fluctuation(s0, h[:n0], m[:n0], trials=t0, n_obs=n).epsilon
+        eps = fit_fluctuation(
+            s0, h[:n0], m[:n0], trials=t0, n_obs=n, _start=(q[:n0], score)
+        ).epsilon
         epsilons.append(eps)
         m = m + eps * h
         q = _expit(m)
-        theta, psi_num, psi_den, h = plugins(q)
-        residual = float(h[:n0] @ (s0 - t0 * q[:n0])) / n
+        theta, psi_num, psi_den, h, score = plugins(q)
+        residual = score / n
         if abs(eps) < _RR_EPS_TOL and abs(residual) <= _RR_RESIDUAL_TOL:
             break
     else:
@@ -798,52 +911,91 @@ def _grid(
     """Each requested ``(family, target, estimator, "psi" | "rr")`` label's
     estimate on a pattern table, or the package error it raised.
 
-    Each psi is computed at most once, also when a plug-in relative risk
-    reads it.  TMLE targets its relative risk directly; the other
-    estimators take the plug-in ratio.  ``truncate_weights`` may be a
-    bool or a mapping from estimator name to bool.
+    The labels are walked by rule: family by family, and target by target
+    within a family, whatever their order.  A family's rules are assigned
+    in one pass, and each rule is read once per weight denominator
+    (:class:`_Evaluation`) for all of its cells.  Only the current rule's
+    evaluations and the family's target-0 ones, which the relative risks
+    divide by, are held.  Each psi is computed at most once, also when a
+    plug-in relative risk reads it.  TMLE targets its relative risk
+    directly; the other estimators take the plug-in ratio.
+    ``truncate_weights`` may be a bool or a mapping from estimator name
+    to bool.
     """
     if not isinstance(truncate_weights, dict):
         truncate_weights = dict.fromkeys(ESTIMATORS, truncate_weights)
-    G_trunc = _weight_scale(table.G, g_model, True)
-    weights = {e: G_trunc if truncate_weights.get(e, True) else table.G for e in ESTIMATORS}
+    weights = {True: _weight_scale(table.G, g_model, True), False: table.G}
     out: dict = {}
+    held: dict = {}  # (target, truncated) -> the evaluation of the family's rule
     # A kept error drops its traceback: the traceback's frames hold the
     # table, which would then live on in a reference cycle.
+
+    def rule(family: str, target: int) -> Rule:
+        return Rule(family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy)
+
+    def evaluation(rule: Rule, est: str) -> _Evaluation:
+        truncate = bool(truncate_weights.get(est, True))
+        key = (rule.target, truncate)
+        if key not in held:
+            held[key] = _Evaluation(table, rule, weights[truncate])
+        return held[key]
 
     def psi(family: str, target: int, est: str):
         label = (family, target, est, "psi")
         if label not in out:
             try:
-                rule = Rule(
-                    family=family, target=target, alpha=alpha, empty_set_policy=empty_set_policy
-                )
-                out[label] = psi_from_arrays(est, rule, table, weights.get(est))
+                r = rule(family, target)
+                _check_estimators((est,))
+                out[label] = _psi(est, evaluation(r, est))
             except CausalRulesError as exc:
                 out[label] = exc.with_traceback(None)
         return out[label]
 
-    for family, target, est, kind in labels:
-        if kind == "psi":
-            psi(family, target, est)
-            continue
+    def relative_risk(family: str, target: int, est: str):
         try:
+            if est == "tmle":
+                num, den = _rr_rules(family, target, alpha, empty_set_policy, itt_covariate)
+                return _rr_tmle(evaluation(num, est), evaluation(den, est), itt_covariate)
             if target == 0:
                 raise ValidationError("relative-risk target must differ from the reference level 0")
-            if est == "tmle":
-                rr = rr_tmle_from_arrays(
-                    family, target, table, weights[est], alpha=alpha,
-                    empty_set_policy=empty_set_policy, itt_covariate=itt_covariate,
-                )
-            else:
-                num, den = psi(family, target, est), psi(family, 0, est)
-                for part, value in (("numerator", num), ("denominator", den)):
-                    if isinstance(value, CausalRulesError):
-                        raise EstimationError(f"{part} failed: {_describe(value)}")
-                rr = relative_risk_plugin(num, den)
+            num, den = psi(family, target, est), psi(family, 0, est)
+            for part, value in (("numerator", num), ("denominator", den)):
+                if isinstance(value, CausalRulesError):
+                    raise EstimationError(f"{part} failed: {_describe(value)}")
+            return relative_risk_plugin(num, den)
         except CausalRulesError as exc:
-            rr = exc.with_traceback(None)
-        out[(family, target, est, kind)] = rr
+            return exc.with_traceback(None)
+
+    by_rule: dict = {}
+    for label in labels:
+        by_rule.setdefault(label[0], {}).setdefault(label[1], []).append(label)
+    for family, by_target in by_rule.items():
+        targets = set(by_target)
+        if any(label[3] == "rr" for group in by_target.values() for label in group):
+            targets.add(0)  # the relative risks' denominator
+        rules = []
+        for target in targets:
+            try:
+                r = rule(family, target)
+            except CausalRulesError:
+                continue  # each of its cells raises the error
+            if r.target < table.k:  # the others raise theirs alone
+                rules.append(r)
+        table.assign_rules(rules)
+        for group in by_target.values():
+            for key in [key for key in held if key[0] != 0]:
+                del held[key]
+            for label in group:
+                if label[3] == "psi":
+                    psi(*label[:3])
+            # RR-TMLE reads its two rules at their assigned levels only, and a
+            # plug-in ratio reads psi cells, which are kept in ``out``.
+            for ev in held.values():
+                ev.free_support()
+            for label in group:
+                if label[3] == "rr":
+                    out[label] = relative_risk(*label[:3])
+        held.clear()
     return {label: out[label] for label in labels}
 
 

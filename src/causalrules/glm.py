@@ -261,6 +261,7 @@ def fit_fluctuation(
     offset: np.ndarray,
     trials: np.ndarray | None = None,
     n_obs: float | None = None,
+    _start: tuple[np.ndarray, float] | None = None,
 ) -> FluctuationFit:
     """Fit the targeting fluctuation: logistic in ``h`` with no intercept.
 
@@ -281,7 +282,10 @@ def fit_fluctuation(
     ``sum(trials)``.  Entries with ``h = 0`` change neither the score nor
     its slope, so a caller may leave them out and pass the number of
     observations they all stand for as ``n_obs``.  A root beyond ``+-40``
-    raises :class:`SeparationError`.
+    raises :class:`SeparationError`.  A caller that already holds
+    ``expit(offset)`` and the score at ``e = 0`` (``s(0)`` as above, a
+    float) passes them as ``_start``, and the search starts from them
+    instead of computing them again.
 
     Known limit: where ``h`` weights only entries whose outcomes are all
     or nearly all successes, ``s`` is flat where it meets the tolerance
@@ -296,24 +300,25 @@ def fit_fluctuation(
     offset = np.asarray(offset, dtype=float)
     if not (y.shape == h.shape == offset.shape):
         raise ValidationError("y, h, and offset must have matching shapes")
-    if trials is None:
-        t, n = 1.0, y.size
-    else:
-        t = np.asarray(trials, dtype=float)
-        if t.shape != y.shape:
-            raise ValidationError("trials must match the shape of y")
-        n = float(t.sum())
-    if n_obs is not None:
-        n = n_obs
-    if np.all(h == 0.0):
+    t = 1.0 if trials is None else np.asarray(trials, dtype=float)
+    if trials is not None and t.shape != y.shape:
+        raise ValidationError("trials must match the shape of y")
+    if n_obs is None:
+        n_obs = y.size if trials is None else float(t.sum())
+    if not h.any():
         return FluctuationFit(0.0, _FluctuationInfo(True, 0, 0.0))
-    accept_tol = max(FLUCTUATION_GTOL, 1e-8 * n)
+    accept_tol = max(FLUCTUATION_GTOL, 1e-8 * n_obs)
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
     trace: list[float] = []
     for it in range(MAX_ITER):
-        p = _expit(offset + eps * h)
-        score = float(h @ (y - t * p))
+        if it == 0 and _start is not None:
+            p, score = _start
+            tp = t * p
+        else:
+            p = _expit(offset + eps * h)
+            tp = t * p
+            score = float(h @ (y - tp))
         trace.append(abs(score))
         if abs(score) <= FLUCTUATION_GTOL:
             break
@@ -321,7 +326,7 @@ def fit_fluctuation(
             lo = eps
         else:
             hi = eps
-        info = float((h * (t * p * (1.0 - p))) @ h)
+        info = float((h * (tp * (1.0 - p))) @ h)
         nxt = eps + score / info if info > 0.0 else math.nan
         # A Newton update below float resolution (nxt == eps) goes straight
         # to the collapse test; any other step bisects when it would leave

@@ -137,18 +137,21 @@ def interval_from_replicates(
     )
 
 
-def _check_failures(n_failed: int, replicates: int, noun: str, stacklevel: int) -> None:
+def _check_failures(
+    n_failed: int, replicates: int, noun: str, stacklevel: int, where: str = ""
+) -> None:
     """Raise when more than 10% of the ``noun`` replicates failed, warn above 1%.
 
-    The warning points at the caller of the public entry, ``stacklevel`` up.
+    Both messages end in ``where``, which names the setting counted.  The
+    warning points at the caller of the public entry, ``stacklevel`` up.
     """
     if n_failed > 0.10 * replicates:
         raise EstimationError(
-            f"{n_failed} of {replicates} {noun} replicates failed (> 10%)"
+            f"{n_failed} of {replicates} {noun} replicates failed (> 10%){where}"
         )
     if n_failed > 0.01 * replicates:
         warnings.warn(
-            f"{n_failed} of {replicates} {noun} replicates failed and were dropped",
+            f"{n_failed} of {replicates} {noun} replicates failed and were dropped{where}",
             stacklevel=stacklevel,
         )
 

@@ -11,7 +11,7 @@ which is mapped onto six ordered categories by :func:`categorize_met`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, count, islice
 
 import numpy as np
@@ -108,6 +108,24 @@ def _binary(values: np.ndarray) -> bool:
     return bool(((values == 0) | (values == 1)).all())
 
 
+def _check_unique(covariate_names) -> None:
+    if len(set(covariate_names)) != len(covariate_names):
+        raise ValidationError("covariate names must be unique")
+
+
+def _check_levels(a: np.ndarray, k: int) -> None:
+    """The checks of ``K`` and of the treatment levels ``a``."""
+    if k < 2:
+        raise ValidationError("n_treatment_levels must be at least 2")
+    if a.dtype.kind not in "biu" and not (np.isfinite(a) & (a == np.floor(a))).all():
+        raise ValidationError("treatment levels must be integers")
+    if a.min() < 0 or a.max() >= k:
+        raise ValidationError(
+            f"treatment levels must lie in 0..{k - 1}, found range "
+            f"[{int(a.min())}, {int(a.max())}]"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Validated analysis sample.
@@ -131,8 +149,10 @@ class Dataset:
     the positivity report all read that one grouping.  The arrays are
     taken as they are, so they must not be changed in place afterwards.
     A caller that already knows that grouping may hand it in as
-    ``_groups``, as the simulator does for the support cells it draws and
-    :func:`load_csv` does for the distinct lines it reads.
+    ``_groups``, as the simulator does for the support cells it draws,
+    :func:`load_csv` for the distinct lines it reads and :meth:`take`
+    for the rows it picks.  Those three are checked where they are made
+    and built by ``_checked``, which checks nothing again.
     """
 
     w: np.ndarray
@@ -158,22 +178,12 @@ class Dataset:
             raise ValidationError("W, A, Y row counts do not match")
         if len(self.covariate_names) != w.shape[1]:
             raise ValidationError("covariate_names length does not match W columns")
-        if len(set(self.covariate_names)) != len(self.covariate_names):
-            raise ValidationError("covariate names must be unique")
+        _check_unique(self.covariate_names)
         if not _binary(w):
             raise ValidationError("covariates must be binary 0/1")
         if not _binary(y):
             raise ValidationError("outcome Y must be binary 0/1")
-        k = self.n_treatment_levels
-        if k < 2:
-            raise ValidationError("n_treatment_levels must be at least 2")
-        if a.dtype.kind not in "biu" and not (np.isfinite(a) & (a == np.floor(a))).all():
-            raise ValidationError("treatment levels must be integers")
-        if a.min() < 0 or a.max() >= k:
-            raise ValidationError(
-                f"treatment levels must lie in 0..{k - 1}, found range "
-                f"[{int(a.min())}, {int(a.max())}]"
-            )
+        _check_levels(a, self.n_treatment_levels)
         object.__setattr__(self, "w", np.ascontiguousarray(w, dtype=np.int8))
         object.__setattr__(self, "a", np.ascontiguousarray(a, dtype=np.int64))
         object.__setattr__(self, "y", np.ascontiguousarray(y, dtype=np.int64))
@@ -202,15 +212,52 @@ class Dataset:
         )
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row-subset (or resample) the dataset by integer indices."""
+        """Row-subset (or resample) the dataset by integer indices.
+
+        The rows are this dataset's checked arrays, and their grouping is
+        this dataset's mapped through ``indices`` (:func:`_subgroups`), so
+        nothing is checked or grouped again.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
+        if idx.ndim != 1:
+            raise ValidationError("covariate matrix must be two-dimensional")
+        if idx.size == 0:
+            raise ValidationError("dataset has no rows")
+        first, inverse = self._w_groups()
+        return Dataset._checked(
             w=self.w[idx],
             a=self.a[idx],
             y=self.y[idx],
             covariate_names=self.covariate_names,
             n_treatment_levels=self.n_treatment_levels,
+            _groups=_subgroups(inverse, first.size, idx),
         )
+
+    @classmethod
+    def _checked(cls, **values) -> "Dataset":
+        """A dataset of arrays the package has already checked and cast:
+        ``w`` a C-contiguous int8 matrix of 0/1, ``a`` int64 levels in
+        ``0..K-1`` and ``y`` int64 0/1, with at least one row, and unique
+        ``covariate_names`` as a tuple.  Nothing is checked again; fields
+        not given take their defaults.  The loader, :meth:`take` and the
+        simulator build their datasets here; public ``Dataset(...)``
+        checks every value.
+        """
+        self = object.__new__(cls)
+        for f in fields(cls):
+            object.__setattr__(self, f.name, values.get(f.name, f.default))
+        return self
+
+
+def _subgroups(inverse: np.ndarray, size: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping of the rows ``idx`` picks from rows grouped by
+    ``inverse`` into ``size`` groups in byte order: ``(first, inverse)``
+    as :func:`_distinct_rows` gives them on the picked rows.  The picked
+    groups keep their byte order, so ranking them is enough."""
+    present, sub = _distinct_codes(inverse[idx], size)
+    first = np.full(present.size, idx.size)
+    np.minimum.at(first, sub, np.arange(idx.size))
+    return first, sub
 
 
 def _parse_cell(raw: str, row: int, column: str, kind: str) -> float | None:
@@ -587,7 +634,8 @@ def load_csv(
 
     The dataset is handed the grouping of its covariate rows
     (:func:`_distinct_rows`), computed on the distinct lines rather than
-    on every row.
+    on every row, and is built from the checked arrays without checking
+    them again (``Dataset._checked``).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -650,10 +698,15 @@ def load_csv(
     line_of = (np.cumsum(~missing) - 1)[rows[~dropped]]
     first_row = np.searchsorted(np.maximum.accumulate(line_of), np.arange(kept.size))
     w = b_value.astype(np.int8)[binary_codes[kept, :p]]
+    a = a_value[a_codes[kept]]
+    # The cells are checked; the names, K and the levels are not (a MET
+    # category may exceed ``K - 1``).
+    _check_unique(names)
+    _check_levels(a, n_treatment_levels)
     first, inverse = _distinct_rows(w)
-    return Dataset(
+    return Dataset._checked(
         w=w[line_of],
-        a=a_value[a_codes[kept]][line_of],
+        a=a[line_of],
         y=b_value[binary_codes[kept, p]][line_of],
         covariate_names=names,
         n_treatment_levels=n_treatment_levels,

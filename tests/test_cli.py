@@ -533,6 +533,30 @@ def test_the_cli_runs_without_scipy(tmp_path):
     assert report["cells"][0]["psi_interval"]["method"] == "normal"
 
 
+def test_diagnose_warns_once_per_alpha_whose_replicates_fail(tmp_path):
+    """Here the main alpha and each sweep alpha fail 2 of 20 replicates.
+    Each warning names its alpha, so Python's default filter, which
+    prints a message once per line, prints one warning per alpha."""
+    src = Path(causalrules.__file__).resolve().parents[1]
+    config = tmp_path / "policy.json"
+    config.write_text('{"empty_set_policy": "assign_min_realistic"}')
+    argv = ["diagnose", "--config", str(config), "--dgp", "cohort", "--estimator", "iptw",
+            "--n-sim", "100", "--replicates", "20", "--alpha-sweep", "0.02,0.05,0.1",
+            "--output-dir", str(tmp_path / "diag")]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from causalrules.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    warned = [line.partition("UserWarning: ")[2] for line in run.stderr.splitlines()
+              if "UserWarning: " in line]
+    assert warned == [
+        f"2 of 20 diagnostic replicates failed and were dropped at alpha {a}"
+        for a in ("0.05", "0.02", "0.1")
+    ]
+
+
 def _install_step_lines() -> list[str]:
     """The shell lines of the workflow step that installs the package alone."""
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

@@ -512,9 +512,9 @@ def _recorded(fn, *args, **kwargs):
     of every fluctuation it fits, in order."""
     problems = []
 
-    def recording(y, h, offset, trials=None, n_obs=None):
+    def recording(y, h, offset, trials=None, n_obs=None, _start=None):
         problems.append((y, 1.0 if trials is None else trials, h, offset))
-        return fit_fluctuation(y, h, offset, trials=trials, n_obs=n_obs)
+        return fit_fluctuation(y, h, offset, trials=trials, n_obs=n_obs, _start=_start)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimators, "fit_fluctuation", recording)
@@ -866,6 +866,42 @@ def test_a_zero_probability_at_an_observed_level_left_alone_matches_the_referenc
     assert _describe(results[("itt", 1, "tmle", "rr")]) == (
         "EstimationError: zero treatment probability at an assigned level"
     )
+
+
+def _same_result(got, want, where):
+    """Equal estimates, or errors of one type and message."""
+    if isinstance(want, CausalRulesError) or isinstance(got, CausalRulesError):
+        assert _describe(got) == _describe(want), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("system", sorted(_GOLDEN_SAMPLES))
+def test_a_grid_result_depends_on_its_label_alone(system):
+    """Each label's result is the same in the full grid, in the grid with
+    its labels reversed and in a grid of that label alone, on a fresh
+    table: under the appendix covariate, a per-estimator truncation
+    mapping, both empty-set policies and alpha 0."""
+    ds = generate(DGP_REGISTRY[system](), *_GOLDEN_SAMPLES[system])
+    g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
+    k = ds.n_treatment_levels
+    labels = [(f, t, e, kind) for f in FAMILIES for e in ESTIMATORS for t in range(k)
+              for kind in ("psi", "rr")]
+    for alpha, truncate, policy, covariate in [
+        (0.15, {"iptw": False, "tmle": False}, "assign_min_realistic", "appendix"),
+        (0.0, True, "error", "appendix"),
+        (0.3, False, "error", "delta"),
+    ]:
+        options = dict(alpha=alpha, empty_set_policy=policy, truncate_weights=truncate,
+                       itt_covariate=covariate)
+        full = _grid(_evaluate(ds, g_model, q_model), labels, g_model, **options)
+        backwards = _grid(_evaluate(ds, g_model, q_model), labels[::-1], g_model, **options)
+        for label in labels:
+            (alone,) = _grid(_evaluate(ds, g_model, q_model), [label], g_model,
+                             **options).values()
+            where = (alpha, policy, covariate, label)
+            _same_result(full[label], alone, where)
+            _same_result(backwards[label], alone, where)
 
 
 # ---------------------------------------------------------------------------

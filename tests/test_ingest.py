@@ -95,6 +95,125 @@ def test_dataset_level_counts_and_take():
     assert sub.a.tolist() == [2, 0, 2]
 
 
+# The golden samples (tests/test_golden.py): system -> (rows, seed).
+_GOLDEN_SAMPLES = {
+    "cohort": (1500, 1),
+    "no_violation": (600, 2),
+    "interaction": (600, 3),
+    "structural_zero": (800, 4),
+    "null_effect": (600, 5),
+}
+
+
+def _assert_same_dataset(got, want):
+    """Equal values, dtypes, layout, drop count and grouping."""
+    assert got == want
+    assert type(got.covariate_names) is tuple
+    for name in ("w", "a", "y"):
+        x, z = getattr(got, name), getattr(want, name)
+        assert x.dtype == z.dtype and x.flags.c_contiguous, name
+    assert got.dropped_rows == want.dropped_rows
+    assert got._groups is not None
+    for x, z in zip(got._w_groups(), want._w_groups()):
+        assert x.dtype == z.dtype and np.array_equal(x, z)
+
+
+@pytest.mark.parametrize("system", sorted(_GOLDEN_SAMPLES))
+def test_checked_datasets_equal_the_public_path(tmp_path, system):
+    """The loader, the simulator and ``take`` build their datasets
+    without checking them again; each equals the dataset the public
+    constructor checks and groups from the same arrays."""
+    from causalrules.dgps import DGP_REGISTRY
+    from causalrules.diagnostics import generate
+
+    def public(ds):
+        return Dataset(w=ds.w.tolist(), a=ds.a.tolist(), y=ds.y.tolist(),
+                       covariate_names=list(ds.covariate_names),
+                       n_treatment_levels=ds.n_treatment_levels,
+                       dropped_rows=ds.dropped_rows)
+
+    drawn = generate(DGP_REGISTRY[system](), *_GOLDEN_SAMPLES[system])
+    path = tmp_path / "sample.csv"
+    write_csv(drawn, path)
+    loaded = load_csv(path, n_treatment_levels=drawn.n_treatment_levels)
+    rows = np.random.default_rng(0).integers(-drawn.n, drawn.n, drawn.n)
+    for ds in (drawn, loaded, drawn.take(rows), loaded.take(rows)):
+        _assert_same_dataset(ds, public(ds))
+
+
+def test_the_edges_keep_the_checks_their_values_do_not_pass(tmp_path):
+    """The loader and the simulator check their own values where they make
+    them, and still make the dataset checks those do not cover, with the
+    public constructor's messages: repeated covariate names, fewer than
+    two levels, and a MET category above ``K - 1``."""
+    from causalrules import GeneratingDistribution, make_outcome_model, make_treatment_model
+    from causalrules.diagnostics import generate
+
+    path = tmp_path / "met.csv"
+    path.write_text("X,LTPA_MET,Y\n1,0,1\n0,61,0\n")
+    cases = [
+        (dict(covariate_names=["X", "X"]), "covariate names must be unique"),
+        (dict(n_treatment_levels=1), "n_treatment_levels must be at least 2"),
+        (dict(n_treatment_levels=3), "treatment levels must lie in 0..2, found range [0, 5]"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValidationError) as info:
+            load_csv(path, **kwargs)
+        assert str(info.value) == message
+    for names, coef, k, message in [
+        (("x", "x"), np.zeros((2, 3)), 3, "covariate names must be unique"),
+        (("x",), np.zeros((0, 2)), 1, "n_treatment_levels must be at least 2"),
+    ]:
+        gen = GeneratingDistribution(
+            np.eye(2, len(names), dtype=int), np.array([0.5, 0.5]), names,
+            make_treatment_model(names, coef),
+            make_outcome_model(names, k, np.zeros(len(names) + k)),
+        )
+        with pytest.raises(ValidationError) as info:
+            generate(gen, 10)
+        assert str(info.value) == message
+
+
+def _rows_with_repeats(p):
+    rng = np.random.default_rng(p)
+    return Dataset(w=rng.integers(0, 2, (40, p)), a=rng.integers(0, 3, 40),
+                   y=rng.integers(0, 2, 40), covariate_names=[f"x{j}" for j in range(p)],
+                   n_treatment_levels=3)
+
+
+@pytest.mark.parametrize("p, rows", [
+    pytest.param(4, np.repeat(np.arange(40), 3), id="duplicated"),
+    pytest.param(4, np.random.default_rng(1).permutation(40), id="shuffled"),
+    pytest.param(4, np.arange(3, 40, 7), id="subset"),
+    pytest.param(4, np.array([-1, 5, -40, 5, 0, -2]), id="negative"),
+    pytest.param(4, np.random.default_rng(2).integers(0, 40, 40), id="resample"),
+    pytest.param(0, np.array([3, 1, 3, 0]), id="no-covariates"),
+    pytest.param(15, np.random.default_rng(3).integers(0, 40, 60), id="wide"),
+])
+def test_take_hands_the_grouping_of_the_rows_it_picks(p, rows):
+    """``take`` maps its dataset's grouping through the indices; that
+    equals grouping the picked rows afresh, for a take of a take too."""
+    ds = _rows_with_repeats(p)
+    sub = ds.take(rows)
+    again = sub.take(rows[::-1] % sub.n)
+    for got, w in ((sub, ds.w[rows]), (again, ds.w[rows][rows[::-1] % sub.n])):
+        assert got._groups is not None
+        for x, z in zip(got._groups, _distinct_rows(w)):
+            assert x.dtype == z.dtype and np.array_equal(x, z)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([], "dataset has no rows"),
+    (3, "covariate matrix must be two-dimensional"),
+    ([[0, 1]], "covariate matrix must be two-dimensional"),
+])
+def test_take_rejects_what_the_constructor_rejects(rows, message):
+    """No rows, or indices that would not give a row matrix, raise the
+    errors that building a dataset of those rows raises."""
+    with pytest.raises(ValidationError, match=message):
+        _rows_with_repeats(4).take(rows)
+
+
 def test_csv_round_trip(tmp_path, data_nv):
     path = tmp_path / "cohort.csv"
     write_csv(data_nv, path)

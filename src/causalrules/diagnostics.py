@@ -36,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CausalRulesError, EstimationError, RuleInfeasibleError, ValidationError
-from .estimators import NuisanceSpec, _check_estimators, _evaluate, _grid, _needs
+from .errors import CausalRulesError, RuleInfeasibleError, ValidationError
+from .estimators import NuisanceSpec, _check_estimators, _describe, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_count, _check_failures, replicate_streams
 from .ingest import Dataset, _binary, _check_levels, _check_unique, _distinct_rows, _subgroups
@@ -301,21 +301,26 @@ def true_psi(
 
 @dataclass(frozen=True)
 class BiasEntry:
-    """Simulation summary for one (family, target) cell."""
+    """Simulation summary for one (family, target) cell.  A cell with no
+    successful replicate has null estimates and, only then, ``bias_error``."""
 
     family: str
     target: int
     truth: float
-    mean_estimate: float
-    sd_estimate: float
-    bias: float
+    mean_estimate: float | None
+    sd_estimate: float | None
+    bias: float | None
     bias_pct: float | None
     n_effective: int
     drift: float | None = None
     drift_pct: float | None = None
+    bias_error: str | None = None
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        d = dict(vars(self))
+        if self.bias_error is None:
+            del d["bias_error"]
+        return d
 
 
 @dataclass(frozen=True)
@@ -435,6 +440,7 @@ def eta_bias_diagnostic(
     need_q = _needs((estimator,), families, alphas[0])[1]
     estimates = {a: {c: [] for c in cells} for a in live}
     drifts = {a: {c: [] for c in cells} for a in live}
+    first_errors = {a: {} for a in live}
     n_failed = dict.fromkeys(live, 0)
 
     for rng in replicate_streams(seed, replicates):
@@ -470,6 +476,7 @@ def eta_bias_diagnostic(
             for c, label in zip(cells, labels):
                 est = results[label]
                 if isinstance(est, CausalRulesError):
+                    first_errors[a].setdefault(c, est)
                     continue
                 estimates[a][c].append(est.psi)
                 if member_fit is not None and c[0] in drift_rules:
@@ -493,18 +500,24 @@ def eta_bias_diagnostic(
                 n_failed[a], replicates, "diagnostic", _stacklevel + 1, f" at alpha {a}"
             )
             entries[a] = tuple(
-                _bias_entry(*c, truths[a][c], estimates[a][c], drifts[a][c]) for c in cells
+                _bias_entry(*c, truths[a][c], estimates[a][c], drifts[a][c],
+                            first_errors[a].get(c))
+                for c in cells
             )
         reports.append(BiasReport(estimator, replicates, n_sim, seed, a, tuple(families),
                                   tuple(targets), entries[a], n_failed[a]))
     return reports[0] if single else reports
 
 
-def _bias_entry(family: str, target: int, truth: float, estimates: list, drifts: list) -> BiasEntry:
-    """One cell's summary over its successful replicates."""
+def _bias_entry(family: str, target: int, truth: float, estimates: list, drifts: list,
+                error: CausalRulesError | None) -> BiasEntry:
+    """One cell's summary over its successful replicates; ``error`` is the
+    cell's first failure, set whenever none succeeded (if every fit failed,
+    the failure fraction has raised)."""
     values = np.asarray(estimates, dtype=float)
     if values.size == 0:
-        raise EstimationError(f"no successful replicates for {family} target {target}")
+        return BiasEntry(family, target, truth, None, None, None, None, 0,
+                         bias_error=f"no successful replicates; first failure: {_describe(error)}")
     mean_est = float(values.mean())
     bias = mean_est - truth
     drift = float(np.mean(drifts) - truth) if drifts else None
@@ -532,11 +545,13 @@ class AlphaSweepResult:
     def from_reports(cls, reports, threshold_pct: float) -> "AlphaSweepResult":
         """The summary of bias reports at ascending alphas: each report's
         largest absolute bias percentage (across all family/target cells),
-        and the first alpha at which it falls below ``threshold_pct``."""
+        and the first alpha at which it falls below ``threshold_pct``.  A
+        cell without a successful replicate has no bounded bias, so its
+        report's largest is infinite."""
         alphas = tuple(r.alpha for r in reports)
         max_abs = tuple(
-            max((abs(e.bias_pct) for e in r.entries if e.bias_pct is not None),
-                default=float("inf"))
+            max((math.inf if e.bias_error else abs(e.bias_pct) for e in r.entries
+                 if e.bias_error or e.bias_pct is not None), default=math.inf)
             for r in reports
         )
         passing = next((a for a, w in zip(alphas, max_abs) if w < threshold_pct), None)

@@ -28,13 +28,13 @@ and estimators and collects the results in a tabular report.
 Every estimator runs on one pattern table per dataset (``_evaluate``).
 The models are evaluated once per dataset, on the distinct W rows only:
 the raw treatment probabilities ``G`` and the logit of the outcome
-regression ``M``, one column per level.  The distinct W rows are the
-dataset's one grouping, shared with the ``g`` and ``Q`` fits, so a
-dataset's rows are grouped once however many models and estimators
-read them.  The estimators, the fluctuation score and the relative-risk
-residual are all linear in the outcomes, so a mean over rows is a sum
-over distinct points weighted by the rows each stands for, divided by n.
-Each term is summed where it lives:
+regression ``M``, one column per level.  The (W, A) patterns are the
+dataset's own (``Dataset._wa_patterns``), shared with the ``g`` and
+``Q`` fits, so a dataset's rows are grouped once however many models
+and estimators read them.  The estimators, the fluctuation score and
+the relative-risk residual are all linear in the outcomes, so a mean
+over rows is a sum over distinct points weighted by the rows each
+stands for, divided by n.  Each term is summed where it lives:
 
 * terms at a rule's assigned level, over the distinct W rows weighted by
   their row counts: the rule's ``d(W)`` (for an ITT rule, on the rows
@@ -51,17 +51,19 @@ Each term is summed where it lives:
   Patterns left alone keep their observed level, with ``h = 1``, in the
   plug-ins too.
 
-The grid (``_grid``) walks rules, not cells.  Each family's targets are
-assigned in one pass into records on the table (``_Patterns.rule``),
-and the rules at one ``alpha`` share one feasibility matrix.  Each rule
-is then read once per weight denominator (``_Evaluation``): its support
-patterns, ``G`` and ``M`` at its assigned levels, ``Q``, the clever
-covariate on both parts and the DR-IPTW score.  G-computation, IPTW,
-DR-IPTW, the TMLE mean and RR-TMLE all read that one evaluation, and
-every fluctuation starts from the score at ``epsilon = 0`` its caller
-already holds.  Only the current rule's evaluations and its family's
-target-0 ones, which the relative risks divide by, are held.  Every
-inverse weight ``I(A = d)/g`` comes from ``_clever_covariate``.
+Every cell runs on the grid (``_grid``), also the one cell of
+``estimate_psi`` and ``tmle_relative_risk``.  The grid walks rules, not
+cells.  Each family's targets are assigned in one pass into records on
+the table (``_Patterns.rule``), and the rules at one ``alpha`` share
+one feasibility matrix.  Each rule is then read once per weight
+denominator (``_Evaluation``): its support patterns, ``G`` and ``M`` at
+its assigned levels, ``Q``, the clever covariate on both parts and the
+DR-IPTW score.  G-computation, IPTW, DR-IPTW, the TMLE mean and
+RR-TMLE all read that one evaluation, and every fluctuation starts from
+the score at ``epsilon = 0`` its caller already holds.  Only the
+current rule's evaluations and its family's target-0 ones, which the
+relative risks divide by, are held.  Every inverse weight
+``I(A = d)/g`` comes from ``_clever_covariate``.
 Feasibility sets always use the raw probabilities (see ``rules``);
 weight denominators use the truncated ones unless
 ``truncate_weights=False``.
@@ -92,7 +94,7 @@ from .glm import (
     fit_outcome_model,
     fit_treatment_model,
 )
-from .ingest import Dataset, _distinct_codes
+from .ingest import Dataset
 from .rules import Rule, assign, membership_matrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,13 +120,12 @@ _RR_MAX_ITER = 50
 class NuisanceSpec:
     """How to fit the nuisance models g(a|W) and Q(a,W) on a dataset.
 
-    ``None`` covariate lists mean "all dataset covariates"; empty tuples
-    give intercept-only models.  ``q_interactions`` lists
-    (covariate, level) product terms added to the outcome design.
+    ``g_covariates=None`` means every dataset covariate, an empty tuple
+    an intercept-only ``g``; ``Q`` reads every covariate, with the
+    (covariate, level) product terms ``q_interactions``.
     """
 
     g_covariates: tuple[str, ...] | None = None
-    q_covariates: tuple[str, ...] | None = None
     q_interactions: tuple[tuple[str, int], ...] = ()
     alpha_trunc: float = 0.05
 
@@ -134,9 +135,8 @@ class NuisanceSpec:
         )
 
     def fit_q(self, dataset: Dataset) -> OutcomeModel:
-        names = dataset.covariate_names if self.q_covariates is None else tuple(self.q_covariates)
         design = OutcomeDesign(
-            covariate_names=names,
+            covariate_names=dataset.covariate_names,
             n_treatment_levels=dataset.n_treatment_levels,
             interactions=tuple(self.q_interactions),
         )
@@ -275,27 +275,28 @@ def _evaluate(
     q_model: OutcomeModel | None,
     G: np.ndarray | None = None,
 ) -> _Patterns:
-    """Group a dataset into (W, A) patterns and evaluate the models once.
+    """A dataset's pattern table, with the models evaluated once.
 
-    The W rows are the dataset's own grouping, which the ``g`` and ``Q``
-    fits read too.  ``G`` and ``M`` are evaluated on the distinct W rows
-    only (:func:`~causalrules.glm._evaluate_models`).  A caller that
-    already holds ``g_model``'s raw probabilities on those rows, in the
+    The W rows and (W, A) patterns are the dataset's own
+    (``Dataset._wa_patterns``), which the ``g`` and ``Q`` fits read too.
+    ``G`` and ``M`` are evaluated on the distinct W rows only
+    (:func:`~causalrules.glm._evaluate_models`).  A caller that already
+    holds ``g_model``'s raw probabilities on those rows, in the
     grouping's order, hands them in as ``G``.  Every estimator runs on
     the returned table.
     """
     k = dataset.n_treatment_levels
     w_first, w_index = dataset._w_groups()
-    keys, inverse = _distinct_codes(w_index * k + dataset.a, w_first.size * k)
+    keys, successes, trials = dataset._wa_patterns()
     G_fit, M = _evaluate_models(
         dataset.w[w_first], dataset.covariate_names, g_model if G is None else None, q_model
     )
     G = G_fit if G is None else G
-    w, trials = keys // k, np.bincount(inverse).astype(float)
+    w = keys // k
     return _Patterns(
         w=w,
         a=keys % k,
-        successes=np.bincount(inverse, weights=dataset.y),
+        successes=successes,
         trials=trials,
         n_w=np.bincount(w, weights=trials, minlength=w_first.size),
         w_inverse=w_index,
@@ -521,24 +522,6 @@ def _check_models(estimator: str, rule: Rule, G, M) -> None:
         raise ValidationError(f"{rule.family} rules with alpha > 0 need a fitted treatment model")
 
 
-def psi_from_arrays(
-    estimator: str,
-    rule: Rule,
-    table: _Patterns,
-    G_weights: np.ndarray | None,
-) -> CounterfactualEstimate:
-    """One estimate of psi = E[Y_d] from a dataset's pattern table.
-
-    ``table`` holds the distinct covariate rows and (W, A) patterns, the
-    raw treatment probabilities ``G`` that define feasibility and the
-    logit ``M`` of the outcome regression (see :func:`_evaluate`);
-    ``G_weights`` are the probabilities used as weight denominators, one
-    row per distinct covariate row.
-    """
-    _check_estimators((estimator,))
-    return _psi(estimator, _Evaluation(table, rule, G_weights))
-
-
 def _psi(estimator: str, ev: _Evaluation) -> CounterfactualEstimate:
     """psi of a known ``estimator`` off the rule's evaluation."""
     table, rule = ev.table, ev.rule
@@ -597,13 +580,15 @@ def estimate_psi(
 ) -> CounterfactualEstimate:
     """Dispatch to one of the four counterfactual-mean estimators by name.
 
+    The estimate is the rule's one cell of the grid (:func:`_one_cell`).
     Only the models the estimator needs are evaluated: G-computation
     under a static rule (or at ``alpha == 0``) never touches ``g_model``.
     """
     need_g, need_q = _needs((estimator,), (rule.family,), rule.alpha)
     table = _evaluate(dataset, g_model if need_g else None, q_model if need_q else None)
-    return psi_from_arrays(
-        estimator, rule, table, _weight_scale(table.G, g_model, truncate_weights)
+    return _one_cell(
+        table, (rule.family, rule.target, estimator, "psi"), g_model, alpha=rule.alpha,
+        empty_set_policy=rule.empty_set_policy, truncate_weights=truncate_weights,
     )
 
 
@@ -706,37 +691,6 @@ def relative_risk_plugin(
         psi_numerator=numerator.psi,
         psi_denominator=denominator.psi,
     )
-
-
-def _rr_rules(
-    family: str, target: int, alpha: float, empty_set_policy: str, itt_covariate: str
-) -> tuple[Rule, Rule]:
-    """The numerator and denominator rules of a relative risk, checked."""
-    if target == 0:
-        raise ValidationError("relative-risk target must differ from the reference level 0")
-    if itt_covariate not in ("delta", "appendix"):
-        raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
-    return tuple(
-        Rule(family=family, target=t, alpha=alpha, empty_set_policy=empty_set_policy)
-        for t in (target, 0)
-    )
-
-
-def rr_tmle_from_arrays(
-    family: str,
-    target: int,
-    table: _Patterns,
-    G_weights: np.ndarray | None,
-    *,
-    alpha: float = 0.05,
-    empty_set_policy: str = "error",
-    itt_covariate: str = "delta",
-) -> RelativeRiskEstimate:
-    """Targeted estimate of theta = psi_target / psi_0 from a dataset's
-    pattern table (see :func:`psi_from_arrays` and
-    :func:`tmle_relative_risk`); the two rules' assignments are the table's."""
-    rules = _rr_rules(family, target, alpha, empty_set_policy, itt_covariate)
-    return _rr_tmle(*(_Evaluation(table, rule, G_weights) for rule in rules), itt_covariate)
 
 
 def _rr_covariates(
@@ -873,9 +827,10 @@ def tmle_relative_risk(
     the target and contrasts realistic-rule indicators on the rest.
     """
     table = _evaluate(dataset, g_model, q_model)
-    return rr_tmle_from_arrays(
-        family, target, table, _weight_scale(table.G, g_model, truncate_weights),
-        alpha=alpha, empty_set_policy=empty_set_policy, itt_covariate=itt_covariate,
+    return _one_cell(
+        table, (family, target, "tmle", "rr"), g_model, alpha=alpha,
+        empty_set_policy=empty_set_policy, truncate_weights=truncate_weights,
+        itt_covariate=itt_covariate,
     )
 
 
@@ -953,11 +908,13 @@ def _grid(
 
     def relative_risk(family: str, target: int, est: str):
         try:
-            if est == "tmle":
-                num, den = _rr_rules(family, target, alpha, empty_set_policy, itt_covariate)
-                return _rr_tmle(evaluation(num, est), evaluation(den, est), itt_covariate)
             if target == 0:
                 raise ValidationError("relative-risk target must differ from the reference level 0")
+            if est == "tmle":
+                if itt_covariate not in ("delta", "appendix"):
+                    raise ValidationError("itt_covariate must be 'delta' or 'appendix'")
+                num, den = evaluation(rule(family, target), est), evaluation(rule(family, 0), est)
+                return _rr_tmle(num, den, itt_covariate)
             num, den = psi(family, target, est), psi(family, 0, est)
             for part, value in (("numerator", num), ("denominator", den)):
                 if isinstance(value, CausalRulesError):
@@ -997,6 +954,16 @@ def _grid(
                     out[label] = relative_risk(*label[:3])
         held.clear()
     return {label: out[label] for label in labels}
+
+
+def _one_cell(table: _Patterns, label: tuple, g_model: TreatmentModel | None, **options):
+    """``label``'s estimate on a pattern table, from a grid of that one
+    label (:func:`_grid`, which takes ``options``).  A failed cell raises
+    a copy of its kept error, as :meth:`_Patterns.rule` does."""
+    value = _grid(table, [label], g_model, **options)[label]
+    if isinstance(value, CausalRulesError):
+        raise copy.copy(value)
+    return value
 
 
 @dataclass

@@ -9,15 +9,15 @@ Two nuisance models drive everything downstream:
   optional covariate-by-level interactions.
 
 Both fits take a :class:`~causalrules.ingest.Dataset`, whose covariates
-are binary, and run on sufficient statistics rather than rows.  The
-rows are grouped into distinct covariate patterns with per-level counts
-(``g``) and into distinct (covariate, treatment) patterns with successes
-out of trials (``Q``), so each Newton iteration costs the number of
-patterns, not the number of rows.  The covariate patterns are the
-dataset's own grouping, made once per dataset and shared with the
-estimators.  Binary covariates make the patterns few: a 20,000-row draw
-of the 15-covariate cohort system has about 2,400 distinct covariate
-rows.
+are binary, and run on sufficient statistics rather than rows: the
+dataset's distinct (covariate, treatment) patterns with their outcome
+successes out of trials, made once per dataset
+(``Dataset._wa_patterns``) and shared with the estimators.  The ``g``
+fit reads them as per-level counts of each distinct covariate row, the
+``Q`` fit as they are, so each Newton iteration costs the number of
+patterns, not the number of rows.  Binary covariates make the patterns
+few: a 20,000-row draw of the 15-covariate cohort system has about
+2,400 distinct covariate rows.
 
 The ``g`` fit's Fisher information is one product per Newton iteration.
 Each of its (level, level) blocks is a weighted sum of the same ``x x^T``
@@ -479,33 +479,38 @@ def _evaluate_models(
     return G, M
 
 
-def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _covariate_patterns(dataset: Dataset, names: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Distinct rows of the covariates ``names``, in byte order, and the
-    pattern of every row of the dataset.
+    dataset's (W, A) patterns over them: ``(w, keys, successes, trials)``
+    with the keys ``row * K + level`` ascending.
 
-    Read off the dataset's one grouping (``Dataset._w_groups``).  A
-    covariate subset regroups the distinct rows rather than the rows;
-    byte order is kept, so the patterns come out as :func:`_distinct_rows`
-    would give them on all the rows.
+    Read off the dataset's one pattern table (``Dataset._wa_patterns``).
+    A covariate subset regroups the distinct rows and then the patterns,
+    never the rows; byte order is kept, so the result is what grouping
+    all the rows on the subset would give.
     """
-    w = _columns_for(dataset.w, dataset.covariate_names, names)
-    first, inverse = dataset._w_groups()
-    if w is dataset.w:
-        return w[first], inverse
-    sub_first, sub_inverse = _distinct_rows(w[first])
-    return w[first[sub_first]], sub_inverse[inverse]
+    w = dataset.w[dataset._w_groups()[0]]
+    keys, successes, trials = dataset._wa_patterns()
+    if tuple(names) == dataset.covariate_names:
+        return w, keys, successes, trials
+    w = _columns_for(w, dataset.covariate_names, names)
+    first, inverse = _distinct_rows(w)
+    k = dataset.n_treatment_levels
+    keys, index = _distinct_codes(inverse[keys // k] * k + keys % k, first.size * k)
+    successes, trials = (np.bincount(index, weights=x) for x in (successes, trials))
+    return w[first], keys, successes, trials
 
 
 def fit_outcome_model(dataset: Dataset, design: OutcomeDesign | None = None) -> OutcomeModel:
     """Fit ``Q(a, W)`` on a dataset; default design is main effects plus level indicators.
 
-    The fit runs on the distinct (W, A) rows, each with its outcome
-    successes out of trials; only those rows get a design row.  The W
-    patterns are the dataset's own grouping (:func:`_covariate_patterns`).
-    The acceptance rule of :func:`_damped_newton` still counts every row
-    of the dataset.  A treatment level with no rows leaves its indicator
-    unidentified, so it raises :class:`SingularInformationError` naming
-    the levels before any Newton step.
+    The fit runs on the dataset's distinct (W, A) patterns, each with its
+    outcome successes out of trials (:func:`_covariate_patterns`); only
+    those get a design row.  The acceptance rule of :func:`_damped_newton`
+    still counts every row of the dataset.  A treatment level with no
+    rows leaves its indicator unidentified, so it raises
+    :class:`SingularInformationError` naming the levels before any Newton
+    step.
     """
     if design is None:
         design = OutcomeDesign(
@@ -515,19 +520,15 @@ def fit_outcome_model(dataset: Dataset, design: OutcomeDesign | None = None) -> 
     elif design.n_treatment_levels != dataset.n_treatment_levels:
         raise ValidationError("design and dataset disagree on the number of treatment levels")
     k = dataset.n_treatment_levels
-    absent = np.flatnonzero(np.bincount(dataset.a, minlength=k) == 0).tolist()
+    absent = np.flatnonzero(np.bincount(dataset._wa_patterns()[0] % k, minlength=k) == 0).tolist()
     if absent:
         raise SingularInformationError(
             f"treatment levels {absent} have no rows; the outcome model cannot "
             "estimate their indicators"
         )
-    w, w_index = _covariate_patterns(dataset, design.covariate_names)
-    keys, inverse = _distinct_codes(w_index * k + dataset.a, w.shape[0] * k)
+    w, keys, successes, trials = _covariate_patterns(dataset, design.covariate_names)
     coef, fit_info = _fit_binomial(
-        design.matrix(keys % k, w[keys // k]),
-        np.bincount(inverse, weights=dataset.y),
-        np.bincount(inverse).astype(float),
-        dataset.n, design.column_names,
+        design.matrix(keys % k, w[keys // k]), successes, trials, dataset.n, design.column_names,
     )
     return OutcomeModel(design=design, coef=coef, info=fit_info)
 
@@ -736,28 +737,25 @@ def _multinomial_information(
 
 def _fit_multinomial(
     w: np.ndarray,
-    inverse: np.ndarray,
-    a: np.ndarray,
-    k_levels: int,
+    counts: np.ndarray,
     covariate_names: tuple[str, ...],
     alpha_trunc: float,
 ) -> TreatmentModel:
     """A main-effects multinomial logit of treatment level on the distinct
-    binary covariate rows ``w``, where ``inverse`` gives the row of ``w``
-    of each observation and ``a`` its level (see :func:`fit_treatment_model`)."""
+    binary covariate rows ``w``, where ``counts[i, l]`` counts the
+    observations of level ``l`` at row ``i`` (see :func:`fit_treatment_model`)."""
     if not 0.0 <= alpha_trunc < 1.0:
         raise ValidationError("alpha_trunc must lie in [0, 1)")
-    n = a.size
     m, p = w.shape
+    k_levels = counts.shape[1]
     X = np.column_stack([np.ones(m), np.asarray(w, dtype=float)])
-    counts = np.bincount(inverse * k_levels + a, minlength=m * k_levels)
-    counts = counts.reshape(m, k_levels).astype(float)
     if not counts[:, 0].any():
         raise SingularInformationError(
             "treatment level 0 has no rows; it is the treatment model's reference "
             "level, so the other levels' coefficients are not identified"
         )
     totals = counts.sum(axis=1)
+    n = int(totals.sum())
     observed = np.flatnonzero(counts)
     observed_counts = counts.ravel()[observed]
     q = p + 1
@@ -839,19 +837,19 @@ def fit_treatment_model(
     and feature.
 
     The free coefficients are fitted by :func:`_damped_newton`, which
-    stops by ``GTOL`` and ``MAX_ITER``, on the dataset's own grouping of
-    its covariate rows (:func:`_covariate_patterns`), each with its count
-    of every level, so the fit's cost follows the number of covariate
-    patterns.
+    stops by ``GTOL`` and ``MAX_ITER``, on the dataset's distinct
+    covariate rows, each with its count of every level scattered from
+    the dataset's (W, A) patterns (:func:`_covariate_patterns`), so the
+    fit's cost follows the number of covariate patterns.
     """
     if covariate_names is None:
         covariate_names = dataset.covariate_names
     else:
         covariate_names = tuple(covariate_names)
-    w, inverse = _covariate_patterns(dataset, covariate_names)
-    return _fit_multinomial(
-        w, inverse, dataset.a, dataset.n_treatment_levels, covariate_names, alpha_trunc
-    )
+    w, keys, _, trials = _covariate_patterns(dataset, covariate_names)
+    counts = np.zeros((w.shape[0], dataset.n_treatment_levels))
+    counts.ravel()[keys] = trials
+    return _fit_multinomial(w, counts, covariate_names, alpha_trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,9 @@ class Dataset:
     truncated.
 
     A dataset is grouped once into its distinct covariate rows
-    (:meth:`_w_groups`); the ``g`` and ``Q`` fits, the estimators and
-    the positivity report all read that one grouping.  The arrays are
-    taken as they are, so they must not be changed in place afterwards.
+    (:meth:`_w_groups`) and into its (W, A) patterns on them
+    (:meth:`_wa_patterns`), which the fits and the estimators read.  The
+    arrays are taken as they are, so they must not be changed in place.
     A caller that already knows that grouping may hand it in as
     ``_groups``, as the simulator does for the support cells it draws,
     :func:`load_csv` for the distinct lines it reads and :meth:`take`
@@ -162,6 +162,9 @@ class Dataset:
     n_treatment_levels: int = DEFAULT_K
     dropped_rows: int = field(default=0, compare=False)
     _groups: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _patterns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -199,6 +202,21 @@ class Dataset:
         if self._groups is None:
             object.__setattr__(self, "_groups", _distinct_rows(self.w))
         return self._groups
+
+    def _wa_patterns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, successes, trials)`` of the distinct (W, A) patterns,
+        computed on first use and kept, read-only: the keys ``row * K +
+        level`` over the rows of :meth:`_w_groups` ascend, and each
+        pattern's ``trials`` rows hold ``successes`` outcomes 1 (floats)."""
+        if self._patterns is None:
+            first, inverse = self._w_groups()
+            k = self.n_treatment_levels
+            keys, index = _distinct_codes(inverse * k + self.a, first.size * k)
+            table = (keys, np.bincount(index, weights=self.y), np.bincount(index).astype(float))
+            for x in table:
+                x.flags.writeable = False
+            object.__setattr__(self, "_patterns", table)
+        return self._patterns
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):

@@ -261,6 +261,39 @@ def test_diagnose_dgp_mode(tmp_path, capsys):
     assert "alpha sweep" in capsys.readouterr().out
 
 
+def test_diagnose_records_a_cell_without_successful_replicates(tmp_path):
+    """At n = 100 every replicate's realistic target 0 leaves some row with
+    no feasible level.  The run records that cell with a null bias and the
+    reason, and every other cell with its numbers; a sweep reads its alpha's
+    largest bias as unbounded."""
+    outdir = tmp_path / "diag"
+    with pytest.warns(UserWarning, match="2 of 20 diagnostic replicates failed"):
+        rc = main(["diagnose", "--dgp", "cohort", "--estimator", "iptw", "--n-sim", "100",
+                   "--replicates", "20", "--seed", "0", "--alpha-sweep", "0.05",
+                   "--output-dir", str(outdir)])
+    assert rc == 0
+    sweep = json.loads((outdir / "alpha_sweep.json").read_text())
+    assert sweep["max_abs_bias_pct"] == [float("inf")]
+    assert sweep["smallest_passing_alpha"] is None
+    entries = json.loads((outdir / "eta_bias.json").read_text())["entries"]
+    assert len(entries) == 18
+    for e in entries:
+        if (e["family"], e["target"]) == ("realistic", 0):
+            assert e["bias_error"].startswith(
+                "no successful replicates; first failure: RuleInfeasibleError: "
+                "no feasible level at or below target 0 for rows "
+            )
+            assert e["n_effective"] == 0
+            assert [e[k] for k in ("mean_estimate", "sd_estimate", "bias", "bias_pct",
+                                   "drift", "drift_pct")] == [None] * 6
+        else:
+            assert "bias_error" not in e and e["n_effective"] > 0
+            assert all(isinstance(e[k], float) for k in ("mean_estimate", "sd_estimate",
+                                                           "bias", "bias_pct"))
+    rows = list(csv.reader((outdir / "eta_bias.csv").read_text().splitlines()))
+    assert rows[1] == ["0", "2.19%", "", "-11.03%"]
+
+
 def test_a_sweep_leaves_the_main_report_and_matches_runs_at_its_alphas(tmp_path):
     """Adding ``--alpha-sweep`` leaves ``eta_bias.json`` byte for byte, and
     each sweep report is the report of a run at that ``--alpha`` alone."""

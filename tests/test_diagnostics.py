@@ -11,6 +11,7 @@ from causalrules import (
     Dataset,
     GeneratingDistribution,
     NuisanceSpec,
+    OutcomeDesign,
     Rule,
     RuleInfeasibleError,
     ValidationError,
@@ -19,6 +20,7 @@ from causalrules import (
     cohort_dgp,
     estimate_suite,
     eta_bias_diagnostic,
+    fit_outcome_model,
     generate,
     make_outcome_model,
     make_treatment_model,
@@ -315,10 +317,13 @@ def test_eta_bias_with_covariate_subsets_is_unchanged():
     """The g and Q fits on covariate subsets regroup the distinct rows, not
     the rows.  The numbers below were computed by grouping the subset's
     rows directly."""
-    spec = NuisanceSpec(
-        g_covariates=("AGE.4", "AGE.5", "HLT.POOR", "CARD", "FEMALE"),
-        q_covariates=("SMK.CURR", "AGE.5", "HLT.FAIR", "DECLINE"),
-    )
+
+    class SubsetSpec(NuisanceSpec):
+        def fit_q(self, dataset):
+            names = ("SMK.CURR", "AGE.5", "HLT.FAIR", "DECLINE")
+            return fit_outcome_model(dataset, OutcomeDesign(names, dataset.n_treatment_levels))
+
+    spec = SubsetSpec(g_covariates=("AGE.4", "AGE.5", "HLT.POOR", "CARD", "FEMALE"))
     report = eta_bias_diagnostic(
         cohort_dgp(), estimator="driptw", targets=(0, 3, 5), replicates=4, n_sim=2000,
         seed=3, spec=spec, empty_set_policy="assign_min_realistic",
@@ -680,8 +685,8 @@ def test_eta_bias_computes_only_the_psi_of_its_cells(monkeypatch, gen_nv):
     import causalrules.estimators as est_module
 
     calls = []
-    original = est_module.rr_tmle_from_arrays
-    monkeypatch.setattr(est_module, "rr_tmle_from_arrays",
+    original = est_module._rr_tmle
+    monkeypatch.setattr(est_module, "_rr_tmle",
                         lambda *a, **k: calls.append(1) or original(*a, **k))
     report = eta_bias_diagnostic(gen_nv, estimator="tmle", targets=(0, 2), replicates=2,
                                  n_sim=400)

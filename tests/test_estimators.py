@@ -46,10 +46,9 @@ from causalrules.estimators import (
     _describe,
     _evaluate,
     _grid,
+    _one_cell,
     _Patterns,
     _weight_scale,
-    psi_from_arrays,
-    rr_tmle_from_arrays,
 )
 from causalrules.glm import fit_fluctuation
 from causalrules.rules import (
@@ -316,6 +315,10 @@ def test_estimate_psi_dispatch_validation(data_nv, models_nv):
         estimate_psi("gcomp", data_nv, g_model, None, rule)
     with pytest.raises(ValidationError, match="treatment model"):
         estimate_psi("iptw", data_nv, None, q_model, rule)
+    # A realistic rule's feasible sets read g, also under G-computation.
+    with pytest.raises(ValidationError,
+                       match=r"^realistic rules with alpha > 0 need a fitted treatment model$"):
+        gcomp(data_nv, q_model, Rule("realistic", 1, alpha=0.05))
     # gcomp under a static rule never needs g.
     est = estimate_psi("gcomp", data_nv, None, q_model, rule)
     assert 0.0 <= est.psi <= 1.0
@@ -357,6 +360,48 @@ def test_estimate_suite_records_cell_failures(data_nv, models_nv):
     assert "RuleInfeasibleError" in real_cell.psi_error
     d = report.to_dict()
     assert d["cells"][0]["family"] == "static"
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"targets": (6,)}, "ValidationError: target 6 outside 0..5"),
+    ({"families": ("bogus",)}, "ValidationError: unknown rule family 'bogus'; "
+                               "expected one of ('static', 'realistic', 'itt')"),
+])
+def test_estimate_suite_records_rules_that_cannot_be_made_or_assigned(
+    data_nv, models_nv, options, message
+):
+    """A target past the last level fails when its rule is assigned, an
+    unknown family when its rule is made; every cell records the error,
+    and each plug-in relative risk names it as its numerator's."""
+    report = estimate_suite(data_nv, *models_nv, **options)
+    assert report.cells
+    for c in report.cells:
+        assert c.psi is None and c.psi_error == message
+        if c.estimator == "tmle":
+            assert c.rr_error == message
+        else:
+            assert c.rr_error == f"EstimationError: numerator failed: {message}"
+
+
+def test_a_dataset_is_grouped_into_patterns_once(monkeypatch):
+    """Both fits and the grid read one (W, A) pattern table per dataset,
+    so the rows are grouped into patterns once, whatever reads them."""
+    from causalrules import ingest
+
+    ds = generate(DGP_REGISTRY["cohort"](), 3000, seed=0)
+    row_groupings = []
+    distinct_codes = ingest._distinct_codes
+
+    def counted(codes, size):
+        if codes.size == ds.n:
+            row_groupings.append(size)
+        return distinct_codes(codes, size)
+
+    for module in (ingest, glm, estimators):
+        monkeypatch.setattr(module, "_distinct_codes", counted, raising=False)
+    estimate_suite(ds, fit_treatment_model(ds), fit_outcome_model(ds))
+    assert row_groupings == [ds._w_groups()[0].size * ds.n_treatment_levels]
+    assert ds._wa_patterns()[0].size < ds.n
 
 
 def test_untruncated_weights_at_a_structural_zero_fail_only_the_tmle_cells():
@@ -548,23 +593,22 @@ def test_estimators_on_patterns_equal_the_expanded_rows(data):
         return
     grouped = _evaluate(ds, g_model, q_model)
     assert grouped.a.size < ds.n
-    tables = [
-        (table, _weight_scale(table.G, g_model, truncate))
-        for table in (grouped, _expanded(ds, grouped))
-    ]
+    tables = grouped, _expanded(ds, grouped)
+    options = dict(alpha=alpha, empty_set_policy=policy, truncate_weights=truncate)
     for family in FAMILIES:
         for target in range(ds.n_treatment_levels):
             rule = Rule(family=family, target=target, alpha=alpha, empty_set_policy=policy)
             for est in ESTIMATORS:
-                got = _outcome(psi_from_arrays, est, rule, *tables[0])
-                want, problems = _recorded(psi_from_arrays, est, rule, *tables[1])
+                label = (family, target, est, "psi")
+                got = _outcome(_one_cell, tables[0], label, g_model, **options)
+                want, problems = _recorded(_one_cell, tables[1], label, g_model, **options)
                 _assert_same_estimate(got, want, (rule, est), problems)
             for covariate in ("delta", "appendix") if target else ():
-                options = dict(alpha=alpha, empty_set_policy=policy, itt_covariate=covariate)
-                got = _outcome(rr_tmle_from_arrays, family, target, *tables[0], **options)
-                want, problems = _recorded(
-                    rr_tmle_from_arrays, family, target, *tables[1], **options
-                )
+                label = (family, target, "tmle", "rr")
+                got = _outcome(_one_cell, tables[0], label, g_model, **options,
+                               itt_covariate=covariate)
+                want, problems = _recorded(_one_cell, tables[1], label, g_model, **options,
+                                           itt_covariate=covariate)
                 _assert_same_estimate(got, want, (rule, covariate), problems)
 
 
@@ -584,11 +628,10 @@ def test_a_flat_fluctuation_score_fixes_psi_but_not_epsilon():
     assert ds.y[ds.a == 3].all()
     g_model, q_model = fit_treatment_model(ds), fit_outcome_model(ds)
     grouped = _evaluate(ds, g_model, q_model)
-    rule = Rule(family="static", target=3)
     psis = []
     for table in (grouped, _expanded(ds, grouped)):
         G_weights = _weight_scale(table.G, g_model, True)
-        est = psi_from_arrays("tmle", rule, table, G_weights)
+        est = _one_cell(table, ("static", 3, "tmle", "psi"), g_model, alpha=0.05)
         h = np.where(table.a == 3, 1.0 / G_weights[table.w, 3], 0.0)
         m = table.M[table.w, table.a]
 

@@ -126,6 +126,33 @@ def test_multinomial_iteration_budget(monkeypatch):
     assert len(err.value.trace) == 1
 
 
+def test_a_stalled_line_search_accepts_a_score_below_the_per_row_bound(monkeypatch):
+    """At GTOL = 0 the score never converges.  Once no halving of the step
+    raises the log-likelihood or lowers the score, the g fit is accepted
+    because its score is below 1e-8 per row, well inside the budget."""
+    ds = generate(cohort_dgp(), 2000, seed=0)
+    monkeypatch.setattr(glm, "GTOL", 0.0)
+    info = fit_treatment_model(ds).info
+    assert info.converged and info.iterations == 10 < glm.MAX_ITER
+    assert 0.0 < info.grad_norm <= 1e-8 * ds.n
+
+
+def test_a_spent_budget_accepts_a_score_below_the_per_row_bound(monkeypatch):
+    """Seven full Newton steps leave the Q fit's score above GTOL but below
+    1e-8 per row, so the fit is accepted when the budget runs out: one
+    log-likelihood at the start and one per step, no failed search."""
+    ds = generate(cohort_dgp(), 2000, seed=0)
+    evaluations = []
+    loglik = glm._bernoulli_loglik
+    monkeypatch.setattr(glm, "_bernoulli_loglik",
+                        lambda *args: evaluations.append(1) or loglik(*args))
+    monkeypatch.setattr(glm, "GTOL", 1e-300)
+    monkeypatch.setattr(glm, "MAX_ITER", 7)
+    info = fit_outcome_model(ds).info
+    assert info.converged and info.iterations == 7 and len(evaluations) == 8
+    assert glm.GTOL < info.grad_norm <= 1e-8 * ds.n
+
+
 def test_identical_covariate_columns_make_both_fits_singular():
     """Two copies of one covariate leave the split of its coefficient
     between them unidentified, in ``Q`` and in ``g`` alike."""
@@ -530,9 +557,9 @@ def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
     model = fit_treatment_model(ds, covariate_names=names)
     w = _columns_for(ds.w, ds.covariate_names, names)
     first, inverse = _distinct_rows(w)
-    direct = glm._fit_multinomial(
-        w[first], inverse, ds.a, ds.n_treatment_levels, names, 0.05
-    )
+    k = ds.n_treatment_levels
+    counts = np.bincount(inverse * k + ds.a, minlength=first.size * k).reshape(-1, k)
+    direct = glm._fit_multinomial(w[first], counts.astype(float), names, 0.05)
     np.testing.assert_array_equal(model.coef, direct.coef)
     assert model.structural_zeros == direct.structural_zeros
     assert model.info == direct.info
@@ -577,8 +604,9 @@ def test_information_equals_its_blocks_at_the_fitted_probabilities(name, subset)
     information as the block-by-block definition does, pins included."""
     ds = generate(DGP_REGISTRY[name](), 3000, seed=5)
     model = fit_treatment_model(ds, covariate_names=subset)
-    w, inverse = glm._covariate_patterns(ds, model.covariate_names)
-    totals = np.bincount(inverse, minlength=w.shape[0]).astype(float)
+    w, keys, _, trials = glm._covariate_patterns(ds, model.covariate_names)
+    k = ds.n_treatment_levels
+    totals = np.bincount(keys // k, weights=trials, minlength=w.shape[0])
     probs = model.predict_raw(w)
     free = _free_coefficients(model)
     if name in ("cohort", "structural_zero"):
@@ -644,7 +672,8 @@ def test_structural_zeros_from_one_product_match_the_per_column_definition():
     for name, make in DGP_REGISTRY.items():
         for n in (100, 2000):
             ds = generate(make(), n, seed=1)
-            w, inverse = glm._covariate_patterns(ds, ds.covariate_names)
+            first, inverse = _distinct_rows(ds.w)
+            w = ds.w[first]
             X = np.column_stack([np.ones(w.shape[0]), w])
             k = ds.n_treatment_levels
             counts = np.bincount(inverse * k + ds.a, minlength=w.shape[0] * k)

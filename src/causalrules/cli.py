@@ -300,9 +300,9 @@ def _make_dgp(name: str, alpha_trunc: float = 0.05) -> GeneratingDistribution:
 
 
 def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv_table(path: Path, header: list[str], rows: list[list[str]]) -> None:

@@ -40,7 +40,7 @@ from .errors import CausalRulesError, RuleInfeasibleError, ValidationError
 from .estimators import NuisanceSpec, _check_estimators, _describe, _evaluate, _grid, _needs
 from .glm import OutcomeModel, TreatmentModel, _evaluate_models, _expit
 from .inference import _check_count, _check_failures, replicate_streams
-from .ingest import Dataset, _binary, _check_levels, _check_unique, _distinct_rows, _subgroups
+from .ingest import Dataset, _binary, _check_levels, _check_unique, _distinct_rows, _group_codes
 from .rules import Rule, assign, membership_matrix
 
 FAMILY_LABELS = {"static": "Static", "realistic": "Realistic", "itt": "ITT"}
@@ -237,7 +237,7 @@ def generate(
     a = _draw_levels(gen, cells, rng.random(n))
     y = (rng.random(n) < gen.support_q()[cells, a]).astype(np.int64)
     support_first, support_inverse = gen._support_groups
-    first, inverse = _subgroups(support_inverse, support_first.size, cells)
+    first, inverse = _group_codes(support_inverse[cells], support_first.size)
     # The draw makes every other value valid; these the system does not.
     _check_unique(gen.covariate_names)
     _check_levels(a, gen.n_treatment_levels)
@@ -349,14 +349,20 @@ class BiasReport:
         return d
 
     def bias_table(self) -> tuple[list[str], list[list[str]]]:
-        """Rows per target level, one bias-percent column per family."""
+        """Rows per target level, one bias-percent column per family.
+
+        A cell with no successful replicate reads ``error: <bias_error>``;
+        one whose truth is 0, and so has no bias percent, is empty."""
         header = ["target"] + [FAMILY_LABELS.get(f, f) for f in self.families]
         rows = []
         for target in self.targets:
             row = [str(target)]
             for family in self.families:
                 e = self.entry(family, target)
-                row.append("" if e.bias_pct is None else f"{e.bias_pct:.2f}%")
+                if e.bias_error is not None:
+                    row.append(f"error: {e.bias_error}")
+                else:
+                    row.append("" if e.bias_pct is None else f"{e.bias_pct:.2f}%")
             rows.append(row)
         return header, rows
 

@@ -88,6 +88,7 @@ from .glm import (
     OutcomeDesign,
     OutcomeModel,
     TreatmentModel,
+    _bare_expit,
     _evaluate_models,
     _expit,
     fit_fluctuation,
@@ -250,11 +251,22 @@ class _Patterns:
                 if rule.family == "itt":
                     ruled = member[:, rule.target]
                     rows = np.flatnonzero(ruled)
+                    left = ~ruled[self.w]
                 else:
-                    ruled, rows = np.ones(size, dtype=bool), np.arange(size)
-                left = ~ruled[self.w]
+                    ruled, rows, left = self._every_row
                 d = _RuleRows(ruled, d, rows, left, left | (self.a == d[self.w]))
             self._rules[rule] = d
+
+    @cached_property
+    def _every_row(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ruled``, ``rows`` and ``left`` of a rule that moves every
+        covariate row (a static or realistic rule), made once per table
+        and shared, read-only, by every such rule."""
+        size = self.n_w.size
+        arrays = (np.ones(size, dtype=bool), np.arange(size), np.zeros(self.w.size, dtype=bool))
+        for x in arrays:
+            x.flags.writeable = False
+        return arrays
 
     def _membership(self, rule: Rule) -> np.ndarray | None:
         """The feasibility matrix ``rule`` reads off ``G``, made once per
@@ -766,23 +778,24 @@ def _rr_tmle(num: _Evaluation, den: _Evaluation, itt_covariate: str) -> Relative
     epsilons: list[float] = []
     residual = np.inf
     theta, psi_num, psi_den, h, score = plugins(q)
-    for _ in range(_RR_MAX_ITER):
-        eps = fit_fluctuation(
-            s0, h[:n0], m[:n0], trials=t0, n_obs=n, _start=(q[:n0], score)
-        ).epsilon
-        epsilons.append(eps)
-        m = m + eps * h
-        q = _expit(m)
-        theta, psi_num, psi_den, h, score = plugins(q)
-        residual = score / n
-        if abs(eps) < _RR_EPS_TOL and abs(residual) <= _RR_RESIDUAL_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"relative-risk targeting did not converge in {_RR_MAX_ITER} iterations "
-            f"(last epsilon {epsilons[-1]:.3e}, residual {residual:.3e})",
-            trace=epsilons,
-        )
+    with np.errstate(over="ignore"):  # for every ``_bare_expit``
+        for _ in range(_RR_MAX_ITER):
+            eps = fit_fluctuation(
+                s0, h[:n0], m[:n0], trials=t0, n_obs=n, _start=(q[:n0], score)
+            ).epsilon
+            epsilons.append(eps)
+            m = m + eps * h
+            q = _bare_expit(m)
+            theta, psi_num, psi_den, h, score = plugins(q)
+            residual = score / n
+            if abs(eps) < _RR_EPS_TOL and abs(residual) <= _RR_RESIDUAL_TOL:
+                break
+        else:
+            raise ConvergenceError(
+                f"relative-risk targeting did not converge in {_RR_MAX_ITER} iterations "
+                f"(last epsilon {epsilons[-1]:.3e}, residual {residual:.3e})",
+                trace=epsilons,
+            )
     return RelativeRiskEstimate(
         estimator="tmle",
         family=family,

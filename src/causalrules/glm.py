@@ -195,7 +195,13 @@ def _expit(x: np.ndarray) -> np.ndarray:
     under 1.4e-308), so the overflow warning is silenced.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return _bare_expit(x)
+
+
+def _bare_expit(x: np.ndarray) -> np.ndarray:
+    """:func:`_expit` without its error state, for the loops that enter
+    ``np.errstate(over="ignore")`` once around all their calls."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _bernoulli_loglik(eta: np.ndarray, y: np.ndarray, trials=1.0) -> float:
@@ -216,7 +222,7 @@ def _fit_binomial(
 
     def evaluate(beta):
         eta = X @ beta
-        p = _expit(eta)
+        p = _bare_expit(eta)
         return p, _bernoulli_loglik(eta, successes, trials), X.T @ (successes - trials * p)
 
     def information(p):
@@ -230,7 +236,8 @@ def _fit_binomial(
                 feature=feature_names[j],
             )
 
-    return _damped_newton(evaluate, information, check_separation, X.shape[1], n, "logistic")
+    with np.errstate(over="ignore"):  # for every ``evaluate``
+        return _damped_newton(evaluate, information, check_separation, X.shape[1], n, "logistic")
 
 
 @dataclass(frozen=True)
@@ -311,49 +318,50 @@ def fit_fluctuation(
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
     trace: list[float] = []
-    for it in range(MAX_ITER):
-        if it == 0 and _start is not None:
-            p, score = _start
-            tp = t * p
-        else:
-            p = _expit(offset + eps * h)
-            tp = t * p
-            score = float(h @ (y - tp))
-        trace.append(abs(score))
-        if abs(score) <= FLUCTUATION_GTOL:
-            break
-        if score > 0.0:
-            lo = eps
-        else:
-            hi = eps
-        info = float((h * (tp * (1.0 - p))) @ h)
-        nxt = eps + score / info if info > 0.0 else math.nan
-        # A Newton update below float resolution (nxt == eps) goes straight
-        # to the collapse test; any other step bisects when it would leave
-        # the bracket or when this iterate did not reduce |s|.
-        if nxt != eps and (not lo < nxt < hi or abs(score) >= last):
-            nxt = 0.5 * (lo + hi)
-        if not lo < nxt < hi:
-            # The bracket has collapsed to float resolution around eps; if
-            # eps sits against a bound and s points outward, the root
-            # lies beyond it.
-            if abs(eps) >= math.nextafter(_SEPARATION_BOUND, 0.0) and score * eps > 0.0:
-                raise SeparationError(
-                    "perfect separation: coefficient for 'h' diverges", feature="h"
-                )
-            if abs(score) <= accept_tol:
+    with np.errstate(over="ignore"):  # for every ``_bare_expit``
+        for it in range(MAX_ITER):
+            if it == 0 and _start is not None:
+                p, score = _start
+                tp = t * p
+            else:
+                p = _bare_expit(offset + eps * h)
+                tp = t * p
+                score = float(h @ (y - tp))
+            trace.append(abs(score))
+            if abs(score) <= FLUCTUATION_GTOL:
                 break
+            if score > 0.0:
+                lo = eps
+            else:
+                hi = eps
+            info = float((h * (tp * (1.0 - p))) @ h)
+            nxt = eps + score / info if info > 0.0 else math.nan
+            # A Newton update below float resolution (nxt == eps) goes straight
+            # to the collapse test; any other step bisects when it would leave
+            # the bracket or when this iterate did not reduce |s|.
+            if nxt != eps and (not lo < nxt < hi or abs(score) >= last):
+                nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                # The bracket has collapsed to float resolution around eps; if
+                # eps sits against a bound and s points outward, the root
+                # lies beyond it.
+                if abs(eps) >= math.nextafter(_SEPARATION_BOUND, 0.0) and score * eps > 0.0:
+                    raise SeparationError(
+                        "perfect separation: coefficient for 'h' diverges", feature="h"
+                    )
+                if abs(score) <= accept_tol:
+                    break
+                raise ConvergenceError(
+                    f"fluctuation fit stalled with score {abs(score):.3e} > {accept_tol:.1e}",
+                    trace,
+                )
+            eps, last = nxt, abs(score)
+        else:
             raise ConvergenceError(
-                f"fluctuation fit stalled with score {abs(score):.3e} > {accept_tol:.1e}",
+                f"fluctuation fit did not converge in {MAX_ITER} iterations "
+                f"(score {trace[-1]:.3e})",
                 trace,
             )
-        eps, last = nxt, abs(score)
-    else:
-        raise ConvergenceError(
-            f"fluctuation fit did not converge in {MAX_ITER} iterations "
-            f"(score {trace[-1]:.3e})",
-            trace,
-        )
     return FluctuationFit(eps, _FluctuationInfo(True, it, trace[-1]))
 
 
@@ -862,9 +870,9 @@ def save_models(path, treatment: TreatmentModel, outcome: OutcomeModel, meta: di
         "outcome": outcome.to_dict(),
         "meta": dict(meta or {}),
     }
+    text = json.dumps(bundle, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_models(path) -> tuple[TreatmentModel, OutcomeModel, dict]:

@@ -10,7 +10,9 @@ which is mapped onto six ordered categories by :func:`categorize_met`.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 from dataclasses import dataclass, field, fields
 from itertools import chain, count, islice
 
@@ -73,9 +75,11 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     float copy.  A matrix with no columns is one group.  This is the one
     grouping of rows into patterns: a :class:`Dataset` groups its
     covariates with it once, and the fits group their own arrays with it.
-    :func:`load_csv` runs it on the distinct lines of a file, not on every
-    row, and hands the dataset the result mapped back to the rows; it
-    equals this function's result on the dataset's ``w``.
+    :func:`load_csv` hands the dataset a grouping equal to this
+    function's result on its ``w``: the line path runs it on the distinct
+    lines of a file, not on every row, and maps the result back to the
+    rows; the array path groups each row's covariates packed into one
+    integer key (:func:`_load_fixed_width`).
     """
     n, p = x.shape
     if p == 0:
@@ -233,8 +237,9 @@ class Dataset:
         """Row-subset (or resample) the dataset by integer indices.
 
         The rows are this dataset's checked arrays, and their grouping is
-        this dataset's mapped through ``indices`` (:func:`_subgroups`), so
-        nothing is checked or grouped again.
+        this dataset's mapped through ``indices``: the picked groups keep
+        their byte order, so ranking them is enough (:func:`_group_codes`),
+        and nothing is checked or grouped again.
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
@@ -248,7 +253,7 @@ class Dataset:
             y=self.y[idx],
             covariate_names=self.covariate_names,
             n_treatment_levels=self.n_treatment_levels,
-            _groups=_subgroups(inverse, first.size, idx),
+            _groups=_group_codes(inverse[idx], first.size),
         )
 
     @classmethod
@@ -267,15 +272,15 @@ class Dataset:
         return self
 
 
-def _subgroups(inverse: np.ndarray, size: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grouping of the rows ``idx`` picks from rows grouped by
-    ``inverse`` into ``size`` groups in byte order: ``(first, inverse)``
-    as :func:`_distinct_rows` gives them on the picked rows.  The picked
-    groups keep their byte order, so ranking them is enough."""
-    present, sub = _distinct_codes(inverse[idx], size)
-    first = np.full(present.size, idx.size)
-    np.minimum.at(first, sub, np.arange(idx.size))
-    return first, sub
+def _group_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of rows coded by integer codes in
+    ``0..size-1``, as :func:`_distinct_rows` gives them on those rows,
+    when the codes keep the rows' byte order: the distinct codes ascend,
+    so ranking them is enough, in O(n + size)."""
+    present, inverse = _distinct_codes(codes, size)
+    first = np.full(present.size, codes.size)
+    np.minimum.at(first, inverse, np.arange(codes.size))
+    return first, inverse
 
 
 def _parse_cell(raw: str, row: int, column: str, kind: str) -> float | None:
@@ -631,7 +636,147 @@ def load_csv(
     a name, and one that no other header column has.  Rows with any
     missing field are dropped and counted in ``Dataset.dropped_rows``;
     unparseable cells raise :class:`ValidationError` naming the row and
-    column.  A UTF-8 byte-order mark before the header is ignored.
+    column.  A UTF-8 byte-order mark before the header is ignored.  A
+    file that is not UTF-8 text, or that the CSV reader rejects (a field
+    over the reader's size limit), raises :class:`ValidationError`
+    naming the file.
+
+    The file is read once as bytes and loaded by one of two paths, which
+    give equal datasets.  A fixed-width file (every data line the
+    header's field count of one-byte cells, each used cell a valid
+    digit; see :func:`_load_fixed_width`) is loaded as one array view of
+    its bytes.  That path raises no error of its own: any file it
+    declines goes, whole and from its first line, to the line path
+    (:func:`_load_lines`), which makes every message about the rows.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    args = (path, raw, covariate_names, treatment_column, n_treatment_levels)
+    ds = _load_fixed_width(*args)
+    return ds if ds is not None else _load_lines(*args)
+
+
+# A one-byte cell that a line of one-byte cells may hold in a column
+# that is not read: any byte but a separator or a line end (the file
+# holds no quote or NUL).
+_CELL_BYTES = np.ones(256, bool)
+_CELL_BYTES[[ord(","), ord("\r"), ord("\n")]] = False
+
+
+def _cell_values(cells: np.ndarray, kind: str, n_treatment_levels: int) -> np.ndarray | None:
+    """The values of the one-byte cells ``cells`` (uint8) read as column
+    kind ``kind``, as int8, or None if a byte in their range is a token
+    that the kind rejects or reads as missing.
+
+    Each byte from the least to the greatest is read once, as a token,
+    by :func:`_token_table`.  When every one is a digit read as itself
+    (binary and level cells), ``cells`` is overwritten with the values;
+    otherwise (MET scores) the values are looked up.
+    """
+    lo, hi = int(cells.min()), int(cells.max())
+    tokens = [chr(c) for c in range(lo, hi + 1)]
+    value, flags = _token_table(tokens, np.arange(len(tokens)), kind, n_treatment_levels)
+    if flags.any():
+        return None
+    if np.array_equal(value, np.arange(lo, hi + 1) - ord("0")):
+        return np.subtract(cells, ord("0"), out=cells).view(np.int8)
+    return value.astype(np.int8)[cells - lo]
+
+
+def _packed_groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the rows of 0/1 covariates whose columns
+    are the rows of ``columns`` (at most 62), as :func:`_distinct_rows`
+    gives them on those rows.
+
+    Each row is packed into one int64 key, column 0 as the highest bit,
+    which orders the rows as their bytes do.  The keys are grouped by a
+    counting table (:func:`_group_codes`) when the ``2**p`` possible keys
+    are at most the rows, else by ``np.unique``.
+    """
+    p, n = columns.shape
+    key = np.zeros(n, np.int64)
+    for column in columns:
+        key <<= 1
+        key |= column
+    if 1 << p <= n:
+        return _group_codes(key, 1 << p)
+    return np.unique(key, return_index=True, return_inverse=True)[1:]
+
+
+def _load_fixed_width(path, raw: bytes, covariate_names, treatment_column,
+                      n_treatment_levels: int) -> Dataset | None:
+    """Load the bytes ``raw`` of a fixed-width file as one array view, or
+    return None to decline it.
+
+    A file is taken when, after an optional UTF-8 byte-order mark, it is
+    ASCII with no quote and no NUL; its header, read by ``csv.reader``
+    and :func:`_columns` as on the line path, ends in ``\\n`` or
+    ``\\r\\n``; every data line is the header's number of one-byte cells
+    with commas between them and ends in the header's line end (the last
+    one too); at most 62 covariates are read; and every cell read is a
+    value that its column kind accepts (:func:`_cell_values`), so no row
+    is dropped or bad.  The body is an ``(n, 2 * width - 1 + len(eol))``
+    uint8 view, and every separator and line end is checked as a column
+    of it; the cells read are copied once, one row per column.  Errors
+    of the header and of the dataset (repeated covariate names, fewer
+    than two levels, a MET category above ``K - 1``) are raised as on
+    the line path; there are no others.  The rows are grouped by their
+    covariates packed into integer keys (:func:`_packed_groups`).
+    """
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+        return None
+    end = raw.find(b"\n") + 1
+    eol = b"\r\n" if raw[:end].endswith(b"\r\n") else b"\n"
+    if not end or b"\r" in raw[: end - len(eol)]:
+        return None
+    try:
+        header = [h.strip() for h in next(csv.reader([raw[:end].decode()]))]
+    except csv.Error:  # a field over the reader's size limit
+        return None
+    names, treatment_column = _columns(path, header, covariate_names, treatment_column)
+    width, p = len(header), len(names)
+    size = 2 * width - 1 + len(eol)
+    body = np.frombuffer(raw, np.uint8, offset=end)
+    if p > 62 or not body.size or body.size % size:
+        return None
+    lines = body.reshape(-1, size)
+    cells = lines[:, : 2 * width : 2]
+    used = [header.index(c) for c in (*names, OUTCOME_COLUMN, treatment_column)]
+    if not (
+        (lines[:, 1 : 2 * width - 1 : 2] == ord(",")).all()
+        and (lines[:, 2 * width - 1 :] == np.frombuffer(eol, np.uint8)).all()
+        and _CELL_BYTES[cells[:, [j for j in range(width) if j not in used]]].all()
+    ):
+        return None
+
+    # One row per column read: W..., Y, then the treatment.
+    columns = cells.T[used]
+    binary = _cell_values(columns[: p + 1], "binary", n_treatment_levels)
+    kind = "met" if treatment_column == "LTPA_MET" else "level"
+    a = _cell_values(columns[p + 1], kind, n_treatment_levels)
+    if binary is None or a is None:
+        return None
+    groups = _packed_groups(binary[:p])
+    a = a.astype(np.int64)
+    # The cells are checked; the names, K and the levels are not (a MET
+    # category may exceed ``K - 1``).
+    _check_unique(names)
+    _check_levels(a, n_treatment_levels)
+    return Dataset._checked(
+        w=np.ascontiguousarray(binary[:p].T),
+        a=a,
+        y=binary[p].astype(np.int64),
+        covariate_names=names,
+        n_treatment_levels=n_treatment_levels,
+        _groups=groups,
+    )
+
+
+def _load_lines(path, raw: bytes, covariate_names, treatment_column,
+                n_treatment_levels: int) -> Dataset:
+    """Load the bytes ``raw`` of any CSV file, line by distinct line.
 
     The rows are parsed in bulk, once per distinct data line: the lines
     are read in chunks, and the lines of a chunk seen for the first time
@@ -646,16 +791,14 @@ def load_csv(
     number of fields, an unparseable cell, or, if no field is missing, a
     level or MET score out of range.  Only that row is checked cell by
     cell again, so the error names the same row and column as a
-    row-by-row parse would.  A file that is not UTF-8 text, or that the
-    CSV reader rejects (a field over the reader's size limit), raises
-    :class:`ValidationError` naming the file.
+    row-by-row parse would.
 
     The dataset is handed the grouping of its covariate rows
     (:func:`_distinct_rows`), computed on the distinct lines rather than
     on every row, and is built from the checked arrays without checking
     them again (``Dataset._checked``).
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         before = 0  # lines read before the reader's first
         try:

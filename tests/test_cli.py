@@ -291,7 +291,8 @@ def test_diagnose_records_a_cell_without_successful_replicates(tmp_path):
             assert all(isinstance(e[k], float) for k in ("mean_estimate", "sd_estimate",
                                                            "bias", "bias_pct"))
     rows = list(csv.reader((outdir / "eta_bias.csv").read_text().splitlines()))
-    assert rows[1] == ["0", "2.19%", "", "-11.03%"]
+    dead = next(e for e in entries if (e["family"], e["target"]) == ("realistic", 0))
+    assert rows[1] == ["0", "2.19%", f"error: {dead['bias_error']}", "-11.03%"]
 
 
 def test_a_sweep_leaves_the_main_report_and_matches_runs_at_its_alphas(tmp_path):

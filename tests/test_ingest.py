@@ -332,6 +332,11 @@ def test_load_csv_header_only(tmp_path):
     assert str(info.value) == f"{path}: no data rows"
 
 
+def _line_path(path, covariate_names=None, n_treatment_levels=6):
+    """``load_csv`` on the line path, whatever the file."""
+    return ingest._load_lines(path, path.read_bytes(), covariate_names, None, n_treatment_levels)
+
+
 def test_load_csv_first_bad_row_across_chunks(tmp_path):
     path = tmp_path / "chunks.csv"
     with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
@@ -343,7 +348,8 @@ def test_load_csv_first_bad_row_across_chunks(tmp_path):
             load_csv(path)
         path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1,1\n1,4,0\n")
         ds = load_csv(path)
-    assert ds.a.tolist() == [2, 1, 3, 1, 4]
+        lines = _line_path(path)  # a fixed-width file: load_csv takes the array path
+    assert ds.a.tolist() == lines.a.tolist() == [2, 1, 3, 1, 4]
 
 
 def test_load_csv_rejects_a_read_column_named_twice_or_unnamed(tmp_path):
@@ -379,7 +385,7 @@ def test_load_csv_parses_each_distinct_line_once(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(ingest, "_code_lines", counting)
-    ds = load_csv(path)
+    ds = _line_path(path)  # a fixed-width file: load_csv takes the array path
     assert splits == [2]
     assert ds.n == 103 and ds.a.tolist() == [2, 2, 2] + [1, 2] * 50
     assert [g.tolist() for g in ds._groups] == [[3, 0], [1, 1, 1] + [0, 1] * 50]
@@ -559,6 +565,140 @@ def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
     for got, want in zip(ds._w_groups(), _distinct_rows(ds.w)):
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+# One-byte cells per column of a fixed-width file that the array path
+# reads, and others that a file may hold: "." is missing, "10" breaks
+# the width, and level digits may lie past K.
+_FIXED_CELLS = {"W": "01", "A": "0123456789", "LTPA_MET": "0123456789", "Y": "01",
+                "Z": "0x #.a;\t"}
+_FIXED_OTHERS = {"W": ["2", ".", "x", " "], "A": ["9", ".", "x", "10"], "LTPA_MET": [".", "-"],
+                 "Y": ["2", ".", "y"], "Z": []}
+
+
+@st.composite
+def _fixed_width_files(draw):
+    """The bytes of a CSV whose lines are mostly one-byte cells, the
+    covariate names and the K to load it with.  LF or CRLF lines, with
+    or without a byte-order mark, unused columns, LTPA_MET digits,
+    covariate subsets, K below 10 with level digits past it, and, in
+    one file in three, missing or bad cells, a line end of the other
+    kind or an unterminated last line.  Lines repeat."""
+    p = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 10))
+    treatment = draw(st.sampled_from(["A", "LTPA_MET"]))
+    covariates = [f"W{j}" for j in range(p)]
+    header = draw(st.permutations(
+        covariates + [f"Z{j}" for j in range(draw(st.integers(0, 2)))] + [treatment, "Y"]
+    ))
+    names = None
+    if any(c[0] == "Z" for c in header) or draw(st.booleans()):
+        names = tuple(draw(st.permutations(covariates))[: draw(st.integers(1, p))])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    dirty = draw(st.integers(0, 2)) == 0
+    pools = {}
+    for column in ("W", "A", "LTPA_MET", "Y", "Z"):
+        cells = list(_FIXED_CELLS[column][: k if column == "A" else None])
+        pools[column] = cells * 10 + _FIXED_OTHERS[column] * dirty
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        if lines and draw(st.integers(0, 2)) == 0:
+            lines.append(draw(st.sampled_from(lines)))
+        else:
+            lines.append(",".join(draw(st.sampled_from(pools[c[0] if c[0] in "WZ" else c]))
+                                  for c in header))
+    ends = [eol] * len(lines)
+    if dirty and draw(st.booleans()):
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r\n" if eol == "\n" else "\n"
+    if dirty and draw(st.booleans()):
+        ends[-1] = ""
+    text = ",".join(header) + eol + "".join(line + end for line, end in zip(lines, ends))
+    bom = "\ufeff" if draw(st.integers(0, 4)) == 0 else ""
+    return (bom + text).encode(), names, k
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_fixed_width_files())
+@example(case=(b"W1,A,Y\n1,2,1\n0,1,0\n1,2,1\n", None, 6))  # taken
+@example(case=(b"W1,A,Y\r\n1,2,1\r\n0,1,0\r\n", None, 6))  # taken, CRLF
+@example(case=(b"\xef\xbb\xbfW1,Z,LTPA_MET,Y\n1,x,7,1\n", ("W1",), 2))  # taken
+@example(case=(b"W1,A,Y\n1,2,1\n0,1,0", None, 6))  # unterminated
+@example(case=(b"W1,A,Y\n1,2,1\n0,.,0\n", None, 6))  # a missing cell
+@example(case=(b"W1,A,Y\n1,2,1\n0,7,0\n", None, 6))  # a level past K
+@example(case=(b"W1,A,Y\n1,2,1\n0,1,0\r\n", None, 6))  # a CRLF line in an LF file
+@example(case=(b"W1,Z,A,Y\n1,\r,2,1\n", ("W1",), 6))  # a line break as an unused cell
+@example(case=(b"W1,A,Y\n", None, 6))  # no data rows
+@example(case=(b"W1,A,Y\n1,2,1;0,1,0\n", None, 6))  # a cell where a line ends
+@example(case=(b"W1,A,Y\n1;2;1\n", None, 6))  # cells where the commas are
+@example(case=(b"W1,A,Y\r\r\n1,2,1\r\n", None, 6))  # a blank line after the header
+@example(case=(b'W1,Z,A,Y\n1,",2,1\n0,",1,0\n', ("W1",), 6))  # quotes as unused cells
+def test_both_loader_paths_match_the_oracle_on_fixed_width_files(tmp_path_factory, case):
+    """On files of one-byte cells, ``load_csv`` and the line path give
+    what the row-by-row parse gives, as equal datasets or as the same
+    error; the array path gives that dataset too, or declines the file,
+    as it does every file that the parse rejects."""
+    raw, names, k = case
+    path = tmp_path_factory.getbasetemp() / "fixed.csv"
+    path.write_bytes(raw)
+    fixed = ingest._load_fixed_width(path, raw, names, None, k)
+    try:
+        w, a, y, dropped = _oracle_load(path, names, k)
+    except ValidationError as exc:
+        assert fixed is None
+        for load in (lambda: load_csv(path, names, n_treatment_levels=k),
+                     lambda: _line_path(path, names, k)):
+            with pytest.raises(ValidationError) as info:
+                load()
+            assert str(info.value) == str(exc)
+        return
+    header = raw.decode("utf-8-sig").splitlines()[0].split(",")
+    want = Dataset(w=np.array(w, np.int8).reshape(len(a), -1), a=a, y=y,
+                   covariate_names=names or [c for c in header if c[0] == "W"],
+                   n_treatment_levels=k, dropped_rows=dropped)
+    _assert_same_dataset(load_csv(path, names, n_treatment_levels=k), want)
+    _assert_same_dataset(_line_path(path, names, k), want)
+    if fixed is not None:
+        _assert_same_dataset(fixed, want)
+
+
+def test_fixed_width_files_take_the_array_path(tmp_path, monkeypatch):
+    """The files ``write_csv`` writes (CRLF line ends) and files of
+    single-digit rows with LF line ends, as the benchmark writes them,
+    load as one array view: the line path is never called."""
+    from causalrules.dgps import DGP_REGISTRY
+    from causalrules.diagnostics import generate
+
+    def refuse(*args):
+        raise AssertionError("the line path was called")
+
+    drawn = generate(DGP_REGISTRY["cohort"](), 3000, 1)
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    write_csv(drawn, crlf)
+    rows = np.column_stack([drawn.w, drawn.a, drawn.y]).tolist()
+    lf.write_text(",".join((*drawn.covariate_names, "A", "Y")) + "\n"
+                  + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    monkeypatch.setattr(ingest, "_load_lines", refuse)
+    monkeypatch.setattr(ingest, "_code_lines", refuse)
+    for path in (crlf, lf):
+        _assert_same_dataset(load_csv(path), drawn)
+
+
+@pytest.mark.parametrize("p, taken", [(62, True), (63, False)])
+def test_the_array_path_packs_at_most_62_covariates(tmp_path, p, taken):
+    """Each row's covariates are packed into one int64 key, so a file
+    with more covariates goes to the line path, which loads it too."""
+    rng = np.random.default_rng(p)
+    rows = np.column_stack([rng.integers(0, 2, (40, p)), rng.integers(0, 6, 40),
+                            rng.integers(0, 2, 40)])
+    rows[20:] = rows[:20]
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join([f"W{j}" for j in range(p)] + ["A", "Y"]) + "\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows.tolist()))
+    want = Dataset(w=rows[:, :p], a=rows[:, p], y=rows[:, p + 1],
+                   covariate_names=[f"W{j}" for j in range(p)])
+    fixed = ingest._load_fixed_width(path, path.read_bytes(), None, None, 6)
+    assert (fixed is not None) == taken
+    _assert_same_dataset(load_csv(path), want)
 
 
 def test_write_csv_matches_csv_writer(tmp_path):

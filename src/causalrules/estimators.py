@@ -778,7 +778,8 @@ def _rr_tmle(num: _Evaluation, den: _Evaluation, itt_covariate: str) -> Relative
     epsilons: list[float] = []
     residual = np.inf
     theta, psi_num, psi_den, h, score = plugins(q)
-    with np.errstate(over="ignore"):  # for every ``_bare_expit``
+    # Overflow is silenced in the whole loop, for every ``_bare_expit``.
+    with np.errstate(over="ignore"):
         for _ in range(_RR_MAX_ITER):
             eps = fit_fluctuation(
                 s0, h[:n0], m[:n0], trials=t0, n_obs=n, _start=(q[:n0], score)

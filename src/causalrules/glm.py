@@ -200,7 +200,11 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 def _bare_expit(x: np.ndarray) -> np.ndarray:
     """:func:`_expit` without its error state, for the loops that enter
-    ``np.errstate(over="ignore")`` once around all their calls."""
+    ``np.errstate(over="ignore")`` once around all their calls: the
+    logistic fit's Newton loop (:func:`_fit_binomial`),
+    :func:`fit_fluctuation` and the relative-risk targeting loop.  In
+    those loops an overflow is silenced wherever it happens, not only in
+    ``exp(-x)``; invalid and divide-by-zero warnings still raise."""
     return 1.0 / (1.0 + np.exp(-x))
 
 
@@ -236,7 +240,8 @@ def _fit_binomial(
                 feature=feature_names[j],
             )
 
-    with np.errstate(over="ignore"):  # for every ``evaluate``
+    # Overflow is silenced in the whole Newton loop, for every ``evaluate``.
+    with np.errstate(over="ignore"):
         return _damped_newton(evaluate, information, check_separation, X.shape[1], n, "logistic")
 
 
@@ -318,7 +323,8 @@ def fit_fluctuation(
     lo, hi = -_SEPARATION_BOUND, _SEPARATION_BOUND
     eps, last = 0.0, math.inf
     trace: list[float] = []
-    with np.errstate(over="ignore"):  # for every ``_bare_expit``
+    # Overflow is silenced in the whole loop, for every ``_bare_expit``.
+    with np.errstate(over="ignore"):
         for it in range(MAX_ITER):
             if it == 0 and _start is not None:
                 p, score = _start

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 from dataclasses import dataclass, field, fields
 from itertools import chain, count, islice
 
@@ -641,19 +640,20 @@ def load_csv(
     over the reader's size limit), raises :class:`ValidationError`
     naming the file.
 
-    The file is read once as bytes and loaded by one of two paths, which
-    give equal datasets.  A fixed-width file (every data line the
-    header's field count of one-byte cells, each used cell a valid
-    digit; see :func:`_load_fixed_width`) is loaded as one array view of
-    its bytes.  That path raises no error of its own: any file it
-    declines goes, whole and from its first line, to the line path
-    (:func:`_load_lines`), which makes every message about the rows.
+    The file is loaded by one of two paths, which give equal datasets.
+    A fixed-width file (every data line the header's field count of
+    one-byte cells, each used cell a valid digit; see
+    :func:`_load_fixed_width`) is read once as bytes and loaded as one
+    array view of them.  That path raises no error of its own: any file
+    it declines goes, whole and from its first line, to the line path
+    (:func:`_load_lines`), which reads the file again as text and makes
+    every message about the rows.  The declined file's bytes are freed
+    before the line path reads it.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    args = (path, raw, covariate_names, treatment_column, n_treatment_levels)
-    ds = _load_fixed_width(*args)
-    return ds if ds is not None else _load_lines(*args)
+    ds = _load_fixed_width(path, covariate_names, treatment_column, n_treatment_levels)
+    if ds is None:
+        ds = _load_lines(path, covariate_names, treatment_column, n_treatment_levels)
+    return ds
 
 
 # A one-byte cell that a line of one-byte cells may hold in a column
@@ -703,13 +703,14 @@ def _packed_groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(key, return_index=True, return_inverse=True)[1:]
 
 
-def _load_fixed_width(path, raw: bytes, covariate_names, treatment_column,
+def _load_fixed_width(path, covariate_names, treatment_column,
                       n_treatment_levels: int) -> Dataset | None:
-    """Load the bytes ``raw`` of a fixed-width file as one array view, or
-    return None to decline it.
+    """Load a fixed-width file as one array view of its bytes, or return
+    None to decline it.
 
     A file is taken when, after an optional UTF-8 byte-order mark, it is
-    ASCII with no quote and no NUL; its header, read by ``csv.reader``
+    ASCII with no quote and no NUL, and holds no ``.`` (the one missing
+    token of one byte) after its header; its header, read by ``csv.reader``
     and :func:`_columns` as on the line path, ends in ``\\n`` or
     ``\\r\\n``; every data line is the header's number of one-byte cells
     with commas between them and ends in the header's line end (the last
@@ -723,16 +724,18 @@ def _load_fixed_width(path, raw: bytes, covariate_names, treatment_column,
     the line path; there are no others.  The rows are grouped by their
     covariates packed into integer keys (:func:`_packed_groups`).
     """
-    if raw.startswith(codecs.BOM_UTF8):
-        raw = raw[len(codecs.BOM_UTF8) :]
-    if not raw.isascii() or b'"' in raw or b"\0" in raw:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+    text = np.frombuffer(raw, np.uint8, offset=start)  # past the BOM, without a copy
+    if not text.size or text.max() > 0x7F or b'"' in raw or b"\0" in raw:
         return None
-    end = raw.find(b"\n") + 1
-    eol = b"\r\n" if raw[:end].endswith(b"\r\n") else b"\n"
-    if not end or b"\r" in raw[: end - len(eol)]:
+    end = raw.find(b"\n", start) + 1
+    eol = b"\r\n" if raw[start:end].endswith(b"\r\n") else b"\n"
+    if not end or b"\r" in raw[start : end - len(eol)] or raw.find(b".", end) >= 0:
         return None
     try:
-        header = [h.strip() for h in next(csv.reader([raw[:end].decode()]))]
+        header = [h.strip() for h in next(csv.reader([raw[start:end].decode()]))]
     except csv.Error:  # a field over the reader's size limit
         return None
     names, treatment_column = _columns(path, header, covariate_names, treatment_column)
@@ -774,9 +777,8 @@ def _load_fixed_width(path, raw: bytes, covariate_names, treatment_column,
     )
 
 
-def _load_lines(path, raw: bytes, covariate_names, treatment_column,
-                n_treatment_levels: int) -> Dataset:
-    """Load the bytes ``raw`` of any CSV file, line by distinct line.
+def _load_lines(path, covariate_names, treatment_column, n_treatment_levels: int) -> Dataset:
+    """Load any CSV file, line by distinct line.
 
     The rows are parsed in bulk, once per distinct data line: the lines
     are read in chunks, and the lines of a chunk seen for the first time
@@ -798,7 +800,7 @@ def _load_lines(path, raw: bytes, covariate_names, treatment_column,
     on every row, and is built from the checked arrays without checking
     them again (``Dataset._checked``).
     """
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         before = 0  # lines read before the reader's first
         try:

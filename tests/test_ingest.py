@@ -334,7 +334,7 @@ def test_load_csv_header_only(tmp_path):
 
 def _line_path(path, covariate_names=None, n_treatment_levels=6):
     """``load_csv`` on the line path, whatever the file."""
-    return ingest._load_lines(path, path.read_bytes(), covariate_names, None, n_treatment_levels)
+    return ingest._load_lines(path, covariate_names, None, n_treatment_levels)
 
 
 def test_load_csv_first_bad_row_across_chunks(tmp_path):
@@ -632,6 +632,7 @@ def _fixed_width_files(draw):
 @example(case=(b"W1,A,Y\n1;2;1\n", None, 6))  # cells where the commas are
 @example(case=(b"W1,A,Y\r\r\n1,2,1\r\n", None, 6))  # a blank line after the header
 @example(case=(b'W1,Z,A,Y\n1,",2,1\n0,",1,0\n', ("W1",), 6))  # quotes as unused cells
+@example(case=(b"W1,Z,A,Y\n1,.,2,1\n", ("W1",), 6))  # a '.' as an unused cell: declined
 def test_both_loader_paths_match_the_oracle_on_fixed_width_files(tmp_path_factory, case):
     """On files of one-byte cells, ``load_csv`` and the line path give
     what the row-by-row parse gives, as equal datasets or as the same
@@ -640,7 +641,7 @@ def test_both_loader_paths_match_the_oracle_on_fixed_width_files(tmp_path_factor
     raw, names, k = case
     path = tmp_path_factory.getbasetemp() / "fixed.csv"
     path.write_bytes(raw)
-    fixed = ingest._load_fixed_width(path, raw, names, None, k)
+    fixed = ingest._load_fixed_width(path, names, None, k)
     try:
         w, a, y, dropped = _oracle_load(path, names, k)
     except ValidationError as exc:
@@ -696,7 +697,7 @@ def test_the_array_path_packs_at_most_62_covariates(tmp_path, p, taken):
                     + "".join(",".join(map(str, row)) + "\n" for row in rows.tolist()))
     want = Dataset(w=rows[:, :p], a=rows[:, p], y=rows[:, p + 1],
                    covariate_names=[f"W{j}" for j in range(p)])
-    fixed = ingest._load_fixed_width(path, path.read_bytes(), None, None, 6)
+    fixed = ingest._load_fixed_width(path, None, None, 6)
     assert (fixed is not None) == taken
     _assert_same_dataset(load_csv(path), want)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import codecs
 import csv
 from dataclasses import dataclass, field, fields
-from itertools import chain, count, islice
+from itertools import chain, count
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,9 +77,9 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covariates with it once, and the fits group their own arrays with it.
     :func:`load_csv` hands the dataset a grouping equal to this
     function's result on its ``w``: the line path runs it on the distinct
-    lines of a file, not on every row, and maps the result back to the
-    rows; the array path groups each row's covariates packed into one
-    integer key (:func:`_load_fixed_width`).
+    ``(W, A, Y)`` cells of a file's rows, not on every row, and maps the
+    result back to the rows; the array path groups each row's covariates
+    packed into one integer key (:func:`_load_fixed_width`).
     """
     n, p = x.shape
     if p == 0:
@@ -153,7 +154,7 @@ class Dataset:
     arrays are taken as they are, so they must not be changed in place.
     A caller that already knows that grouping may hand it in as
     ``_groups``, as the simulator does for the support cells it draws,
-    :func:`load_csv` for the distinct lines it reads and :meth:`take`
+    :func:`load_csv` for the distinct rows it reads and :meth:`take`
     for the rows it picks.  Those three are checked where they are made
     and built by ``_checked``, which checks nothing again.
     """
@@ -330,224 +331,8 @@ def _check_row(row: int, cells: list[str], names: tuple[str, ...], treatment_col
         )
 
 
-# Data lines read per chunk.  Each chunk's new lines are coded with a
-# fixed number of array operations, so a larger chunk spreads their
-# overhead, but every array they make is O(chunk).  At 4,096 rows a
-# 5k-row cohort file's load peaked at 2.4 MB of traced memory against
-# 1.1 MB at 1,024, while 50k rows loaded only about 1.5 ms faster (on a
-# 2-vCPU machine).  Repeated lines are dropped as they are read, so a
-# chunk holds only its new lines' text.  Rows of quoted text are read
-# half as many at a time (see ``_code_rows``).
-_CHUNK_ROWS = 1024
-
 # Flags of a distinct token, from the checks of one column kind.
 _MISSING, _UNPARSEABLE, _OUT_OF_RANGE = 1, 2, 4
-
-# A cell of at most this many bytes is coded by an integer key.
-_KEY_BYTES = 8
-
-
-class _TokenCodes(dict):
-    """Raw cell text -> integer code; an unseen text gets the next code."""
-
-    def __missing__(self, token: str) -> int:
-        self[token] = code = len(self)
-        return code
-
-
-def _code_rows(reader, width: int, lut: _TokenCodes):
-    """Code the cells of each row of ``reader`` as indices into ``lut``.
-
-    Returns ``(codes, short)``: an ``(rows, width)`` int32 array, and
-    ``(row, fields)`` for the first row whose field count is not
-    ``width`` (None if there is none).  Reading stops at that row's
-    chunk, and ``codes`` holds only the rows before it.
-
-    The reader's rows are lists, which the garbage collector tracks.  A
-    chunk of ``_CHUNK_ROWS // 2`` rows (512) lets them die before a
-    collection promotes them: with 1,024-row chunks, full collections
-    over the promoted rows made a fully quoted 50k-row file load in
-    132 ms against 121 ms on a 2-vCPU machine.
-    """
-    chunks = []
-    short = None
-    read = 0
-    while short is None and (rows := list(islice(reader, max(_CHUNK_ROWS // 2, 1)))):
-        lengths = list(map(len, rows))
-        if lengths.count(width) != len(rows):
-            k = next(k for k, m in enumerate(lengths) if m != width)
-            short = (read + k + 1, lengths[k])
-            rows = rows[:k]
-        read += len(rows)
-        flat = chain.from_iterable(rows)
-        chunks.append(np.fromiter(map(lut.__getitem__, flat), np.int32, len(rows) * width))
-    codes = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
-    return codes.reshape(-1, width), short
-
-
-def _code_cells(raw: bytes, start: np.ndarray, size: np.ndarray, lut: _TokenCodes) -> np.ndarray:
-    """Code the cells ``raw[start:start + size]`` as indices into ``lut``.
-
-    A cell of at most ``_KEY_BYTES`` bytes is keyed by its bytes, padded
-    with zeros to 1, 2, 4 or 8 bytes and read as one unsigned integer;
-    the text holds no NUL, so cells of different lengths get different
-    keys.  The distinct keys are found once and each is coded by its
-    text, so ``lut`` is looked up once per distinct key; the cells then
-    read their codes from a table, indexed by the key itself when keys
-    have 1 or 2 bytes.  A longer cell is coded by its own bytes, one
-    lookup each.
-    """
-    codes = np.empty(start.size, np.int32)
-    keyed = slice(None)
-    long = size > _KEY_BYTES
-    if long.any():
-        at = np.flatnonzero(long)
-        spans = zip(start[at].tolist(), (start[at] + size[at]).tolist())
-        codes[at] = [lut[raw[i:j].decode()] for i, j in spans]
-        keyed = np.flatnonzero(~long)
-        start, size = start[keyed], size[keyed]
-    if not start.size:
-        return codes
-    nbytes = 1 << (max(int(size.max()), 1) - 1).bit_length()  # 1, 2, 4 or 8
-    offsets = np.arange(nbytes)
-    padded = np.frombuffer(raw + bytes(nbytes), np.uint8)[start[:, None] + offsets]
-    padded[offsets >= size[:, None]] = 0
-    dtype = np.dtype(f"u{nbytes}")
-    keys = padded.view(dtype).ravel()
-    if nbytes <= 2:
-        present = np.zeros(1 << 8 * nbytes, bool)
-        present[keys] = True
-        distinct = slots = np.flatnonzero(present)
-    else:  # each key becomes the index of its distinct key
-        distinct, keys = np.unique(keys, return_inverse=True)
-        slots = np.arange(distinct.size)
-    packed = distinct.astype(dtype).tobytes()
-    table = np.zeros(slots[-1] + 1, np.int32)
-    table[slots] = [lut[packed[i : i + nbytes].rstrip(b"\0").decode()]
-                    for i in range(0, len(packed), nbytes)]
-    codes[keyed] = table[keys]
-    return codes
-
-
-def _code_new_lines(new: list[str], width: int, limit: int, lut: _TokenCodes):
-    """Code the cells of the distinct lines ``new`` (see :func:`_code_lines`).
-
-    Returns ``(codes, stop, got)``: a ``(stop, width)`` int32 array of
-    the cell codes of ``new[:stop]``; the index of the first line that
-    ends the line path (``len(new)`` if none does); and that line's
-    field count if it has the wrong number of fields, or None if it
-    holds a quote, a NUL or more than ``limit`` characters.
-    """
-    text = "".join(new)
-    chars = np.fromiter(map(len, new), np.int64, len(new))
-    ends = np.cumsum(chars)  # each line's end in ``text``, in characters
-    stop = len(new)
-    for special in '"\0':
-        at = text.find(special)
-        if at >= 0:
-            stop = min(stop, int(np.searchsorted(ends, at, side="right")))
-    over = np.flatnonzero(chars[:stop] > limit)
-    if over.size:
-        stop = int(over[0])
-    if not stop:
-        return np.empty((0, width), np.int32), stop, None
-    raw = text.encode()
-    data = np.frombuffer(raw, np.uint8)
-    if data.size != len(text):  # not ASCII: ends in characters -> in bytes
-        ends = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)[ends]
-    # One separator pass over the lines before ``stop``: every comma, and
-    # each line's start and the end of its text before its line end.
-    ends = ends[:stop]
-    data = data[: ends[-1]]
-    commas = np.flatnonzero(data == ord(","))
-    starts = np.concatenate([[0], ends[:-1]])
-    last = data[ends - 1]
-    lf = last == ord("\n")
-    crlf = lf & (chars[:stop] > 1) & (data[np.maximum(ends - 2, 0)] == ord("\r"))
-    stripped = ends - (lf | (last == ord("\r"))) - crlf
-    fields = np.diff(np.searchsorted(commas, stripped), prepend=0) + 1
-    fields[stripped == starts] = 0  # an empty line has no fields
-    got = None
-    wrong = np.flatnonzero(fields != width)
-    if wrong.size:
-        stop = int(wrong[0])
-        got = int(fields[stop])
-    # Each line before ``stop`` has ``width - 1`` commas, so its cells
-    # start after its start and each comma, and end at each comma and
-    # its stripped end.
-    inner = commas[: stop * (width - 1)].reshape(stop, width - 1)
-    start = np.empty((stop, width), np.int64)
-    start[:, 0] = starts[:stop]
-    np.add(inner, 1, out=start[:, 1:])
-    size = np.empty((stop, width), np.int64)
-    size[:, :-1] = inner
-    size[:, -1] = stripped[:stop]
-    size -= start
-    del commas, inner  # the cells' bounds replace them
-    codes = _code_cells(raw, start.ravel(), size.ravel(), lut)
-    return codes.reshape(stop, width), stop, got
-
-
-def _code_lines(fh, width: int, lut: _TokenCodes):
-    """Code the data lines left on ``fh``, each distinct line once.
-
-    Opened with ``newline=""``, a file yields lines that end at ``\\n``,
-    ``\\r`` or ``\\r\\n``, which is where ``csv.reader`` ends a record
-    that holds no quote character.  The lines are read in chunks of
-    ``_CHUNK_ROWS``.  One dict maps each distinct line's text to the row
-    where it first occurs, one ``setdefault`` per row, and the lines are
-    numbered in first-seen order.  The lines of a chunk seen for the
-    first time are coded together with array operations
-    (:func:`_code_new_lines`): one search of their joined text finds the
-    first one that ``csv.reader`` must parse itself, one pass over its
-    bytes finds every comma and so each line's field count (an empty
-    line has no fields) and each cell's bytes, and the cells are coded
-    into ``lut`` by their bytes (:func:`_code_cells`).  A line that
-    ``csv.reader`` must parse stops the line path: one with a quote
-    character, a NUL (which the reader of Python 3.10 rejects) or more
-    characters than the reader's field size limit (it may hold a field
-    the reader rejects).
-
-    Returns ``(codes, rows, short, rest)``: an ``(lines, width)`` int32
-    array of cell codes, one row per distinct line; each data row's
-    line; ``(row, fields)`` for the first row whose field count is not
-    ``width`` (None if there is none); and the lines from the first one
-    the reader must parse, which the caller hands to the reader with
-    the rest of ``fh`` (None if there is none, or if a short row comes
-    first).  Reading stops at the short row or at that line, so
-    ``rows`` holds only the rows before it.
-    """
-    limit = csv.field_size_limit()
-    lines: dict[str, int] = {}
-    chunks, rows = [], []
-    short = rest = None
-    read = 0
-    while short is None and rest is None:
-        # Each row's line, as the row where that line first occurs.  A
-        # repeated line's text is dropped as soon as it is looked up.
-        seen = len(lines)
-        line_of = np.fromiter(map(lines.setdefault, islice(fh, _CHUNK_ROWS), count(read)), np.int64)
-        if not line_of.size:
-            break
-        new = list(islice(reversed(lines), len(lines) - seen))[::-1]
-        codes, stop, got = _code_new_lines(new, width, limit, lut)
-        if stop < len(new):
-            # The first row of the line that ends the line path.
-            end = lines[new[stop]] - read
-            if got is None:
-                first_row = {row: line for line, row in lines.items()}
-                rest = [first_row[row] for row in line_of[end:].tolist()]
-            else:
-                short = (read + end + 1, got)
-            line_of = line_of[:end]
-        read += len(line_of)
-        chunks.append(codes)
-        rows.append(line_of)
-    codes = np.concatenate(chunks) if chunks else np.empty((0, width), np.int32)
-    rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    # Number the lines in first-seen order.
-    rows = (np.cumsum(rows == np.arange(rows.size)) - 1)[rows]
-    return codes, rows, short, rest
 
 
 def _token_table(tokens: list[str], codes: np.ndarray, kind: str, n_treatment_levels: int):
@@ -646,9 +431,10 @@ def load_csv(
     :func:`_load_fixed_width`) is read once as bytes and loaded as one
     array view of them.  That path raises no error of its own: any file
     it declines goes, whole and from its first line, to the line path
-    (:func:`_load_lines`), which reads the file again as text and makes
-    every message about the rows.  The declined file's bytes are freed
-    before the line path reads it.
+    (:func:`_load_lines`), which reads the file again as text, one
+    ``csv.reader`` row at a time, and makes every message about the
+    rows.  The declined file's bytes are freed before the line path
+    reads it.
     """
     ds = _load_fixed_width(path, covariate_names, treatment_column, n_treatment_levels)
     if ds is None:
@@ -778,44 +564,40 @@ def _load_fixed_width(path, covariate_names, treatment_column,
 
 
 def _load_lines(path, covariate_names, treatment_column, n_treatment_levels: int) -> Dataset:
-    """Load any CSV file, line by distinct line.
+    """Load any CSV file, one ``csv.reader`` row at a time.
 
-    The rows are parsed in bulk, once per distinct data line: the lines
-    are read in chunks, and the lines of a chunk seen for the first time
-    are tokenised together with array operations, each cell becoming an
-    integer code for its raw text (see :func:`_code_lines`).  From the
-    first line that holds a quote character on, ``csv.reader`` parses
-    the rest of the file, and each of its rows is coded as a line of its
-    own.  Each distinct text in a used column is then parsed once per
-    column kind (binary, level or MET score), and the codes index those
-    results to give W, A, Y and the missing and bad cells of each
-    distinct line.  The first bad row is the first that has the wrong
-    number of fields, an unparseable cell, or, if no field is missing, a
-    level or MET score out of range.  Only that row is checked cell by
-    cell again, so the error names the same row and column as a
-    row-by-row parse would.
+    The rows are read in file order, up to the first one with the wrong
+    number of fields.  Each row is keyed by the cells it uses, ``(W...,
+    A, Y)``, and one dict numbers the distinct keys in first-seen order,
+    so a repeated row, quoted or not, costs one lookup.  The cells of the
+    distinct keys are coded as indices into the file's distinct cell
+    texts; each text is parsed once per column kind (binary, level or
+    MET score), and the codes index those results to give W, A, Y and
+    the missing and bad cells of each distinct key.  The first bad row
+    is the first that has the wrong number of fields, an unparseable
+    cell, or, if no field is missing, a level or MET score out of range.
+    Only that row is checked cell by cell again, so the error names the
+    same row and column as a row-by-row parse would.
 
     The dataset is handed the grouping of its covariate rows
-    (:func:`_distinct_rows`), computed on the distinct lines rather than
+    (:func:`_distinct_rows`), computed on the distinct keys rather than
     on every row, and is built from the checked arrays without checking
     them again (``Dataset._checked``).
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        before = 0  # lines read before the reader's first
         try:
             header = [h.strip() for h in next(reader)]
             names, treatment_column = _columns(path, header, covariate_names, treatment_column)
-            lut = _TokenCodes()
-            codes, rows, short, rest = _code_lines(fh, len(header), lut)
-            if rest is not None:
-                before = reader.line_num + rows.size
-                reader = csv.reader(chain(rest, fh))
-                quoted, short = _code_rows(reader, len(header), lut)
-                if short is not None:
-                    short = (rows.size + short[0], short[1])
-                rows = np.concatenate([rows, len(codes) + np.arange(len(quoted))])
-                codes = np.concatenate([codes, quoted])
+            used = itemgetter(*map(header.index, (*names, treatment_column, OUTCOME_COLUMN)))
+            keys: dict[tuple[str, ...], int] = {}
+            rows = []  # each data row's key number
+            short = None
+            for row in reader:
+                if len(row) != len(header):
+                    short = (len(rows) + 1, len(row))
+                    break
+                rows.append(keys.setdefault(used(row), len(keys)))
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         except UnicodeDecodeError as exc:
@@ -823,18 +605,19 @@ def _load_lines(path, covariate_names, treatment_column, n_treatment_levels: int
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
             ) from None
         except csv.Error as exc:
-            raise ValidationError(f"{path}: line {before + reader.line_num}: {exc}") from None
-    tokens = list(lut)
-
-    w_idx = [header.index(c) for c in names]
-    a_idx = header.index(treatment_column)
-    y_idx = header.index(OUTCOME_COLUMN)
+            raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     p = len(names)
+    tokens = list(dict.fromkeys(chain.from_iterable(keys)))
+    code = dict(zip(tokens, count())).__getitem__
+    codes = np.fromiter(map(code, chain.from_iterable(keys)), np.int32, len(keys) * (p + 2))
+    codes = codes.reshape(len(keys), p + 2)
+    rows = np.array(rows, np.int64)
+
     kind = "met" if treatment_column == "LTPA_MET" else "level"
-    # Codes, flags and values below are per distinct line; ``rows`` maps
-    # each data row to its line.
-    binary_codes = codes[:, w_idx + [y_idx]]
-    a_codes = codes[:, a_idx]
+    # Codes, flags and values below are per distinct key; ``rows`` maps
+    # each data row to its key.
+    binary_codes = codes[:, [*range(p), p + 1]]
+    a_codes = codes[:, p]
     b_value, b_flags = _token_table(tokens, binary_codes, "binary", n_treatment_levels)
     a_value, a_flags = _token_table(tokens, a_codes, kind, n_treatment_levels)
     flags = np.bitwise_or.reduce(b_flags[binary_codes], axis=1) | a_flags[a_codes]
@@ -843,7 +626,7 @@ def _load_lines(path, covariate_names, treatment_column, n_treatment_levels: int
 
     if bad.any():
         i = int(np.argmax(bad[rows]))
-        cells = [tokens[c] for c in codes[rows[i], w_idx + [a_idx, y_idx]]]
+        cells = [tokens[c] for c in codes[rows[i]]]
         _check_row(i + 1, cells, names, treatment_column, n_treatment_levels)
         raise AssertionError(f"row {i + 1} failed the bulk checks but passed the scalar ones")
     if short is not None:
@@ -855,8 +638,8 @@ def _load_lines(path, covariate_names, treatment_column, n_treatment_levels: int
         raise ValidationError(f"{path}: all {rows.size} data rows were dropped as incomplete")
 
     kept = np.flatnonzero(~missing)
-    # Each kept row's position among the kept lines, which stay in
-    # first-seen order: a line first occurs where the running maximum of
+    # Each kept row's position among the kept keys, which stay in
+    # first-seen order: a key first occurs where the running maximum of
     # these positions first reaches it.
     line_of = (np.cumsum(~missing) - 1)[rows[~dropped]]
     first_row = np.searchsorted(np.maximum.accumulate(line_of), np.arange(kept.size))

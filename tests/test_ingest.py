@@ -1,6 +1,5 @@
 import csv
 import io
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -339,16 +338,15 @@ def _line_path(path, covariate_names=None, n_treatment_levels=6):
 
 def test_load_csv_first_bad_row_across_chunks(tmp_path):
     path = tmp_path / "chunks.csv"
-    with mock.patch.object(ingest, "_CHUNK_ROWS", 2):
-        path.write_text("W1,A,Y\n1,2,1\n,1,0\n0,3,1\n1,1,1\n1,7,0\n0,yes,1\n")
-        with pytest.raises(ValidationError, match=r"^row 5, column 'A': level 7 outside"):
-            load_csv(path)
-        path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1\n2,1,0\n")
-        with pytest.raises(ValidationError, match=r"^row 4: expected 3 fields, got 2$"):
-            load_csv(path)
-        path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1,1\n1,4,0\n")
-        ds = load_csv(path)
-        lines = _line_path(path)  # a fixed-width file: load_csv takes the array path
+    path.write_text("W1,A,Y\n1,2,1\n,1,0\n0,3,1\n1,1,1\n1,7,0\n0,yes,1\n")
+    with pytest.raises(ValidationError, match=r"^row 5, column 'A': level 7 outside"):
+        load_csv(path)
+    path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1\n2,1,0\n")
+    with pytest.raises(ValidationError, match=r"^row 4: expected 3 fields, got 2$"):
+        load_csv(path)
+    path.write_text("W1,A,Y\n1,2,1\n1,1,1\n0,3,1\n1,1,1\n1,4,0\n")
+    ds = load_csv(path)
+    lines = _line_path(path)  # a fixed-width file: load_csv takes the array path
     assert ds.a.tolist() == lines.a.tolist() == [2, 1, 3, 1, 4]
 
 
@@ -373,44 +371,100 @@ def test_load_csv_rejects_a_read_column_named_twice_or_unnamed(tmp_path):
     assert ds.w.ravel().tolist() == [1, 0] and ds.a.tolist() == [2, 1]
 
 
+def _count_grouped_rows(monkeypatch) -> list[int]:
+    """The row counts that ``ingest._distinct_rows`` is called on, from now on."""
+    counts = []
+    real = ingest._distinct_rows
+
+    def counting(x):
+        counts.append(x.shape[0])
+        return real(x)
+
+    monkeypatch.setattr(ingest, "_distinct_rows", counting)
+    return counts
+
+
 def test_load_csv_parses_each_distinct_line_once(tmp_path, monkeypatch):
     path = tmp_path / "repeats.csv"
     path.write_text("W1,A,Y\n" + "1,2,1\n" * 3 + "0,1,0\n1,2,1\n" * 50)
-    splits = []
-    real = ingest._code_lines
-
-    def counting(fh, width, lut):
-        out = real(fh, width, lut)
-        splits.append(out[0].shape[0])
-        return out
-
-    monkeypatch.setattr(ingest, "_code_lines", counting)
+    grouped = _count_grouped_rows(monkeypatch)
     ds = _line_path(path)  # a fixed-width file: load_csv takes the array path
-    assert splits == [2]
+    assert grouped == [2]
     assert ds.n == 103 and ds.a.tolist() == [2, 2, 2] + [1, 2] * 50
     assert [g.tolist() for g in ds._groups] == [[3, 0], [1, 1, 1] + [0, 1] * 50]
 
 
+def test_quoted_rows_are_grouped_as_their_unquoted_copies(tmp_path, monkeypatch):
+    """The line path keys a row by its cells, not by its text, so a fully
+    quoted copy of a file loads as the file does and groups only its
+    distinct rows."""
+    rows = [[1, 0, 2, 1], [0, 1, 1, 0], [1, "", 2, 1], [1, 0, 3, 1]] * 40
+    grouped = _count_grouped_rows(monkeypatch)
+    loaded = []
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        path = tmp_path / f"quoting{quoting}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=quoting)
+            writer.writerow(["W1", "W2", "A", "Y"])
+            writer.writerows(rows)
+        loaded.append(_line_path(path))
+    plain, quoted = loaded
+    assert '"1","0","2","1"' in path.read_text()
+    _assert_same_dataset(quoted, plain)
+    assert plain.n == 120 and plain.dropped_rows == 40
+    assert grouped == [3, 3]
+
+
+_TREATMENTS = "('A', 'LTPA_MET')"
+
+
+@pytest.mark.parametrize("text, options, message", [
+    ("", {}, "{path}: empty file"),
+    ("\ufeff", {}, "{path}: empty file"),
+    ("W1,Y\n1,1\n", {}, f"{{path}}: expected exactly one treatment column of {_TREATMENTS}, "
+                        "found none"),
+    ("W1,A,LTPA_MET,Y\n1,1,5,1\n", {},
+     f"{{path}}: expected exactly one treatment column of {_TREATMENTS}, "
+     "found ['A', 'LTPA_MET']"),
+    ("W1,A,Y\n1,1,1\n", {"treatment_column": "B"},
+     f"treatment_column must be one of {_TREATMENTS}, got 'B'"),
+    ("W1,A,Y\n1,1,1\n", {"treatment_column": "LTPA_MET"},
+     "{path}: missing treatment column 'LTPA_MET'"),
+    ("W1,A\n1,1\n", {}, "{path}: missing outcome column 'Y'"),
+    ("A,Y\n1,1\n", {}, "{path}: no covariate columns"),
+    ("W1,A,Y\n1,1,1\n", {"covariate_names": ()}, "{path}: no covariate columns"),
+], ids=["empty", "bom-only", "no-treatment", "both-treatments", "bad-treatment-argument",
+        "missing-treatment", "missing-outcome", "no-covariates", "no-covariates-named"])
+def test_load_csv_header_messages(tmp_path, text, options, message):
+    """Each message about the header, through ``load_csv`` and the line path."""
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode())
+    for load in (lambda: load_csv(path, **options),
+                 lambda: ingest._load_lines(path, options.get("covariate_names"),
+                                            options.get("treatment_column"), 6)):
+        with pytest.raises(ValidationError) as info:
+            load()
+        assert str(info.value) == message.format(path=path)
+
+
 def test_load_csv_oversized_unquoted_field_and_short_rows_in_file_order(tmp_path):
     """An unquoted field over the reader's size limit raises the reader's
-    error unless a short row comes first, whatever the chunk size."""
+    error unless a short row comes first."""
     limit = csv.field_size_limit()
     big = "x" * (limit + 1)
     path = tmp_path / "huge.csv"
-    for chunk in (1, 2, 512):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
-            path.write_text(f"W1,A,Y\n1,2,1\n1,2,1\n0,{big},0\n1,1\n")
-            with pytest.raises(ValidationError) as info:
-                load_csv(path)
-            assert str(info.value) == f"{path}: line 4: field larger than field limit ({limit})"
-            path.write_text(f"W1,A,Y\n1,2,1\n1,1\n0,{big},0\n")
-            with pytest.raises(ValidationError) as info:
-                load_csv(path)
-            assert str(info.value) == "row 2: expected 3 fields, got 2"
-            # A line longer than the limit whose fields all fit still loads.
-            path.write_text(f"W1,Z,A,Y\n1,{big[1:]},2,1\n0,{big[1:]},1,0\n")
-            ds = load_csv(path, covariate_names=("W1",))
-            assert ds.a.tolist() == [2, 1]
+    path.write_text(f"W1,A,Y\n1,2,1\n1,2,1\n0,{big},0\n1,1\n")
+    with pytest.raises(ValidationError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line 4: field larger than field limit ({limit})"
+    path.write_text(f"W1,A,Y\n1,2,1\n1,1\n0,{big},0\n")
+    with pytest.raises(ValidationError) as info:
+        load_csv(path)
+    assert str(info.value) == "row 2: expected 3 fields, got 2"
+    # A line longer than the limit whose fields all fit still loads.
+    path.write_text(f"W1,Z,A,Y\n1,{big[1:]},2,1\n0,{big[1:]},1,0\n")
+    ds = load_csv(path, covariate_names=("W1",))
+    assert ds.a.tolist() == [2, 1]
 
 
 def test_load_csv_hands_a_nul_to_the_csv_reader(tmp_path):
@@ -468,9 +522,9 @@ def _oracle_load(path, covariate_names=None, n_treatment_levels=6):
 
 
 # Cell pools per column, weighted towards valid cells so that many
-# generated files load.  Besides one-byte cells they hold cells of 2 to 8
-# bytes, cells of more than 8 bytes, non-ASCII cells ("１" is a digit
-# that ``float`` reads) and tabs, which the tokeniser keys differently.
+# generated files load.  Besides one-byte cells they hold longer cells,
+# non-ASCII cells ("１" is a digit that ``float`` reads), tabs, and cells
+# that differ as text but parse to the same value.
 _MISSING_CELLS = ["", "NA", " NA ", ".", "nan", " NaN"]
 _POOLS = {
     "W": ["0", "1"] * 8 + [" 1 ", "1.0", "0.0", "2", "yes", "inf", "\t1", "1.000000", "１",
@@ -530,32 +584,29 @@ _LATER_CELLS = "W1,Z,A,Y\n1,a,2,1\n0,b,1,0\n1,a,2,1\n１,é,３,0\n 1        ,0.
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(case=_csv_files(), chunk=st.sampled_from([1, 3, 4096]))
-@example(case=("W1,A,Y\n,9,1\n1,NA,yes\n2,1,0\n", None), chunk=4096)  # bad after dropped
-@example(case=("W1,junk,A,Y\n1,x,2,1\n0,,1,0\n", ("W1",)), chunk=4096)  # unused bad column
-@example(case=("W1,A,Y\r\n1,2,1\r\n0,1,0\r\n1,2,1\r\n\"0\",\"3\r\n\",1\r\n1,2,1\r\n", None),
-         chunk=3)  # the first quote after some rows, then a repeated line
-@example(case=("W1,A,Y\r1,2,1\r\r1,2,1\r", None), chunk=4096)  # a blank line
-@example(case=("W1,A,Y\n,1,1\n1,2,1\n1,2,1\n0,1,0\n", None), chunk=4096)  # a repeat, then new W
+@given(case=_csv_files())
+@example(case=("W1,A,Y\n,9,1\n1,NA,yes\n2,1,0\n", None))  # bad after dropped
+@example(case=("W1,junk,A,Y\n1,x,2,1\n0,,1,0\n", ("W1",)))  # unused bad column
+# The first quote after some rows, then a repeated line.
+@example(case=("W1,A,Y\r\n1,2,1\r\n0,1,0\r\n1,2,1\r\n\"0\",\"3\r\n\",1\r\n1,2,1\r\n", None))
+@example(case=("W1,A,Y\r1,2,1\r\r1,2,1\r", None))  # a blank line
+@example(case=("W1,A,Y\n,1,1\n1,2,1\n1,2,1\n0,1,0\n", None))  # a repeat, then new W
 # Cells of more than one byte, first seen in a later block.
-@example(case=(_LATER_CELLS, ("W1",)), chunk=1)
-@example(case=(_LATER_CELLS, ("W1",)), chunk=3)
-@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\n1,2,0.000000001\n", None), chunk=3)
-@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\né,2,1\n", None), chunk=3)
-def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case, chunk):
+@example(case=(_LATER_CELLS, ("W1",)))
+@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\n1,2,0.000000001\n", None))
+@example(case=("W1,A,Y\n1,2,1\n0,1,0\n1,2,1\né,2,1\n", None))
+def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case):
     text, names = case
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     path.write_bytes(text.encode())
     try:
         want = _oracle_load(path, names)
     except ValidationError as exc:
-        with pytest.raises(ValidationError) as info, \
-                mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
+        with pytest.raises(ValidationError) as info:
             load_csv(path, covariate_names=names)
         assert str(info.value) == str(exc)
         return
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk):
-        ds = load_csv(path, covariate_names=names)
+    ds = load_csv(path, covariate_names=names)
     w, a, y, dropped = want
     assert ds.w.tolist() == w
     assert ds.a.tolist() == a
@@ -679,7 +730,6 @@ def test_fixed_width_files_take_the_array_path(tmp_path, monkeypatch):
     lf.write_text(",".join((*drawn.covariate_names, "A", "Y")) + "\n"
                   + "".join(",".join(map(str, row)) + "\n" for row in rows))
     monkeypatch.setattr(ingest, "_load_lines", refuse)
-    monkeypatch.setattr(ingest, "_code_lines", refuse)
     for path in (crlf, lf):
         _assert_same_dataset(load_csv(path), drawn)
 

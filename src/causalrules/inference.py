@@ -169,6 +169,8 @@ def bootstrap_statistics(
     A replicate that raises a package error yields a NaN row; per-cell
     NaNs from ``stat_fn`` are kept as-is.  Failure accounting uses the
     all-NaN rows, and their warning names the frame ``_stacklevel`` up.
+    A ``stat_fn`` that returns other than ``n_stats`` values raises
+    :class:`ValidationError` at once, as a fault of the caller.
     """
     out = np.full((config.replicates, n_stats), np.nan)
     for b, rng in enumerate(replicate_streams(config.seed, config.replicates)):
@@ -176,11 +178,11 @@ def bootstrap_statistics(
         resampled = dataset.take(idx)
         try:
             values = np.asarray(stat_fn(resampled), dtype=float)
-            if values.shape != (n_stats,):
-                raise ValidationError("stat_fn returned the wrong number of statistics")
-            out[b] = values
         except CausalRulesError:
-            pass
+            continue
+        if values.shape != (n_stats,):
+            raise ValidationError(f"stat_fn returned shape {values.shape}, not ({n_stats},)")
+        out[b] = values
     n_failed = int(np.isnan(out).all(axis=1).sum())
     _check_failures(n_failed, config.replicates, "bootstrap", _stacklevel + 1)
     return out

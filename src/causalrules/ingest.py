@@ -67,27 +67,33 @@ def categorize_met(met: float) -> int:
 
 
 def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first occurrence of each distinct row of ``x``, and
-    each row's position among those distinct rows.
+    """Index of the first occurrence of each distinct row of the 0/1
+    integer matrix ``x``, and each row's position among those distinct
+    rows (int64), which ascend as binary numbers, column 0 highest.
 
-    The distinct rows are ordered by their bytes.  Pass the raw data
-    rather than a float design built from it: the grouping then costs no
-    float copy.  A matrix with no columns is one group.  This is the one
-    grouping of rows into patterns: a :class:`Dataset` groups its
-    covariates with it once, and the fits group their own arrays with it.
-    :func:`load_csv` hands the dataset a grouping equal to this
-    function's result on its ``w``: the line path runs it on the distinct
-    ``(W, A, Y)`` cells of a file's rows, not on every row, and maps the
-    result back to the rows; the array path groups each row's covariates
-    packed into one integer key (:func:`_load_fixed_width`).
+    Each pass packs as many more columns as fit beside the ranks so far
+    into one int64 key per row, and ranks the keys by a counting table
+    (:func:`_group_codes`) when they have at most ``n`` possible values,
+    else by ``np.unique``; no columns make one group.  This is the one
+    grouping of rows into patterns, for datasets, the loader, the fits
+    and the simulator.
     """
     n, p = x.shape
-    if p == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    x = np.ascontiguousarray(x)
-    keys = x.view(np.dtype((np.void, x.dtype.itemsize * p))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
+    inverse, groups, done = np.zeros(n, np.int64), 1, 0
+    while True:
+        take = min(p - done, 62 - (groups - 1).bit_length())
+        for column in x[:, done : done + take].T:
+            inverse <<= 1
+            inverse |= column
+        done += take
+        size = groups << take
+        if size <= n:
+            first, inverse = _group_codes(inverse, size)
+        else:
+            first, inverse = np.unique(inverse, return_index=True, return_inverse=True)[1:]
+        if done == p:
+            return first, inverse
+        groups = first.size
 
 
 def _distinct_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +155,8 @@ class Dataset:
     truncated.
 
     A dataset is grouped once into its distinct covariate rows
-    (:meth:`_w_groups`) and into its (W, A) patterns on them
+    (:meth:`_w_groups`, by :func:`_distinct_rows`) and into its (W, A)
+    patterns on them
     (:meth:`_wa_patterns`), which the fits and the estimators read.  The
     arrays are taken as they are, so they must not be changed in place.
     A caller that already knows that grouping may hand it in as
@@ -236,16 +243,21 @@ class Dataset:
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row-subset (or resample) the dataset by integer indices.
 
-        The rows are this dataset's checked arrays, and their grouping is
-        this dataset's mapped through ``indices``: the picked groups keep
-        their byte order, so ranking them is enough (:func:`_group_codes`),
-        and nothing is checked or grouped again.
+        The indices must be integers in ``-n..n-1``; floats and boolean
+        masks raise :class:`ValidationError`.  The rows are this dataset's
+        checked arrays, and their grouping is this dataset's mapped through
+        ``indices``: the picked groups keep their order, so ranking them is
+        enough (:func:`_group_codes`), and nothing is checked or grouped again.
         """
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
         if idx.ndim != 1:
             raise ValidationError("covariate matrix must be two-dimensional")
         if idx.size == 0:
             raise ValidationError("dataset has no rows")
+        if idx.dtype.kind not in "iu":
+            raise ValidationError(f"row indices must be integers, got dtype {idx.dtype}")
+        if idx.min() < -self.n or idx.max() >= self.n:
+            raise ValidationError(f"row indices must lie in {-self.n}..{self.n - 1}")
         first, inverse = self._w_groups()
         return Dataset._checked(
             w=self.w[idx],
@@ -275,8 +287,8 @@ class Dataset:
 def _group_codes(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` of rows coded by integer codes in
     ``0..size-1``, as :func:`_distinct_rows` gives them on those rows,
-    when the codes keep the rows' byte order: the distinct codes ascend,
-    so ranking them is enough, in O(n + size)."""
+    when the codes keep the rows' order (as packed keys do): the distinct
+    codes ascend, so ranking them is enough, in O(n + size)."""
     present, inverse = _distinct_codes(codes, size)
     first = np.full(present.size, codes.size)
     np.minimum.at(first, inverse, np.arange(codes.size))
@@ -427,10 +439,10 @@ def load_csv(
 
     The file is loaded by one of two paths, which give equal datasets.
     A fixed-width file (every data line the header's field count of
-    one-byte cells, each used cell a valid digit; see
-    :func:`_load_fixed_width`) is read once as bytes and loaded as one
-    array view of them.  That path raises no error of its own: any file
-    it declines goes, whole and from its first line, to the line path
+    one-byte cells, each used cell a valid digit, any number of
+    covariates; see :func:`_load_fixed_width`) is read once as bytes and
+    loaded as one array view of them.  That path raises no error of its
+    own: any file it declines goes, whole and from its first line, to the line path
     (:func:`_load_lines`), which reads the file again as text, one
     ``csv.reader`` row at a time, and makes every message about the
     rows.  The declined file's bytes are freed before the line path
@@ -469,26 +481,6 @@ def _cell_values(cells: np.ndarray, kind: str, n_treatment_levels: int) -> np.nd
     return value.astype(np.int8)[cells - lo]
 
 
-def _packed_groups(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` of the rows of 0/1 covariates whose columns
-    are the rows of ``columns`` (at most 62), as :func:`_distinct_rows`
-    gives them on those rows.
-
-    Each row is packed into one int64 key, column 0 as the highest bit,
-    which orders the rows as their bytes do.  The keys are grouped by a
-    counting table (:func:`_group_codes`) when the ``2**p`` possible keys
-    are at most the rows, else by ``np.unique``.
-    """
-    p, n = columns.shape
-    key = np.zeros(n, np.int64)
-    for column in columns:
-        key <<= 1
-        key |= column
-    if 1 << p <= n:
-        return _group_codes(key, 1 << p)
-    return np.unique(key, return_index=True, return_inverse=True)[1:]
-
-
 def _load_fixed_width(path, covariate_names, treatment_column,
                       n_treatment_levels: int) -> Dataset | None:
     """Load a fixed-width file as one array view of its bytes, or return
@@ -500,15 +492,14 @@ def _load_fixed_width(path, covariate_names, treatment_column,
     and :func:`_columns` as on the line path, ends in ``\\n`` or
     ``\\r\\n``; every data line is the header's number of one-byte cells
     with commas between them and ends in the header's line end (the last
-    one too); at most 62 covariates are read; and every cell read is a
-    value that its column kind accepts (:func:`_cell_values`), so no row
-    is dropped or bad.  The body is an ``(n, 2 * width - 1 + len(eol))``
-    uint8 view, and every separator and line end is checked as a column
-    of it; the cells read are copied once, one row per column.  Errors
+    one too); and every cell read is a value that its column kind
+    accepts (:func:`_cell_values`), so no row is dropped or bad.  The
+    body is an ``(n, 2 * width - 1 + len(eol))`` uint8 view, and every
+    separator and line end is checked as a column of it; the cells read are copied once, one row per column.  Errors
     of the header and of the dataset (repeated covariate names, fewer
     than two levels, a MET category above ``K - 1``) are raised as on
-    the line path; there are no others.  The rows are grouped by their
-    covariates packed into integer keys (:func:`_packed_groups`).
+    the line path; there are no others.  The rows are grouped by
+    :func:`_distinct_rows`, whatever the number of covariates.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -528,7 +519,7 @@ def _load_fixed_width(path, covariate_names, treatment_column,
     width, p = len(header), len(names)
     size = 2 * width - 1 + len(eol)
     body = np.frombuffer(raw, np.uint8, offset=end)
-    if p > 62 or not body.size or body.size % size:
+    if not body.size or body.size % size:
         return None
     lines = body.reshape(-1, size)
     cells = lines[:, : 2 * width : 2]
@@ -547,7 +538,7 @@ def _load_fixed_width(path, covariate_names, treatment_column,
     a = _cell_values(columns[p + 1], kind, n_treatment_levels)
     if binary is None or a is None:
         return None
-    groups = _packed_groups(binary[:p])
+    groups = _distinct_rows(binary[:p].T)
     a = a.astype(np.int64)
     # The cells are checked; the names, K and the levels are not (a MET
     # category may exceed ``K - 1``).

@@ -29,7 +29,7 @@ from causalrules import (
 from causalrules import glm
 from causalrules.estimators import _weight_scale
 from causalrules.glm import INTERCEPT_NAME, _columns_for
-from causalrules.ingest import _distinct_rows
+from oracles import void_view_groups
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def _logistic(X, y, feature_names=None):
     """Logistic regression of 0/1 ``y`` on the design ``X`` through the
     ``Q`` fit's core, on the distinct rows of ``X`` with their successes
     out of trials; returns the coefficients and the fit record."""
-    first, inverse = _distinct_rows(X)
+    first, inverse = void_view_groups(X)
     names = feature_names or tuple(f"x{j}" for j in range(X.shape[1]))
     return glm._fit_binomial(
         X[first], np.bincount(inverse, weights=y), np.bincount(inverse).astype(float),
@@ -556,7 +556,7 @@ def test_treatment_fit_on_a_covariate_subset_equals_fitting_the_columns():
     names = ("SMK.CURR", "AGE.5", "CARD", "FEMALE")
     model = fit_treatment_model(ds, covariate_names=names)
     w = _columns_for(ds.w, ds.covariate_names, names)
-    first, inverse = _distinct_rows(w)
+    first, inverse = void_view_groups(w)
     k = ds.n_treatment_levels
     counts = np.bincount(inverse * k + ds.a, minlength=first.size * k).reshape(-1, k)
     direct = glm._fit_multinomial(w[first], counts.astype(float), names, 0.05)
@@ -672,7 +672,7 @@ def test_structural_zeros_from_one_product_match_the_per_column_definition():
     for name, make in DGP_REGISTRY.items():
         for n in (100, 2000):
             ds = generate(make(), n, seed=1)
-            first, inverse = _distinct_rows(ds.w)
+            first, inverse = void_view_groups(ds.w)
             w = ds.w[first]
             X = np.column_stack([np.ones(w.shape[0]), w])
             k = ds.n_treatment_levels

@@ -175,6 +175,20 @@ def test_bootstrap_failure_thresholds(data_nv, k, entry):
         assert w.filename == __file__
 
 
+def test_bootstrap_statistics_raises_a_wrong_number_of_statistics(data_nv):
+    """A stat_fn that returns 2 values for 3 statistics is the caller's
+    fault: it raises at the first replicate, not as failed replicates."""
+    calls = []
+
+    def two(ds):
+        calls.append(ds.n)
+        return np.array([ds.y.mean(), ds.a.mean()])
+
+    with pytest.raises(ValidationError, match=r"stat_fn returned shape \(2,\), not \(3,\)"):
+        bootstrap_statistics(data_nv, two, BootstrapConfig(replicates=5, seed=0), n_stats=3)
+    assert len(calls) == 1
+
+
 def test_bootstrap_statistics_is_deterministic(data_nv):
     def stat(ds):
         return np.array([ds.y.mean(), ds.a.mean()])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from causalrules import Dataset, ValidationError, categorize_met, load_csv, write_csv
 from causalrules import ingest
 from causalrules.ingest import DEFAULT_COVARIATES, MET_BREAKS, _distinct_rows, _parse_cell
+from oracles import void_view_groups
 
 
 def test_categorize_met_band_edges():
@@ -173,6 +174,23 @@ def test_the_edges_keep_the_checks_their_values_do_not_pass(tmp_path):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("p", [0, 1, 15, 62, 63, 64, 130])
+def test_distinct_rows_equals_the_void_view_oracle(p):
+    """The packed-key grouping is the byte-sorted grouping of the oracle,
+    values and int64 dtype: with fewer and more rows than the ``2**p``
+    possible ones, on duplicated and shuffled rows, in C and Fortran
+    order.  Past 62 columns it packs more than once."""
+    rng = np.random.default_rng(p)
+    for n in (1, 3, 500, *([2 ** p + 7] if p <= 15 else [])):
+        for distinct in (1, 5, n):
+            base = rng.integers(0, 2, (distinct, p), dtype=np.int8)
+            x = base[rng.integers(0, distinct, n)]
+            for layout in (x, np.asfortranarray(x)):
+                for got, want in zip(_distinct_rows(layout), void_view_groups(layout)):
+                    assert got.dtype == want.dtype == np.int64
+                    np.testing.assert_array_equal(got, want)
+
+
 def _rows_with_repeats(p):
     rng = np.random.default_rng(p)
     return Dataset(w=rng.integers(0, 2, (40, p)), a=rng.integers(0, 3, 40),
@@ -197,7 +215,7 @@ def test_take_hands_the_grouping_of_the_rows_it_picks(p, rows):
     again = sub.take(rows[::-1] % sub.n)
     for got, w in ((sub, ds.w[rows]), (again, ds.w[rows][rows[::-1] % sub.n])):
         assert got._groups is not None
-        for x, z in zip(got._groups, _distinct_rows(w)):
+        for x, z in zip(got._groups, void_view_groups(w)):
             assert x.dtype == z.dtype and np.array_equal(x, z)
 
 
@@ -205,10 +223,18 @@ def test_take_hands_the_grouping_of_the_rows_it_picks(p, rows):
     ([], "dataset has no rows"),
     (3, "covariate matrix must be two-dimensional"),
     ([[0, 1]], "covariate matrix must be two-dimensional"),
+    ([0.7, 1.2], "row indices must be integers, got dtype float64"),
+    ([True, False, True], "row indices must be integers, got dtype bool"),
+    ([45], "row indices must lie in -40..39"),
+    ([0, 40], "row indices must lie in -40..39"),
+    ([-41, 3], "row indices must lie in -40..39"),
 ])
 def test_take_rejects_what_the_constructor_rejects(rows, message):
     """No rows, or indices that would not give a row matrix, raise the
-    errors that building a dataset of those rows raises."""
+    errors that building a dataset of those rows raises; so do indices
+    that would pick rows without naming them: floats, which would be
+    truncated, a boolean mask, which would be read as rows 1, 0 and 1, and
+    rows outside ``-n..n-1``."""
     with pytest.raises(ValidationError, match=message):
         _rows_with_repeats(4).take(rows)
 
@@ -613,7 +639,7 @@ def test_load_csv_matches_the_row_by_row_oracle(tmp_path_factory, case):
     assert ds.y.tolist() == y
     assert ds.dropped_rows == dropped
     assert ds._groups is not None  # handed in by the loader
-    for got, want in zip(ds._w_groups(), _distinct_rows(ds.w)):
+    for got, want in zip(ds._w_groups(), void_view_groups(ds.w)):
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
 
@@ -734,22 +760,27 @@ def test_fixed_width_files_take_the_array_path(tmp_path, monkeypatch):
         _assert_same_dataset(load_csv(path), drawn)
 
 
-@pytest.mark.parametrize("p, taken", [(62, True), (63, False)])
-def test_the_array_path_packs_at_most_62_covariates(tmp_path, p, taken):
-    """Each row's covariates are packed into one int64 key, so a file
-    with more covariates goes to the line path, which loads it too."""
+@pytest.mark.parametrize("p", [62, 63, 130])
+def test_the_array_path_takes_any_number_of_covariates(tmp_path, p):
+    """Files of more covariates than one int64 key holds take the array
+    path too, and load equal to the line path, groupings included; the
+    grouping is the byte-sorted one of the oracle."""
     rng = np.random.default_rng(p)
     rows = np.column_stack([rng.integers(0, 2, (40, p)), rng.integers(0, 6, 40),
                             rng.integers(0, 2, 40)])
-    rows[20:] = rows[:20]
+    rows[20:] = rows[rng.permutation(20)]
+    rows[30:, 1:] = rows[20:30, 1:]  # rows equal past column 0
     path = tmp_path / "wide.csv"
     path.write_text(",".join([f"W{j}" for j in range(p)] + ["A", "Y"]) + "\n"
                     + "".join(",".join(map(str, row)) + "\n" for row in rows.tolist()))
     want = Dataset(w=rows[:, :p], a=rows[:, p], y=rows[:, p + 1],
                    covariate_names=[f"W{j}" for j in range(p)])
     fixed = ingest._load_fixed_width(path, None, None, 6)
-    assert (fixed is not None) == taken
-    _assert_same_dataset(load_csv(path), want)
+    assert fixed is not None
+    for ds in (fixed, load_csv(path), _line_path(path)):
+        _assert_same_dataset(ds, want)
+        for got, oracle in zip(ds._groups, void_view_groups(want.w)):
+            assert got.dtype == oracle.dtype and np.array_equal(got, oracle)
 
 
 def test_write_csv_matches_csv_writer(tmp_path):
